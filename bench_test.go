@@ -45,7 +45,7 @@ func specByName(b *testing.B, name string) harness.Spec {
 }
 
 // allNames is the paper's nine — the set the committed BENCH_baseline.json
-// was captured over, kept stable so CI benchstat comparisons stay
+// was captured over, kept stable so comparisons against it stay
 // apples-to-apples. The Cilk-suite additions get their own benchmark
 // family (BenchmarkCilkSuite) below.
 var allNames = []string{
@@ -371,8 +371,7 @@ func BenchmarkAblationEagerPush(b *testing.B) {
 // Each iteration is one complete MeasureAll at the small scale; compare
 // jobs=1 against jobs=N for the speedup (results are identical; see
 // TestMeasureAllParallelMatchesSerial). Restricted to the paper nine:
-// the committed BENCH_baseline.json entry was captured over that set,
-// and CI benchstats every push against it.
+// the committed BENCH_baseline.json entry was captured over that set.
 func BenchmarkMeasureAllJobs(b *testing.B) {
 	specs := make([]harness.Spec, len(allNames))
 	for i, name := range allNames {

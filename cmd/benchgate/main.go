@@ -12,7 +12,7 @@
 //     parallel harness paths).
 //
 // Wall-clock metrics (ns/op) and B/op are ignored: they depend on the host
-// and belong in the report-only benchstat summary, not a gate.
+// and are compared only between runs on the same machine, not gated.
 //
 // Benchmark names are matched with the trailing -GOMAXPROCS suffix
 // stripped, so a reference recorded on an 8-core machine gates a run on a

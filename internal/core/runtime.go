@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"iter"
 
 	"repro/internal/cache"
 	"repro/internal/dag"
@@ -40,7 +41,7 @@ type Config struct {
 // caches, per-socket LLCs, and the coherence directory's entry slabs).
 type Arena struct {
 	sched *sched.Arena
-	tasks []*simTask
+	tasks []*simCtx
 	hier  *cache.Hierarchy
 }
 
@@ -106,16 +107,10 @@ type Runtime struct {
 	engine *sched.Engine
 	arena  *Arena
 
-	// Task-goroutine pool for this run: strand execution hands off between
-	// the engine goroutine and one goroutine per live frame; finished
-	// frames' goroutines (and their channels) are reused for later frames
-	// instead of being respawned.
+	// Coroutine pool for this run: one iter.Pull coroutine per live frame,
+	// reused by a later frame once its own returns; closeUnits stops them.
 	units     []*unit
 	freeUnits []*unit
-	// poisoned is set by closeUnits before it wakes parked task
-	// goroutines, telling them to unwind instead of resuming; the
-	// channel close publishing the wake also publishes the flag.
-	poisoned bool
 
 	used bool
 }
@@ -178,12 +173,12 @@ func (rt *Runtime) Run(root Task) *Report {
 		rec = dag.Wrap(runner)
 		runner = rec
 	}
-	// Release the task-goroutine pool even if the run panics, so parked
-	// goroutines never outlive the Runtime.
+	// Stop the coroutine pool even if the run panics, so suspended strands
+	// never outlive the Runtime.
 	defer rt.closeUnits()
 	rt.engine = sched.NewEngineIn(rt.arena.sched, rt.cfg.Sched, runner)
 	rootFrame := rt.engine.NewRootFrame(PlaceAny)
-	rootFrame.Data = newSimTask(rt, rootFrame, root)
+	rootFrame.Data = rt.newTask(rootFrame, root)
 	stats := rt.engine.Run(rootFrame)
 	rep := &Report{
 		Time:    stats.Makespan,
@@ -284,54 +279,41 @@ func (c *serialCtx) WriteStrided(r *memory.Region, off, stride, elem int64, coun
 // to keep the Resume method off Runtime's public surface.
 type simRunner Runtime
 
-// Resume implements sched.Runner by handing control to the frame's task
-// goroutine until its next scheduling event. Exactly one task goroutine runs
-// at a time (strict handoff), which keeps the simulation deterministic.
-// When the task returns, its goroutine and task record go back to the pools
-// for the next frame — the steady-state loop spawns no goroutines and
-// allocates no task state.
+// Resume implements sched.Runner by switching into the frame's coroutine
+// until its next scheduling event. Exactly one strand runs at a time, and
+// only inside the engine's next call, which keeps the simulation
+// deterministic and surfaces a task's panic there. A returned task's
+// coroutine and record go back to the pools for the next frame, so the
+// steady-state loop creates no coroutines and allocates no task state.
 func (r *simRunner) Resume(w int, f *sched.Frame) sched.Yield {
 	rt := (*Runtime)(r)
-	t := f.Data.(*simTask)
-	t.ctx.worker = w
-	t.ctx.core = rt.engine.CoreOf(w)
-	t.ctx.start = rt.engine.ClockOf(w)
-	if !t.started {
-		t.started = true
-		t.u = rt.getUnit()
-		t.u.start <- t
-	} else {
-		t.u.resume <- struct{}{}
+	c := f.Data.(*simCtx)
+	c.worker = w
+	c.core = rt.engine.CoreOf(w)
+	c.start = rt.engine.ClockOf(w)
+	if c.u == nil {
+		c.u = rt.getUnit()
+		c.u.task = c
 	}
-	u := t.u
-	y := <-u.yield
-	if t.err != nil {
-		panic(fmt.Sprintf("core: task panicked: %v", t.err))
-	}
+	u := c.u
+	y, _ := u.next()
 	if y.Kind == sched.YieldReturn {
-		// The task is done: its final yield has been received and its
-		// goroutine is parked back at the unit loop. Nothing references
+		// The task is done: its coroutine is suspended in its final yield
+		// and will run whatever task it is handed next. Nothing references
 		// either anymore (the engine recycles the frame when it applies
 		// this yield), so both are safe to hand to the next frame.
 		rt.freeUnits = append(rt.freeUnits, u)
-		rt.putTask(t)
+		rt.putTask(c)
 	}
 	return y
 }
 
-// unit is one pooled task goroutine with its handoff channels. The
-// goroutine runs tasks assigned over start until the channel closes at the
-// end of the run.
+// unit is one pooled strand coroutine, running the task handed to it.
 type unit struct {
-	start  chan *simTask
-	resume chan struct{}
-	yield  chan sched.Yield
-}
-
-func (u *unit) loop() {
-	for t := range u.start {
-		t.main()
-	}
+	task  *simCtx
+	yield func(sched.Yield) bool
+	next  func() (sched.Yield, bool)
+	stop  func()
 }
 
 func (rt *Runtime) getUnit() *unit {
@@ -340,97 +322,77 @@ func (rt *Runtime) getUnit() *unit {
 		rt.freeUnits = rt.freeUnits[:n-1]
 		return u
 	}
-	u := &unit{
-		start:  make(chan *simTask),
-		resume: make(chan struct{}),
-		yield:  make(chan sched.Yield),
-	}
+	u := &unit{}
+	u.next, u.stop = iter.Pull(u.body)
 	rt.units = append(rt.units, u)
-	go u.loop()
 	return u
 }
 
-// closeUnits retires the run's pooled goroutines. Units parked in the free
-// pool exit their loop when their start channel closes. A unit still
-// blocked inside a task — possible when the run panicked or was
-// interrupted — is parked at its resume receive (strict handoff: the
-// engine held the only running strand, and it is unwinding here), so
-// closing resume wakes it; the poisoned flag, published by that close,
-// makes resumeWait unwind the task instead of resuming it, and the
-// goroutine exits through its closed loop. Nothing outlives the Runtime.
+// body is the coroutine. For each task handed to it, it runs the user
+// function, then the implicit sync every Cilk function performs before
+// returning, then yields Return. A strand that closeUnits stops sees its
+// yield return false and unwinds with unitUnwind, which ends here; any other
+// panic is a task failure, re-raised for iter.Pull to carry to next.
+func (u *unit) body(yield func(sched.Yield) bool) {
+	defer func() {
+		//numaws:recover-ok coroutine teardown, not containment: only a stopped strand's unitUnwind ends here; task panics are re-raised to the engine's next call
+		if p := recover(); p != nil && p != (unitUnwind{}) {
+			panic(fmt.Sprintf("core: task panicked: %v", p))
+		}
+	}()
+	u.yield = yield
+	for {
+		c := u.task
+		c.fn(c)
+		if c.spawned {
+			c.Sync()
+		}
+		c.yield(sched.YieldReturn, nil)
+	}
+}
+
+// closeUnits stops every coroutine of the run, idle or — when the run
+// panicked or was interrupted — suspended mid-task; each sees its yield
+// return false and unwinds, so nothing outlives the Runtime.
 func (rt *Runtime) closeUnits() {
-	rt.poisoned = true
 	for _, u := range rt.units {
-		close(u.start)
-		close(u.resume)
+		u.stop()
 	}
 	rt.units, rt.freeUnits = nil, nil
 }
 
-// unitUnwind is the panic value resumeWait raises on a poisoned Runtime;
-// simTask.main swallows it to retire the goroutine without yielding to an
-// engine that no longer exists.
+// unitUnwind is the panic value a stopped strand raises to unwind the task
+// without yielding to an engine that no longer exists.
 type unitUnwind struct{}
 
-// simTask is the continuation state of one frame: a pooled goroutine unit
-// that runs the user's Task and parks at every spawn/sync/return.
-type simTask struct {
-	fn      Task
-	ctx     simCtx
-	u       *unit
-	started bool
-	err     any
-}
-
-func newSimTask(rt *Runtime, f *sched.Frame, fn Task) *simTask {
-	t := rt.getTask()
-	t.fn = fn
-	t.ctx = simCtx{rt: rt, frame: f, task: t}
-	return t
-}
-
-func (rt *Runtime) getTask() *simTask {
+// newTask returns a pooled task record running fn as frame f.
+func (rt *Runtime) newTask(f *sched.Frame, fn Task) *simCtx {
 	a := rt.arena
+	var c *simCtx
 	if n := len(a.tasks); n > 0 {
-		t := a.tasks[n-1]
-		a.tasks = a.tasks[:n-1]
-		return t
+		c, a.tasks = a.tasks[n-1], a.tasks[:n-1]
+	} else {
+		c = new(simCtx)
 	}
-	return &simTask{}
+	*c = simCtx{rt: rt, frame: f, fn: fn}
+	return c
 }
 
 // putTask clears a finished task record — dropping its frame and closure
 // references for the collector — and pools it for the next frame.
-func (rt *Runtime) putTask(t *simTask) {
-	*t = simTask{}
-	rt.arena.tasks = append(rt.arena.tasks, t)
+func (rt *Runtime) putTask(c *simCtx) {
+	*c = simCtx{}
+	rt.arena.tasks = append(rt.arena.tasks, c)
 }
 
-// main is the task goroutine body: run the user function, then an implicit
-// sync (every Cilk function syncs before returning), then yield Return.
-func (t *simTask) main() {
-	defer func() {
-		//numaws:recover-ok goroutine relay, not containment: the panic is re-raised on the engine goroutine by simRunner.Resume
-		if p := recover(); p != nil {
-			if _, unwind := p.(unitUnwind); unwind {
-				return // torn-down Runtime: no engine is listening for a yield
-			}
-			t.err = p
-			t.u.yield <- sched.Yield{Kind: sched.YieldReturn, Cost: t.ctx.cost}
-		}
-	}()
-	t.fn(&t.ctx)
-	if t.ctx.spawned {
-		t.ctx.Sync()
-	}
-	t.u.yield <- sched.Yield{Kind: sched.YieldReturn, Cost: t.ctx.cost}
-}
-
-// simCtx implements Context on the simulated platform.
+// simCtx is the task record of one frame: the user's Task, the pooled unit
+// that runs it and suspends at every spawn/sync/return, and its Context on
+// the simulated platform.
 type simCtx struct {
 	rt      *Runtime
 	frame   *sched.Frame
-	task    *simTask
+	fn      Task
+	u       *unit
 	worker  int
 	core    int
 	start   int64 // virtual time at which the current strand was resumed
@@ -456,29 +418,14 @@ func (c *simCtx) checkPlace(p int) int {
 
 func (c *simCtx) spawnAt(place int, fn Task) {
 	child := c.rt.engine.NewFrame(c.frame, place)
-	child.Data = newSimTask(c.rt, child, fn)
+	child.Data = c.rt.newTask(child, fn)
 	c.spawned = true
-	c.task.u.yield <- sched.Yield{Kind: sched.YieldSpawn, Cost: c.cost, Child: child}
-	c.cost = 0
-	c.resumeWait()
+	c.yield(sched.YieldSpawn, child)
 }
 
 func (c *simCtx) Sync() {
 	c.spawned = false
-	c.task.u.yield <- sched.Yield{Kind: sched.YieldSync, Cost: c.cost}
-	c.cost = 0
-	c.resumeWait()
-}
-
-// resumeWait parks the task goroutine until the engine hands control
-// back. On a torn-down Runtime the wake comes from closeUnits closing the
-// channel instead; the poisoned flag distinguishes the two, and the
-// unwind panic retires the goroutine through main's recover.
-func (c *simCtx) resumeWait() {
-	<-c.task.u.resume
-	if c.rt.poisoned {
-		panic(unitUnwind{})
-	}
+	c.yield(sched.YieldSync, nil)
 }
 
 // Call runs t as a plain (non-spawn) Cilk function call: same worker, no
@@ -486,10 +433,19 @@ func (c *simCtx) resumeWait() {
 // only for t's own spawned children, never the caller's.
 func (c *simCtx) Call(t Task) {
 	child := c.rt.engine.NewCalledFrame(c.frame, c.frame.Place)
-	child.Data = newSimTask(c.rt, child, t)
-	c.task.u.yield <- sched.Yield{Kind: sched.YieldCall, Cost: c.cost, Child: child}
+	child.Data = c.rt.newTask(child, t)
+	c.yield(sched.YieldCall, child)
+}
+
+// yield ends the current strand: it hands the engine a scheduling event
+// carrying the strand's cost and suspends until the engine resumes the
+// frame. A false yield means closeUnits stopped the unit: unwind.
+func (c *simCtx) yield(k sched.YieldKind, child *sched.Frame) {
+	cost := c.cost
 	c.cost = 0
-	c.resumeWait()
+	if !c.u.yield(sched.Yield{Kind: k, Cost: cost, Child: child}) {
+		panic(unitUnwind{})
+	}
 }
 
 func (c *simCtx) Compute(n int64) { c.cost += n }
@@ -514,7 +470,3 @@ func (c *simCtx) NumPlaces() int { return c.rt.engine.Places() }
 func (c *simCtx) Place() int     { return c.frame.Place }
 func (c *simCtx) SetPlace(p int) { c.frame.Place = c.checkPlace(p) }
 func (c *simCtx) Worker() int    { return c.worker }
-
-// QueueCycles reports the total extra cycles the run paid to DRAM bandwidth
-// congestion (see cache.Latency.DRAMOccupancy).
-func (rt *Runtime) QueueCycles() int64 { return rt.caches.QueueCycles }

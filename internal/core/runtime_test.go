@@ -1,8 +1,12 @@
 package core
 
 import (
+	"reflect"
+	"runtime"
+	"strings"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"repro/internal/memory"
 	"repro/internal/sched"
@@ -11,14 +15,20 @@ import (
 
 // fib builds the classic spawn-heavy microbenchmark: each call charges one
 // unit of compute per node so work is countable.
-func fib(n int) Task {
+func fib(n int) Task { return fibBoom(n, new(int)) }
+
+// fibBoom is fib(n) panicking "boom" at its *leaf-th leaf, if *leaf > 0.
+func fibBoom(n int, leaf *int) Task {
 	return func(ctx Context) {
 		ctx.Compute(1)
 		if n < 2 {
+			if *leaf--; *leaf == 0 {
+				panic("boom")
+			}
 			return
 		}
-		ctx.Spawn(fib(n - 1))
-		ctx.Call(fib(n - 2)) // second "call" runs in the same frame
+		ctx.Spawn(fibBoom(n-1, leaf))
+		ctx.Call(fibBoom(n-2, leaf)) // second "call" runs in the same frame
 		ctx.Sync()
 	}
 }
@@ -173,15 +183,9 @@ func TestSetPlace(t *testing.T) {
 }
 
 func TestPlaceValidation(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("SpawnAt with out-of-range place did not panic")
-		}
-	}()
-	newRT(4, sched.NUMAWS, 1).Run(func(ctx Context) {
-		ctx.SpawnAt(99, func(Context) {})
-		ctx.Sync()
-	})
+	if recovered(func() { newRT(4, sched.NUMAWS, 1).Run(func(ctx Context) { ctx.SpawnAt(99, func(Context) {}) }) }) == nil {
+		t.Error("SpawnAt with out-of-range place did not panic")
+	}
 }
 
 func TestNumPlacesFollowsPacking(t *testing.T) {
@@ -234,27 +238,63 @@ func TestDeterministicRuns(t *testing.T) {
 	}
 }
 
+// recovered runs f and returns what it panicked with.
+func recovered(f func()) (p any) {
+	defer func() { p = recover() }()
+	f()
+	return nil
+}
+
 func TestTaskPanicPropagates(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("task panic did not propagate to Run caller")
+	arena := NewArena()
+	run := func(a *Arena, root Task) *Report {
+		cfg := DefaultConfig(4, sched.Cilk)
+		cfg.Arena = a
+		return NewRuntime(cfg).Run(root)
+	}
+	// A child panicking at once, and a grandchild after many suspensions.
+	for _, c := range []struct{ n, leaf int }{{2, 1}, {10, 40}} {
+		p := recovered(func() { run(arena, fibBoom(c.n, &c.leaf)) })
+		if s, _ := p.(string); !strings.Contains(s, "core: task panicked: boom") {
+			t.Errorf("fib(%d) panicking at a leaf: Run panicked with %v", c.n, p)
 		}
-	}()
-	newRT(2, sched.Cilk, 1).Run(func(ctx Context) {
-		ctx.Spawn(func(Context) { panic("boom") })
-		ctx.Sync()
-	})
+	}
+	// The arena a panicked run leaves behind stays fit for reuse.
+	if got, want := run(arena, fib(12)), run(NewArena(), fib(12)); !reflect.DeepEqual(got, want) {
+		t.Errorf("run on a reused arena after a panic = %+v, want %+v", got, want)
+	}
+}
+
+// TestAbortedRunsLeakNoStrands pins closeUnits: runs stopped with strands
+// suspended — interrupted mid-run, or panicking deep in the tree — leave
+// none of their coroutines behind.
+func TestAbortedRunsLeakNoStrands(t *testing.T) {
+	before := runtime.NumGoroutine()
+	interrupted := DefaultConfig(8, sched.NUMAWS)
+	interrupted.Sched.Interrupt = func() bool { return true } // first poll is mid-run
+	for range 3 {
+		if p := recovered(func() { NewRuntime(interrupted).Run(fib(18)) }); p != sched.ErrInterrupted {
+			t.Fatalf("interrupted run panicked with %v", p)
+		}
+		leaf := 500
+		if recovered(func() { newRT(8, sched.Cilk, 1).Run(fibBoom(18, &leaf)) }) == nil {
+			t.Fatal("panicking run returned")
+		}
+	}
+	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > before && time.Now().Before(deadline); {
+		time.Sleep(10 * time.Millisecond)
+	}
+	if after := runtime.NumGoroutine(); after > before {
+		t.Errorf("aborted runs leaked strands: %d goroutines before, %d after", before, after)
+	}
 }
 
 func TestRuntimeSingleUse(t *testing.T) {
 	rt := newRT(2, sched.Cilk, 1)
 	rt.Run(func(Context) {})
-	defer func() {
-		if recover() == nil {
-			t.Error("second Run on the same Runtime did not panic")
-		}
-	}()
-	rt.Run(func(Context) {})
+	if recovered(func() { rt.Run(func(Context) {}) }) == nil {
+		t.Error("second Run on the same Runtime did not panic")
+	}
 }
 
 func TestSpawnRangeCoversAllIndices(t *testing.T) {
@@ -377,12 +417,9 @@ func TestTopologyAccessors(t *testing.T) {
 }
 
 func TestConfigRequiresTopology(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("NewRuntime without topology did not panic")
-		}
-	}()
-	NewRuntime(Config{Sched: sched.Config{Workers: 2}})
+	if recovered(func() { NewRuntime(Config{Sched: sched.Config{Workers: 2}}) }) == nil {
+		t.Error("NewRuntime without topology did not panic")
+	}
 }
 
 func TestWorkerReportedDuringRun(t *testing.T) {

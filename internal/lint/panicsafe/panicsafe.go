@@ -10,7 +10,9 @@
 // The only sanctioned exceptions are goroutine relays: a worker that
 // recovers a panic solely to re-raise it on the submitting goroutine
 // (so it still reaches the boundary) waives its recover with
-// `//numaws:recover-ok <reason>`.
+// `//numaws:recover-ok <reason>`, and so does a coroutine teardown guard
+// that swallows only its own unwind sentinel and re-raises every other
+// panic.
 //
 // Scope: every package in the module; _test.go files are exempt
 // wholesale (tests recover deliberately to assert that code panics).
