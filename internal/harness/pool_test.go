@@ -27,12 +27,15 @@ func TestGridAmortizationByteIdentical(t *testing.T) {
 	// memoized TS report each, plus heat's cached verify oracle (computed
 	// inside the TS run's verification). lu's verify reproducts the run's
 	// own factors against the kept original, which is per-run by design.
+	// nqueens adds its verify recount and its leaf table, each once per
+	// input.
 	for _, tc := range []struct {
 		bench string
 		refs  uint64
 	}{
 		{"heat", 2},
 		{"lu", 1},
+		{"nqueens", 3},
 	} {
 		t.Run(tc.bench, func(t *testing.T) {
 			spec := specByName(t, tc.bench)

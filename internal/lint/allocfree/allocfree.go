@@ -56,7 +56,7 @@ const annotation = "alloc-free"
 // table doubles as the cross-package set of known-alloc-free callees.
 var hotPath = map[string][]string{
 	"repro/internal/sim": {
-		"Queue.Push", "Queue.Pop", "Queue.Peek",
+		"Queue.Push", "Queue.Pop", "Queue.PushPop", "Queue.Peek",
 		"Picker.Pick", "RNG.PickUniformExcept",
 	},
 	"repro/internal/deque": {

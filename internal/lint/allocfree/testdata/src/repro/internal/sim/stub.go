@@ -21,6 +21,9 @@ func (q *Queue) Pop() int64 {
 }
 
 //numaws:alloc-free
+func (q *Queue) PushPop(k, t int64) int64 { return k }
+
+//numaws:alloc-free
 func (q *Queue) Peek() int64 { return q.h[0].key }
 
 // Picker is a stand-in for the precomputed victim picker.

@@ -70,6 +70,72 @@ func TestArenaFrameRecycling(t *testing.T) {
 	}
 }
 
+// fibState is fibRunner's continuation state of one frame.
+type fibState struct{ n, step int }
+
+// fibRunner is a zero-cost synthetic fib tree built only from pooled
+// storage: frames from the engine's arena, states from its own free list.
+// Each frame spawns n-1 and n-2, syncs and returns; a leaf just returns.
+type fibRunner struct {
+	e    *Engine
+	free []*fibState
+}
+
+func (r *fibRunner) state(n int) *fibState {
+	if k := len(r.free); k > 0 {
+		s := r.free[k-1]
+		r.free = r.free[:k-1]
+		*s = fibState{n: n}
+		return s
+	}
+	return &fibState{n: n}
+}
+
+func (r *fibRunner) spawn(parent *Frame, n int) Yield {
+	f := r.e.NewFrame(parent, parent.Place)
+	f.Data = r.state(n)
+	return Yield{Kind: YieldSpawn, Child: f}
+}
+
+func (r *fibRunner) Resume(_ int, f *Frame) Yield {
+	s := f.Data.(*fibState)
+	if s.n >= 2 {
+		s.step++
+		switch s.step {
+		case 1:
+			return r.spawn(f, s.n-1)
+		case 2:
+			return r.spawn(f, s.n-2)
+		case 3:
+			return Yield{Kind: YieldSync}
+		}
+	}
+	r.free = append(r.free, s)
+	return Yield{Kind: YieldReturn}
+}
+
+// TestEngineSteadyStateAllocationFree pins the engine loop's steady state:
+// on a warmed arena, a run allocates the same amount however many strands
+// it executes. fib(20) resumes about 18x as many strands as fib(14), so a
+// single allocation per strand or per event shows up as a difference.
+func TestEngineSteadyStateAllocationFree(t *testing.T) {
+	arena := NewArena()
+	r := &fibRunner{}
+	run := func(n int) func() {
+		return func() {
+			r.e = NewEngineIn(arena, testConfig(32, NUMAWS), r)
+			root := r.e.NewRootFrame(PlaceAny)
+			root.Data = r.state(n)
+			r.e.Run(root)
+		}
+	}
+	small, large := run(14), run(20)
+	large() // warm the arena's frame pool and the runner's state pool
+	if a, b := testing.AllocsPerRun(5, small), testing.AllocsPerRun(5, large); a != b {
+		t.Errorf("fib(14) run made %v allocations, fib(20) run %v; the engine loop allocates per strand", a, b)
+	}
+}
+
 // TestEngineFrameConstructorsMatchPackageOnes checks the pooled
 // constructors produce frames indistinguishable from the package-level ones
 // apart from pooling.

@@ -265,12 +265,16 @@ type worker struct {
 	// for the ablation study.
 	mailbox []*Frame
 
-	clock   int64
-	run     *Frame // frame to execute at the next event, if any
-	pending *Yield // a finished strand's event, to apply at its end time
-	next    nextAction
-	check   *Frame // parent to CHECKPARENT, if next == actionCheckParent
-	stats   WorkerStats
+	clock int64
+	run   *Frame // frame to execute at the next event, if any
+	// pending is a finished strand's event, to apply at its end time when
+	// hasPending is set. It is held by value: a pointer to it would escape
+	// to the heap once per strand.
+	pending    Yield
+	hasPending bool
+	next       nextAction
+	check      *Frame // parent to CHECKPARENT, if next == actionCheckParent
+	stats      WorkerStats
 	// picker draws this thief's victim under the biased policy; built once
 	// at construction from the per-hop-class weight table (nil when the
 	// run's policy never draws biased victims) and rebuilt at adaptation
@@ -302,7 +306,7 @@ func (w *worker) reset() {
 	w.streak = 0
 	w.clock = 0
 	w.run = nil
-	w.pending = nil
+	w.pending, w.hasPending = Yield{}, false
 	w.next = actionSteal
 	w.check = nil
 	w.stats = WorkerStats{}
@@ -444,7 +448,11 @@ func (e *Engine) Run(root *Frame) *Stats {
 		w.next = actionSteal
 		e.q.Push(w.clock, w.id)
 	}
-	for !e.done && e.q.Len() > 0 {
+	// Every event re-queues the worker it ran and takes the earliest one
+	// in a single PushPop, so the queue never empties before the root
+	// returns.
+	at, id := e.q.Pop()
+	for {
 		e.stats.Events++
 		if e.stats.Events > e.cfg.MaxEvents {
 			panic(fmt.Sprintf("sched: exceeded %d events; computation appears stuck", e.cfg.MaxEvents))
@@ -460,24 +468,23 @@ func (e *Engine) Run(root *Frame) *Stats {
 			e.adaptNext += e.adaptEvery
 			e.adaptTick()
 		}
-		at, id := e.q.Pop()
 		w := e.workers[id]
 		if at > w.clock {
 			w.clock = at
 		}
 		switch {
-		case w.pending != nil:
-			y := *w.pending
-			w.pending = nil
-			e.apply(w, y)
+		case w.hasPending:
+			w.hasPending = false
+			e.apply(w, w.pending)
 		case w.run != nil:
 			e.execute(w)
 		default:
 			e.schedule(w)
 		}
-		if !e.done {
-			e.q.Push(w.clock, w.id)
+		if e.done {
+			break
 		}
+		at, id = e.q.PushPop(w.clock, w.id)
 	}
 	e.stats.Makespan = e.finish
 	e.stats.PerWorker = make([]WorkerStats, len(e.workers))
@@ -506,7 +513,7 @@ func (e *Engine) execute(w *worker) {
 	y := e.runner.Resume(w.id, f)
 	w.clock += y.Cost
 	w.stats.Work += y.Cost
-	w.pending = &y
+	w.pending, w.hasPending = y, true
 	if e.cfg.Tracer != nil && w.clock > start {
 		e.cfg.Tracer.Span(w.id, start, w.clock, TraceWork)
 	}

@@ -72,6 +72,54 @@ func TestQueueMatchesContainerHeap(t *testing.T) {
 	}
 }
 
+// TestQueuePushPopMatchesPushThenPop drives PushPop on one queue against
+// Push followed by Pop on a second queue and on the container/heap
+// reference, through identical random streams. Pushed times sit at or
+// next to the root's time and ids range over both sides of the root's id,
+// so ties are broken both ways; interleaved Push and Pop calls walk the
+// queue size through one entry and empty.
+func TestQueuePushPopMatchesPushThenPop(t *testing.T) {
+	gen := rand.New(rand.NewSource(7))
+	for trial := 0; trial < 50; trial++ {
+		var fused, split Queue
+		var ref refHeap
+		for op := 0; op < 400; op++ {
+			if fused.Len() != split.Len() || fused.Len() != ref.Len() {
+				t.Fatalf("trial %d op %d: Len %d, Push+Pop %d, reference %d",
+					trial, op, fused.Len(), split.Len(), ref.Len())
+			}
+			it := item{at: Time(gen.Intn(4)), id: gen.Intn(8)}
+			if fused.Len() > 0 {
+				root, _ := fused.Peek()
+				it.at = root + Time(gen.Intn(3)) - 1
+				if it.at < 0 {
+					it.at = 0
+				}
+			}
+			switch r := gen.Intn(8); {
+			case r == 0 && fused.Len() < 6:
+				fused.Push(it.at, it.id)
+				split.Push(it.at, it.id)
+				heap.Push(&ref, it)
+			case r == 1 && fused.Len() > 0:
+				fused.Pop()
+				split.Pop()
+				heap.Pop(&ref)
+			default:
+				at, id := fused.PushPop(it.at, it.id)
+				split.Push(it.at, it.id)
+				sat, sid := split.Pop()
+				heap.Push(&ref, it)
+				want := heap.Pop(&ref).(item)
+				if at != sat || id != sid || at != want.at || id != want.id {
+					t.Fatalf("trial %d op %d: PushPop(%d,%d) = (%d,%d), Push+Pop = (%d,%d), reference = (%d,%d)",
+						trial, op, it.at, it.id, at, id, sat, sid, want.at, want.id)
+				}
+			}
+		}
+	}
+}
+
 // TestQueuePopsInSortedOrderProperty is the fuzz/property form: whatever the
 // insertion order, a min-heap pops its multiset in sorted (time, id) order.
 func TestQueuePopsInSortedOrderProperty(t *testing.T) {

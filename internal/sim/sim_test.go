@@ -51,9 +51,10 @@ func TestQueuePeek(t *testing.T) {
 func TestQueuePanics(t *testing.T) {
 	var q Queue
 	for name, f := range map[string]func(){
-		"pop empty":     func() { q.Pop() },
-		"peek empty":    func() { q.Peek() },
-		"negative time": func() { q.Push(-1, 0) },
+		"pop empty":              func() { q.Pop() },
+		"peek empty":             func() { q.Peek() },
+		"negative time":          func() { q.Push(-1, 0) },
+		"negative push-pop time": func() { q.PushPop(-1, 0) },
 	} {
 		func() {
 			defer func() {

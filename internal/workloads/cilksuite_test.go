@@ -5,6 +5,7 @@ package workloads
 // opening the suite), plus per-benchmark structural checks.
 
 import (
+	"math/bits"
 	"testing"
 
 	"repro/internal/sched"
@@ -112,6 +113,83 @@ func TestNQueensKnownCounts(t *testing.T) {
 		if err := w.Verify(); err != nil {
 			t.Error(err)
 		}
+	}
+}
+
+// TestNQueensLeafTableMatchesSerial checks the leaf table at both
+// registered scales: every entry equals a direct serial search of its
+// board, and walking the spawn levels with leaves looked up in the table
+// finds the whole board's solutions and visits its nodes.
+func TestNQueensLeafTableMatchesSerial(t *testing.T) {
+	b, err := Lookup("nqueens")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, scale := range []Scale{ScaleSmall, ScaleFull} {
+		q := b(scale).Make(false).(*NQueens)
+		table := q.leafTable()
+		for k, got := range table {
+			var want leafCount
+			want.count = q.serial(bits.OnesCount32(k.cols), k.cols, k.d1, k.d2, &want.nodes)
+			if got != want {
+				t.Errorf("n=%d leaf %+v: table %+v, serial search %+v", q.n, k, got, want)
+			}
+		}
+		var want leafCount
+		want.count = q.serial(0, 0, 0, 0, &want.nodes)
+		if got := walkLeaves(t, q, table, 0, 0, 0, 0); got != want {
+			t.Errorf("n=%d: spawn levels over the table find %+v, the serial search %+v", q.n, got, want)
+		}
+	}
+}
+
+// walkLeaves is NQueens.search without the runtime: it follows the spawn
+// levels, takes each leaf from the table, and counts the nodes above.
+func walkLeaves(t *testing.T, q *NQueens, table map[leafKey]leafCount, row int, cols, d1, d2 uint32) leafCount {
+	if row == q.n {
+		return leafCount{count: 1, nodes: 1}
+	}
+	if row >= q.depth {
+		l, ok := table[leafKey{cols, d1, d2}]
+		if !ok {
+			t.Errorf("n=%d: leaf %x/%x/%x missing from the table", q.n, cols, d1, d2)
+		}
+		return l
+	}
+	total := leafCount{nodes: 1}
+	mask := q.mask()
+	for f := ^(cols | d1 | d2) & mask; f != 0; f &= f - 1 {
+		bit := f & -f
+		l := walkLeaves(t, q, table, row+1, cols|bit, (d1|bit)<<1&mask, (d2|bit)>>1)
+		total.count += l.count
+		total.nodes += l.nodes
+	}
+	return total
+}
+
+// TestNQueensLeafTableBuiltOncePerInput checks that pooled instances share
+// one leaf table: runs of both aware configurations, each on its own
+// checked-out instance, compute exactly one reference (the table) between
+// them.
+func TestNQueensLeafTableBuiltOncePerInput(t *testing.T) {
+	var spec Spec
+	for _, s := range Specs(ScaleSmall) {
+		if s.Name == "nqueens" {
+			spec = s
+		}
+	}
+	FlushPools()
+	ResetPoolCounters()
+	for _, aware := range []bool{false, true, false} {
+		w, lease := Checkout(spec, aware, false)
+		rt := newWorkloadRT(8, sched.NUMAWS)
+		w.Prepare(rt)
+		rt.Run(w.Root())
+		lease.Release()
+	}
+	if built, pooled, refs, _ := PoolCounters(); built != 2 || pooled != 1 || refs != 1 {
+		t.Errorf("three runs built %d instances, reused %d and computed %d references; want 2, 1 and 1",
+			built, pooled, refs)
 	}
 }
 
