@@ -8,15 +8,13 @@
 // unchanged on any worker/socket count; it queries NumPlaces at run time to
 // initialize its place variables, exactly as the paper's benchmarks do.
 //
-// A computation can execute three ways, all against the same Context
+// A computation can execute two ways, both against the same Context
 // interface:
 //
 //   - Runtime.RunSerial: the serial elision (spawn = call, sync = no-op),
 //     measuring TS;
-//   - Runtime.Run: the simulated parallel platform with either the Cilk Plus
-//     or the NUMA-WS scheduler, measuring T1..TP in virtual cycles;
-//   - the native executor (package native): real goroutine parallelism for
-//     correctness validation.
+//   - Runtime.Run: the simulated parallel platform under any registered
+//     scheduling policy, measuring T1..TP in virtual cycles.
 package core
 
 import (
@@ -31,11 +29,9 @@ const PlaceAny = sched.PlaceAny
 type Task func(Context)
 
 // Context is the per-frame handle through which a Task expresses parallelism
-// (Spawn/Sync), locality (SpawnAt/SetPlace/NumPlaces) and — on the simulated
-// platform — its compute and memory footprint (Compute/Read/Write).
-//
-// Cost-model methods are no-ops on executors that run in real time (serial
-// reference checks, the native executor).
+// (Spawn/Sync), locality (SpawnAt/SetPlace/NumPlaces) and its compute and
+// memory footprint (Compute/Read/Write), which both the serial elision and
+// the simulated platform charge in virtual cycles.
 type Context interface {
 	// Spawn runs the task as a spawned child that may execute in parallel
 	// with the continuation of the caller. The child inherits the caller's

@@ -1,29 +1,23 @@
-// Package deque implements the THE-protocol work-stealing deque from Cilk-5
-// (Frigo, Leiserson, Randall, PLDI 1998), which the paper keeps unchanged in
-// NUMA-WS: "The THE protocol remains unchanged in NUMA-WS".
+// Package deque implements the work-stealing deque of Cilk-5 (Frigo,
+// Leiserson, Randall, PLDI 1998) as a plain single-owner ring: the owner
+// pushes and pops at the tail (LIFO), thieves take from the head (FIFO,
+// the oldest and, in the ABP potential argument, the "top-heavy" item).
 //
-// The protocol's point is the work-first principle applied to deque access:
-// the victim (owner) pushes and pops at the tail without taking a lock in
-// the common case, and only synchronizes with a thief when both race for the
-// last item. Thieves always lock and take from the head (the oldest, and in
-// the ABP potential argument the "top-heavy", item).
-//
-// The deque is safe for one owner plus any number of concurrent thieves: the
-// simulator uses it single-threaded (events are serialized in virtual time)
-// and the native executor uses it with real goroutine thieves.
+// The paper keeps Cilk-5's THE protocol unchanged in NUMA-WS. Its cost is
+// modelled, not executed: the engine's cost model (sched.Config's
+// SpawnCost, ReturnCost and StealAttemptCost) charges the protocol's
+// work-path and steal-path cycles, so no simulated cycle depends on a real
+// lock. A deque belongs to one simulated worker inside an arena that one
+// run owns at a time, and the engine serializes every owner and thief
+// access in virtual time; the deque is therefore not safe for concurrent
+// use, and needs no synchronization.
 package deque
 
-import (
-	"sync"
-	"sync/atomic"
-)
-
-// Deque is a THE-protocol double-ended queue. The zero value is unusable;
-// call New.
+// Deque is a double-ended queue of at most a fixed number of items. The
+// zero value is unusable; call New.
 type Deque[T any] struct {
-	head  atomic.Int64 // H: next index a thief would steal
-	tail  atomic.Int64 // T: next index the owner would push
-	lock  sync.Mutex   // the "E" in THE: taken by thieves, and by the owner on conflict
+	head  int // next index a thief takes
+	tail  int // next index the owner pushes
 	tasks []T
 	zero  T
 }
@@ -34,9 +28,7 @@ type Deque[T any] struct {
 const DefaultCapacity = 1 << 16
 
 // New returns an empty deque with the given capacity (DefaultCapacity if
-// capacity <= 0). Capacity is fixed: growing the backing array under a
-// concurrent thief read would be unsafe without extra indirection, and
-// spawn depth bounds usage.
+// capacity <= 0). Capacity is fixed; spawn depth bounds usage.
 func New[T any](capacity int) *Deque[T] {
 	if capacity <= 0 {
 		capacity = DefaultCapacity
@@ -44,144 +36,74 @@ func New[T any](capacity int) *Deque[T] {
 	return &Deque[T]{tasks: make([]T, capacity)}
 }
 
-// PushTail adds x at the tail. Owner-only. It panics if the deque is full
-// (spawn depth exceeded capacity).
+// PushTail adds x at the tail. It panics if the deque is full (spawn depth
+// exceeded capacity).
 //
 //numaws:alloc-free
 func (d *Deque[T]) PushTail(x T) {
-	t := d.tail.Load()
-	if int(t) == len(d.tasks) {
-		// Out of room: compact under the lock. Entries live in [H, T);
-		// shift them to the front. Thieves are excluded by the lock.
-		d.lock.Lock()
-		h := d.head.Load()
-		if int(t-h) >= len(d.tasks) {
-			d.lock.Unlock()
+	if d.tail == len(d.tasks) {
+		// Out of room at the end: shift the live entries [head, tail) to
+		// the front and clear the slots they vacated.
+		if d.head == 0 {
 			panic("deque: capacity exceeded")
 		}
-		copy(d.tasks, d.tasks[h:t])
-		d.tail.Store(t - h)
-		d.head.Store(0)
-		t = d.tail.Load()
-		d.lock.Unlock()
+		n := copy(d.tasks, d.tasks[d.head:d.tail])
+		clear(d.tasks[n:d.tail])
+		d.head, d.tail = 0, n
 	}
-	d.tasks[t] = x
-	d.tail.Store(t + 1)
+	d.tasks[d.tail] = x
+	d.tail++
 }
 
-// PopTail removes and returns the item at the tail. Owner-only. The fast
-// path takes no lock; the owner locks only when it races a thief for the
-// final item, per the THE protocol.
+// PopTail removes and returns the item at the tail, the newest.
 //
 //numaws:alloc-free
 func (d *Deque[T]) PopTail() (T, bool) {
-	t := d.tail.Load() - 1
-	d.tail.Store(t)
-	h := d.head.Load()
-	if h > t {
-		// Possible conflict with a thief: restore, lock, retry.
-		d.tail.Store(t + 1)
-		d.lock.Lock()
-		h = d.head.Load()
-		t = d.tail.Load() - 1
-		d.tail.Store(t)
-		if h > t {
-			// The deque is empty (the thief won).
-			d.tail.Store(t + 1)
-			d.lock.Unlock()
-			return d.zero, false
-		}
-		d.lock.Unlock()
+	if d.head == d.tail {
+		return d.zero, false
 	}
-	x := d.tasks[t]
-	d.tasks[t] = d.zero
+	d.tail--
+	x := d.tasks[d.tail]
+	d.tasks[d.tail] = d.zero
 	return x, true
 }
 
-// StealHead removes and returns the item at the head. Thief side: always
-// locks.
+// StealHead removes and returns the item at the head, the oldest.
 //
 //numaws:alloc-free
 func (d *Deque[T]) StealHead() (T, bool) {
-	d.lock.Lock()
-	defer d.lock.Unlock()
-	h := d.head.Load()
-	d.head.Store(h + 1)
-	if h+1 > d.tail.Load() {
-		d.head.Store(h) // lost to the owner; restore
+	if d.head == d.tail {
 		return d.zero, false
 	}
-	x := d.tasks[h]
-	d.tasks[h] = d.zero
+	x := d.tasks[d.head]
+	d.tasks[d.head] = d.zero
+	d.head++
 	return x, true
 }
 
-// StealHalf removes up to half the items in the deque (rounded up) from
-// the head into dst and returns how many were taken, in deque order (the
-// oldest first — dst[0] is exactly the frame StealHead would have taken).
-// Thief side: always locks, like StealHead, and the owner may still race
-// it for the final items through the lock-free PopTail fast path, so every
-// item is taken with the same increment-then-check handshake as a
-// single-frame steal; a lost race stops the bulk transfer early rather
-// than double-claiming the item. Taking at most half (of the size observed
-// at entry) preserves the ABP potential argument's shape: the victim keeps
-// the deeper half of its deque, so a bulk-stealing policy still spreads
-// top-heavy work without draining its victims.
+// StealHalf removes half the items in the deque (rounded up), at most
+// len(dst), from the head into dst and returns how many were taken, in
+// deque order (the oldest first — dst[0] is exactly the frame StealHead
+// would have taken). Taking at most half preserves the ABP potential
+// argument's shape: the victim keeps the deeper half of its deque, so a
+// bulk-stealing policy still spreads top-heavy work without draining its
+// victims.
 //
 //numaws:alloc-free
 func (d *Deque[T]) StealHalf(dst []T) int {
-	d.lock.Lock()
-	defer d.lock.Unlock()
-	n := d.tail.Load() - d.head.Load()
-	if n <= 0 {
-		return 0
-	}
-	k := (n + 1) / 2
-	if int64(len(dst)) < k {
-		k = int64(len(dst))
-	}
-	taken := 0
-	for int64(taken) < k {
-		h := d.head.Load()
-		d.head.Store(h + 1)
-		if h+1 > d.tail.Load() {
-			d.head.Store(h) // lost to the owner; keep what we have
-			break
-		}
-		dst[taken] = d.tasks[h]
-		d.tasks[h] = d.zero
-		taken++
-	}
-	return taken
+	k := min((d.tail-d.head+1)/2, len(dst))
+	copy(dst, d.tasks[d.head:d.head+k])
+	clear(d.tasks[d.head : d.head+k])
+	d.head += k
+	return k
 }
 
-// PeekHead returns the head item without removing it, for diagnostics and
-// the simulator's deterministic inspection. It takes the lock.
+// Len reports the current number of items.
 //
 //numaws:alloc-free
-func (d *Deque[T]) PeekHead() (T, bool) {
-	d.lock.Lock()
-	defer d.lock.Unlock()
-	h, t := d.head.Load(), d.tail.Load()
-	if h >= t {
-		return d.zero, false
-	}
-	return d.tasks[h], true
-}
+func (d *Deque[T]) Len() int { return d.tail - d.head }
 
-// Len reports the current number of items. Racy under concurrency; exact
-// when used single-threaded (as in the simulator).
+// Empty reports whether the deque has no items.
 //
 //numaws:alloc-free
-func (d *Deque[T]) Len() int {
-	n := int(d.tail.Load() - d.head.Load())
-	if n < 0 {
-		return 0
-	}
-	return n
-}
-
-// Empty reports whether the deque has no items (same caveat as Len).
-//
-//numaws:alloc-free
-func (d *Deque[T]) Empty() bool { return d.Len() == 0 }
+func (d *Deque[T]) Empty() bool { return d.head == d.tail }

@@ -1,8 +1,7 @@
 package deque
 
 import (
-	"sync"
-	"sync/atomic"
+	"math/rand/v2"
 	"testing"
 	"testing/quick"
 )
@@ -55,21 +54,6 @@ func TestOwnerAndThiefInterleaved(t *testing.T) {
 	}
 	if d.Len() != 0 {
 		t.Errorf("Len() = %d, want 0", d.Len())
-	}
-}
-
-func TestPeekHead(t *testing.T) {
-	d := New[int](4)
-	if _, ok := d.PeekHead(); ok {
-		t.Error("PeekHead on empty succeeded")
-	}
-	d.PushTail(7)
-	got, ok := d.PeekHead()
-	if !ok || got != 7 {
-		t.Errorf("PeekHead() = (%d, %v), want (7, true)", got, ok)
-	}
-	if d.Len() != 1 {
-		t.Error("PeekHead consumed the item")
 	}
 }
 
@@ -144,116 +128,117 @@ func TestPartitionProperty(t *testing.T) {
 	}
 }
 
-// Concurrent stress: one owner pushes/pops, many thieves steal. Every item
+// The deque is single-owner: the engine runs owner and thief operations
+// one at a time, interleaved in virtual time. The three tests below replay
+// such interleavings from a seeded schedule: between owner steps, steals
+// runs 0..2 steal attempts, each by a randomly chosen thief. Every item
 // must be consumed exactly once in total.
+func steals(rng *rand.Rand, thieves int, steal func(thief int)) {
+	for n := rng.IntN(3); n > 0; n-- {
+		steal(rng.IntN(thieves))
+	}
+}
+
+// One owner pushes and pops like a real worker, four thieves steal.
 func TestConcurrentOwnerThieves(t *testing.T) {
 	const items = 20000
 	const thieves = 4
+	rng := rand.New(rand.NewPCG(1, 2))
 	d := New[int64](items + 1)
-	var consumed atomic.Int64
-	var stolen atomic.Int64
-	var wg sync.WaitGroup
-
-	stop := make(chan struct{})
-	for i := 0; i < thieves; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				if _, ok := d.StealHead(); ok {
-					consumed.Add(1)
-					stolen.Add(1)
-				}
-				select {
-				case <-stop:
-					// Drain anything left before exiting.
-					for {
-						if _, ok := d.StealHead(); !ok {
-							return
-						}
-						consumed.Add(1)
-						stolen.Add(1)
-					}
-				default:
-				}
-			}
-		}()
-	}
-
-	// Owner: push all items, popping a few along the way like a real worker.
-	for i := int64(0); i < items; i++ {
-		d.PushTail(i)
-		if i%3 == 0 {
-			if _, ok := d.PopTail(); ok {
-				consumed.Add(1)
-			}
+	var consumed, popped int64
+	stolen := make([]int64, thieves)
+	steal := func(thief int) {
+		if _, ok := d.StealHead(); ok {
+			consumed++
+			stolen[thief]++
 		}
 	}
-	// Owner drains its remainder.
-	for {
+
+	// Owner: push all items, popping a few along the way.
+	for i := int64(0); i < items; i++ {
+		d.PushTail(i)
+		steals(rng, thieves, steal)
+		if i%3 == 0 {
+			if _, ok := d.PopTail(); ok {
+				consumed++
+				popped++
+			}
+			steals(rng, thieves, steal)
+		}
+	}
+	// Owner drains its remainder while thieves keep stealing. The bound
+	// turns a deque that stops shrinking into a failure, not a hang.
+	for range items {
 		if _, ok := d.PopTail(); !ok {
 			break
 		}
-		consumed.Add(1)
+		consumed++
+		popped++
+		steals(rng, thieves, steal)
 	}
-	close(stop)
-	wg.Wait()
-	// Final sweep in case a thief parked an index transiently.
-	for {
-		if _, ok := d.StealHead(); !ok {
-			break
-		}
-		consumed.Add(1)
+	// Final sweep by every thief.
+	for th := range thieves {
+		steal(th)
 	}
 
-	if got := consumed.Load(); got != items {
-		t.Errorf("consumed %d items, want %d", got, items)
+	if consumed != items {
+		t.Errorf("consumed %d items, want %d", consumed, items)
+	}
+	var total int64
+	for th, n := range stolen {
+		if n == 0 {
+			t.Errorf("thief %d stole nothing; the schedule never interleaved it", th)
+		}
+		total += n
+	}
+	if total+popped != items {
+		t.Errorf("stolen %d + popped %d = %d, want %d", total, popped, total+popped, items)
+	}
+	if !d.Empty() {
+		t.Errorf("deque holds %d items after the sweep", d.Len())
+	}
+}
+
+// noDuplicates runs items through one owner and three thieves, the owner
+// popping after every other push so the deque deepens, and checks that
+// each item is consumed exactly once. steal is one thief's attempt: it
+// records every item it takes with see.
+func noDuplicates(t *testing.T, seed uint64, steal func(d *Deque[int], see func(v int))) {
+	t.Helper()
+	const items = 5000
+	const thieves = 3
+	rng := rand.New(rand.NewPCG(seed, seed+1))
+	d := New[int](items)
+	seen := make([]int, items)
+	see := func(v int) { seen[v]++ }
+	thief := func(int) { steal(d, see) }
+
+	for i := 0; i < items; i++ {
+		d.PushTail(i)
+		steals(rng, thieves, thief)
+		if rng.IntN(2) == 0 {
+			if v, ok := d.PopTail(); ok {
+				see(v)
+			}
+			steals(rng, thieves, thief)
+		}
+	}
+	for n := 0; n < items && !d.Empty(); n++ {
+		steal(d, see)
+	}
+	for i, n := range seen {
+		if n != 1 {
+			t.Fatalf("item %d consumed %d times, want exactly once", i, n)
+		}
 	}
 }
 
 func TestConcurrentNoDuplicates(t *testing.T) {
-	const items = 5000
-	d := New[int](items)
-	seen := make([]atomic.Int32, items)
-	var wg sync.WaitGroup
-	done := make(chan struct{})
-
-	for i := 0; i < 3; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				if v, ok := d.StealHead(); ok {
-					seen[v].Add(1)
-				}
-				select {
-				case <-done:
-					return
-				default:
-				}
-			}
-		}()
-	}
-	for i := 0; i < items; i++ {
-		d.PushTail(i)
-		if v, ok := d.PopTail(); ok {
-			seen[v].Add(1)
-		}
-	}
-	close(done)
-	wg.Wait()
-	for {
+	noDuplicates(t, 3, func(d *Deque[int], see func(v int)) {
 		if v, ok := d.StealHead(); ok {
-			seen[v].Add(1)
-		} else {
-			break
+			see(v)
 		}
-	}
-	for i := range seen {
-		if n := seen[i].Load(); n != 1 {
-			t.Fatalf("item %d consumed %d times, want exactly once", i, n)
-		}
-	}
+	})
 }
 
 func TestStealHalfTakesCeilHalfFromHead(t *testing.T) {
@@ -308,48 +293,91 @@ func TestStealHalfBoundedByDst(t *testing.T) {
 }
 
 func TestStealHalfConcurrentNoDuplicates(t *testing.T) {
-	const items = 5000
-	d := New[int](items)
-	seen := make([]atomic.Int32, items)
-	var wg sync.WaitGroup
-	done := make(chan struct{})
+	dst := make([]int, 5000)
+	noDuplicates(t, 5, func(d *Deque[int], see func(v int)) {
+		k := d.StealHalf(dst)
+		for _, v := range dst[:k] {
+			see(v)
+		}
+	})
+}
 
-	for i := 0; i < 3; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			dst := make([]int, items)
-			for {
-				k := d.StealHalf(dst)
-				for j := 0; j < k; j++ {
-					seen[dst[j]].Add(1)
+// FuzzDeque drives a small deque through an arbitrary sequence of owner
+// and thief operations and checks every result against a plain-slice
+// model. data[0] picks the capacity (1..8, so pushes past the end compact
+// often); each later byte is one operation: PushTail, PopTail, StealHead,
+// StealHalf into a dst of length 0..9, Len or Empty. A push the model says
+// would overflow is skipped (TestCapacityPanic covers the panic). After
+// every operation the live range must hold the model's items in order and
+// every other slot must be zero, so a popped, stolen or compacted-away
+// frame is never kept reachable.
+func FuzzDeque(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) == 0 {
+			return
+		}
+		capacity := int(data[0])%8 + 1
+		d := New[int](capacity)
+		var model []int
+		next := 1
+		for i, b := range data[1:] {
+			switch b % 6 {
+			case 0:
+				if len(model) == capacity {
+					continue
 				}
-				select {
-				case <-done:
-					return
-				default:
+				d.PushTail(next)
+				model = append(model, next)
+				next++
+			case 1:
+				got, ok := d.PopTail()
+				want, wantOK := 0, len(model) > 0
+				if wantOK {
+					want, model = model[len(model)-1], model[:len(model)-1]
+				}
+				if got != want || ok != wantOK {
+					t.Fatalf("op %d: PopTail() = (%d, %v), want (%d, %v)", i, got, ok, want, wantOK)
+				}
+			case 2:
+				got, ok := d.StealHead()
+				want, wantOK := 0, len(model) > 0
+				if wantOK {
+					want, model = model[0], model[1:]
+				}
+				if got != want || ok != wantOK {
+					t.Fatalf("op %d: StealHead() = (%d, %v), want (%d, %v)", i, got, ok, want, wantOK)
+				}
+			case 3:
+				dst := make([]int, int(b/6)%10)
+				got := d.StealHalf(dst)
+				want := min((len(model)+1)/2, len(dst))
+				if got != want {
+					t.Fatalf("op %d: StealHalf(len %d) took %d of %d, want %d", i, len(dst), got, len(model), want)
+				}
+				for j := range got {
+					if dst[j] != model[j] {
+						t.Fatalf("op %d: StealHalf dst[%d] = %d, want %d", i, j, dst[j], model[j])
+					}
+				}
+				model = model[got:]
+			case 4:
+				if d.Len() != len(model) {
+					t.Fatalf("op %d: Len() = %d, want %d", i, d.Len(), len(model))
+				}
+			case 5:
+				if d.Empty() != (len(model) == 0) {
+					t.Fatalf("op %d: Empty() = %v with %d items", i, d.Empty(), len(model))
 				}
 			}
-		}()
-	}
-	for i := 0; i < items; i++ {
-		d.PushTail(i)
-		if v, ok := d.PopTail(); ok {
-			seen[v].Add(1)
+			for j, v := range d.tasks {
+				want := 0
+				if j >= d.head && j < d.tail {
+					want = model[j-d.head]
+				}
+				if v != want {
+					t.Fatalf("op %d: slot %d = %d, want %d (live range [%d, %d))", i, j, v, want, d.head, d.tail)
+				}
+			}
 		}
-	}
-	close(done)
-	wg.Wait()
-	for {
-		if v, ok := d.StealHead(); ok {
-			seen[v].Add(1)
-		} else {
-			break
-		}
-	}
-	for i := range seen {
-		if n := seen[i].Load(); n != 1 {
-			t.Fatalf("item %d consumed %d times, want exactly once", i, n)
-		}
-	}
+	})
 }

@@ -6,10 +6,9 @@ package harness
 // mismatch — and none of them may take the grid down with it. This file
 // defines the taxonomy (RunError / FailKind), the single designated
 // recovery boundary (contain — the only recover() in the module outside
-// goroutine relays and the strand coroutine's teardown guard, enforced by
-// numaws-vet's panicsafe analyzer), and the
-// deterministic retry loop (attemptRun) that re-runs transient failures
-// and refuses to re-run deterministic ones.
+// the strand coroutine's teardown guard, enforced by numaws-vet's
+// panicsafe analyzer), and the deterministic retry loop (attemptRun) that
+// re-runs transient failures and refuses to re-run deterministic ones.
 //
 // Resource discipline under failure: the per-run bodies in harness.go
 // settle every held resource in deferred code so the settlement happens on

@@ -1,8 +1,8 @@
 // Package allocfree guards the PR-3 hot-path work: the simulator layers
 // that EXPERIMENTS.md ("Simulator performance") documents as
 // allocation-free in steady state — the 4-ary event queue, the
-// precomputed victim pickers and the THE deque — stay that way at compile
-// time, not just when someone runs the ReportAllocs benchmarks.
+// precomputed victim pickers and the work-stealing deque — stay that way
+// at compile time, not just when someone runs the ReportAllocs benchmarks.
 //
 // A function annotated `//numaws:alloc-free` in its doc comment is
 // checked, without SSA, for every construct that heap-allocates on the
@@ -52,8 +52,9 @@ const annotation = "alloc-free"
 // hotPath lists, per package, the functions the performance docs
 // (EXPERIMENTS.md "Simulator performance", DESIGN.md "Hot-path
 // architecture") rely on being allocation-free: the event queue, victim
-// selection, and the THE deque. Each must carry the annotation — and the
-// table doubles as the cross-package set of known-alloc-free callees.
+// selection, and the work-stealing deque. Each must carry the annotation
+// — and the table doubles as the cross-package set of known-alloc-free
+// callees.
 var hotPath = map[string][]string{
 	"repro/internal/sim": {
 		"Queue.Push", "Queue.Pop", "Queue.PushPop", "Queue.Peek",

@@ -1,4 +1,4 @@
-// Package deque shadows the real THE-protocol deque with StealHead
+// Package deque shadows the real work-stealing deque with StealHead
 // deleted: the coverage check must notice the documented hot-path
 // function is gone rather than silently retiring the contract.
 package deque // want `hot-path function Deque\.StealHead named by EXPERIMENTS\.md is missing from repro/internal/deque`

@@ -7,12 +7,11 @@
 // the stack, the classification and the quarantine step) or creates a
 // second containment point that can disagree with the first.
 //
-// The only sanctioned exceptions are goroutine relays: a worker that
-// recovers a panic solely to re-raise it on the submitting goroutine
-// (so it still reaches the boundary) waives its recover with
-// `//numaws:recover-ok <reason>`, and so does a coroutine teardown guard
-// that swallows only its own unwind sentinel and re-raises every other
-// panic.
+// The only sanctioned exception is a coroutine teardown guard
+// (internal/core's strand body) that swallows only its own unwind
+// sentinel and re-raises every other panic, so a real failure still
+// reaches the boundary. It waives its recover with
+// `//numaws:recover-ok <reason>`.
 //
 // Scope: every package in the module; _test.go files are exempt
 // wholesale (tests recover deliberately to assert that code panics).
@@ -29,7 +28,7 @@ import (
 var Analyzer = &analysis.Analyzer{
 	Name: "panicsafe",
 	Doc: "recover() appears only at the harness's designated containment boundary; " +
-		"goroutine relays waive with //numaws:recover-ok <reason>",
+		"a coroutine teardown guard waives with //numaws:recover-ok <reason>",
 	Run: run,
 }
 
@@ -72,7 +71,7 @@ func run(pass *analysis.Pass) error {
 				}
 				pass.Reportf(call.Pos(),
 					"recover() in %s: panics unwind to the harness's containment boundary (contain), "+
-						"which classifies them into typed error rows — a relay that re-raises waives with "+
+						"which classifies them into typed error rows — a teardown guard that re-raises waives with "+
 						"//numaws:recover-ok <reason>",
 					fd.Name.Name)
 				return true

@@ -14,22 +14,22 @@ func swallow(run func()) (ok bool) {
 	return true
 }
 
-// The relay form — recover only to re-raise on another goroutine — is
-// sanctioned with a reasoned waiver.
-func relay(run func(), raise chan<- any) {
-	go func() {
-		defer func() {
-			//numaws:recover-ok goroutine relay, not containment: re-raised on the caller's goroutine
-			if p := recover(); p != nil {
-				raise <- p
-			}
-		}()
-		run()
+// The teardown-guard form — swallow only its own unwind sentinel and
+// re-raise every other panic — is sanctioned with a reasoned waiver.
+type unwind struct{}
+
+func guard(run func()) {
+	defer func() {
+		//numaws:recover-ok teardown guard, not containment: every other panic is re-raised
+		if p := recover(); p != nil && p != (unwind{}) {
+			panic(p)
+		}
 	}()
+	run()
 }
 
 // A reasonless waiver is itself a finding.
-func lazyRelay(run func()) {
+func lazyGuard(run func()) {
 	defer func() {
 		//numaws:recover-ok
 		recover() // want `numaws:recover-ok suppression is missing its mandatory reason`

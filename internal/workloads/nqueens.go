@@ -116,7 +116,8 @@ func (q *NQueens) search(ctx core.Context, leaves map[leafKey]leafCount, row int
 // reaches. A leaf's result is a pure function of its board, so the table
 // is built once per input, single-flight through the input's shared
 // reference cache, and only read afterwards — by every run of the input,
-// and by every strand of a run, real goroutines included.
+// including runs on other goroutines under concurrent -jobs, and by every
+// strand of a run.
 func (q *NQueens) leafTable() map[leafKey]leafCount {
 	v, _ := q.refCache().Do("nqueens.leaves", func() (any, error) {
 		t := map[leafKey]leafCount{}

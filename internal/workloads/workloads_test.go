@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"repro/internal/core"
-	"repro/internal/native"
 	"repro/internal/sched"
 )
 
@@ -81,24 +80,6 @@ func TestParallelCorrectnessNUMAWSAware(t *testing.T) {
 			if rep.Time <= 0 {
 				t.Error("T32 not positive")
 			}
-			if err := w.Verify(); err != nil {
-				t.Error(err)
-			}
-		})
-	}
-}
-
-func TestNativeExecutorCorrectness(t *testing.T) {
-	// The same workload code must run correctly under real goroutine
-	// parallelism. The Runtime only provides allocation here; execution is
-	// native.
-	for name, mk := range factories(false) {
-		t.Run(name, func(t *testing.T) {
-			w := mk()
-			rt := newWorkloadRT(1, sched.Cilk) // allocation host only
-			w.Prepare(rt)
-			pool := native.NewPool(8, 4)
-			pool.Run(w.Root())
 			if err := w.Verify(); err != nil {
 				t.Error(err)
 			}
