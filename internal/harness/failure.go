@@ -13,7 +13,7 @@ package harness
 // Resource discipline under failure: the per-run bodies in harness.go
 // settle every held resource in deferred code so the settlement happens on
 // the panic unwind path too. A run that did not complete its simulation
-// quarantines its arena (never handed back to the sync.Pool — its engine
+// quarantines its arena (never handed back to the free list — its engine
 // state is suspect mid-unwind) and Discards its workload lease; a run that
 // completed but failed verification returns the arena (the engine
 // finished cleanly) but still Discards the instance (its data mutations

@@ -13,6 +13,7 @@ package harness
 import (
 	"context"
 	"fmt"
+	"runtime"
 	"sync"
 	"time"
 
@@ -28,14 +29,66 @@ import (
 	"repro/internal/workloads"
 )
 
-// arenas pools run-scoped simulator storage (worker deques, victim
-// pickers, frame and task pools — see core.Arena) across the measurement
-// grid. Each simulation borrows one arena for the duration of the run, so
-// with opt.Jobs host workers at most Jobs arenas exist and the thousands
-// of (spec, policy, P, seed) runs of a sweep stop re-allocating engine
+// arenas is the free list of run-scoped simulator storage (worker
+// deques, victim pickers, frame and task pools — see core.Arena). Each
+// simulation borrows one arena for the duration of the run, so with
+// opt.Jobs host workers at most Jobs arenas exist and the thousands of
+// (spec, policy, P, seed) runs of a sweep stop re-allocating engine
 // state. Reuse never changes measured results (core.Arena's contract,
 // pinned by TestPaperPresetByteIdentical and the sched arena tests).
-var arenas = sync.Pool{New: func() any { return core.NewArena() }}
+//
+// Like a sync.Pool, the list lets go of arenas nobody uses: every garbage
+// collection demotes the free arenas to victims and drops the previous
+// victims, so an arena idle through two collections is freed and a
+// long-lived service does not pin engine state after its last
+// simulation. Unlike a sync.Pool, any goroutine can take any free arena:
+// a pool's per-P private slot cannot be taken by a Get on another P, so a
+// goroutine that had migrated built a fresh arena beside an idle one.
+var arenas struct {
+	mu           sync.Mutex
+	free, victim []*core.Arena
+}
+
+func init() { demoteArenasAtGC() }
+
+// demoteArenasAtGC arms a cleanup on an unreachable sentinel, which the
+// collector runs after its next cycle; the cleanup demotes the free
+// arenas and re-arms itself. The sentinel holds a pointer so it is never
+// packed into a tiny-allocator block, which would free it late.
+func demoteArenasAtGC() {
+	runtime.AddCleanup(new(struct{ _ *byte }), func(struct{}) {
+		arenas.mu.Lock()
+		clear(arenas.victim)
+		arenas.victim, arenas.free = arenas.free, arenas.victim[:0]
+		arenas.mu.Unlock()
+		demoteArenasAtGC()
+	}, struct{}{})
+}
+
+// getArena borrows a free arena, or builds one when none is free. With
+// no free arena left, the victims are promoted back to free.
+func getArena() *core.Arena {
+	arenas.mu.Lock()
+	defer arenas.mu.Unlock()
+	if len(arenas.free) == 0 {
+		arenas.free, arenas.victim = arenas.victim, arenas.free
+	}
+	n := len(arenas.free)
+	if n == 0 {
+		return core.NewArena()
+	}
+	a := arenas.free[n-1]
+	arenas.free[n-1] = nil
+	arenas.free = arenas.free[:n-1]
+	return a
+}
+
+// putArena returns an arena to the free list.
+func putArena(a *core.Arena) {
+	arenas.mu.Lock()
+	arenas.free = append(arenas.free, a)
+	arenas.mu.Unlock()
+}
 
 // Spec describes one benchmark configuration (one row of the paper's
 // tables). It is the registry's spec type (see internal/workloads): the
@@ -270,7 +323,7 @@ func RunOne(ctx context.Context, spec Spec, pol sched.Policy, opt Options) (*cor
 func runParallelOnce(rctx context.Context, spec Spec, pol sched.Policy, opt Options, key runKey) (*core.Report, error) {
 	plan := faultinject.ForRun(spec.Name, pol.Name(), opt.P, opt.Seed, false)
 	w, lease := workloads.Checkout(spec, numaAware(pol), opt.FreshInputs)
-	arena := arenas.Get().(*core.Arena)
+	arena := getArena()
 	completed, verified := false, false
 	defer func() {
 		// A run that never completed its simulation quarantines its arena
@@ -279,7 +332,7 @@ func runParallelOnce(rctx context.Context, spec Spec, pol sched.Policy, opt Opti
 		// stricter: it goes back to the pool only after the whole run —
 		// verification included — succeeded.
 		if completed {
-			arenas.Put(arena)
+			putArena(arena)
 		}
 		if verified {
 			lease.Release()
@@ -358,11 +411,11 @@ func RunSerial(ctx context.Context, spec Spec, opt Options) (*core.Report, error
 func runSerialOnce(rctx context.Context, spec Spec, opt Options, key runKey) (*core.Report, error) {
 	plan := faultinject.ForRun(spec.Name, "", 1, opt.Seed, true)
 	w, lease := workloads.Checkout(spec, false, opt.FreshInputs)
-	arena := arenas.Get().(*core.Arena)
+	arena := getArena()
 	completed, verified := false, false
 	defer func() {
 		if completed {
-			arenas.Put(arena)
+			putArena(arena)
 		}
 		if verified {
 			lease.Release()
@@ -477,11 +530,11 @@ func RunTraced(ctx context.Context, spec Spec, pol sched.Policy, opt Options) (*
 	tl := trace.New(opt.P)
 	rep, err := contain(ctx, key, func() (*core.Report, error) {
 		w, lease := workloads.Checkout(spec, numaAware(pol), opt.FreshInputs)
-		arena := arenas.Get().(*core.Arena)
+		arena := getArena()
 		completed, verified := false, false
 		defer func() {
 			if completed {
-				arenas.Put(arena)
+				putArena(arena)
 			}
 			if verified {
 				lease.Release()

@@ -8,8 +8,11 @@ package harness
 
 import (
 	"reflect"
+	"runtime"
 	"testing"
+	"time"
 
+	"repro/internal/core"
 	"repro/internal/metrics"
 	"repro/internal/sched"
 	"repro/internal/workloads"
@@ -104,5 +107,35 @@ func TestPooledRunsVerifyBackToBack(t *testing.T) {
 				t.Errorf("reused input changed the measurement: TP %d then %d", first.Time, second.Time)
 			}
 		})
+	}
+}
+
+// TestArenaFreeList pins the two properties of the arena free list: an
+// arena returned by one goroutine is the next one any goroutine borrows
+// (no per-P slot hides it), and arenas left idle are released after
+// garbage collections, so a long-lived service does not pin them.
+func TestArenaFreeList(t *testing.T) {
+	done := make(chan *core.Arena)
+	go func() {
+		a := getArena()
+		putArena(a)
+		done <- a
+	}()
+	a := <-done
+	if b := getArena(); b != a {
+		t.Fatal("an arena returned on another goroutine was not reused")
+	}
+	putArena(a)
+	idle := func() int {
+		arenas.mu.Lock()
+		defer arenas.mu.Unlock()
+		return len(arenas.free) + len(arenas.victim)
+	}
+	for deadline := time.Now().Add(5 * time.Second); idle() > 0; {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d idle arena(s) still held after repeated collections", idle())
+		}
+		runtime.GC()
+		time.Sleep(time.Millisecond)
 	}
 }

@@ -10,16 +10,24 @@
 //
 // Endpoints:
 //
-//	POST /v1/grid  expand and run a grid, streaming one NDJSON event per
-//	               completed row and a trailing summary event; a stream
-//	               that ends without the summary was aborted mid-grid
-//	GET  /v1/axes  the accepted axis values (benchmarks, topology
-//	               presets, policies, scales)
-//	GET  /healthz  liveness
-//	GET  /statusz  JSON counters: grids, rows, cache hits/misses,
-//	               coalesced runs, in-flight simulations, store state
-//	               (including corruption found at open) and workload-pool
-//	               counters (including quarantines)
+//	POST /v1/grid        expand and run a grid, streaming one NDJSON
+//	                     event per completed row and a trailing summary
+//	                     event; a stream that ends without the summary
+//	                     was aborted mid-grid
+//	POST /v1/tournament  rank policies over a benchmark × topology grid:
+//	                     the same row stream, and a trailer that adds the
+//	                     ranking
+//	GET  /v1/axes        the accepted axis values (benchmarks, topology
+//	                     presets, policies, scales)
+//	GET  /healthz        liveness
+//	GET  /statusz        JSON counters: grids, rows, cache hits/misses,
+//	                     coalesced runs, in-flight simulations, store
+//	                     state (including corruption found at open) and
+//	                     workload-pool counters (including quarantines)
+//
+// Every JSON body above is a type of pkg/numaws/wire, the single
+// declaration of the service's schema; the facade's clients decode the
+// same types.
 //
 // Concurrency: each request fans its runs out on its own internal/exec
 // pool, and a server-wide semaphore bounds the total simulations in
@@ -46,6 +54,7 @@ import (
 	"repro/internal/store"
 	"repro/internal/topology"
 	"repro/internal/workloads"
+	"repro/pkg/numaws/wire"
 )
 
 // Config configures a Server.
@@ -117,66 +126,16 @@ func (s *Server) Handler() http.Handler {
 	return mux
 }
 
-// handleGrid expands the request, fans the runs out on a bounded pool,
-// and streams each completed row as its own NDJSON event. The handler's
-// context is the request's: client disconnect cancels the pool, skipping
-// runs not yet started, and the stream ends without its summary trailer.
+// handleGrid expands the request and streams its runs (see streamRuns);
+// the trailer is the grid's counts.
 func (s *Server) handleGrid(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		w.Header().Set("Allow", http.MethodPost)
-		http.Error(w, "POST required", http.StatusMethodNotAllowed)
+	var req wire.GridRequest
+	if !readRequest(w, r, "grid", &req) {
 		return
 	}
-	var req gridRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		http.Error(w, "bad grid request: "+err.Error(), http.StatusBadRequest)
-		return
-	}
-	runs, err := s.expand(req)
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	}
-	s.grids.Add(1)
-	ctx := r.Context()
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	st := newStream(w)
-	var mu sync.Mutex
-	var sum gridSummary
-	pool := exec.NewPool(ctx, s.jobs)
-	for i, rn := range runs {
-		rn := rn
-		pool.Submit(ctx, i, func() error {
-			row, err := s.runOne(ctx, rn)
-			if err != nil {
-				return err // grid-level: cancellation or store I/O aborts the stream
-			}
-			mu.Lock()
-			sum.Rows++
-			switch {
-			case row.Err != nil:
-				sum.Failed++
-			case row.Cached:
-				sum.Cached++
-			default:
-				sum.Simulated++
-			}
-			mu.Unlock()
-			s.rows.Add(1)
-			return st.event(gridEvent{Row: row})
-		})
-	}
-	if err := pool.Wait(ctx); err != nil {
-		// The stream is committed to 200 by now; ending it without the
-		// done trailer is the in-band abort signal.
-		s.logf("numaws: grid aborted: %v", err)
-		return
-	}
-	if err := st.event(gridEvent{Done: &sum}); err != nil {
-		s.logf("numaws: grid summary write: %v", err)
-	}
+	streamRuns(s, w, r, "grid", req, func(_ []*wire.GridRow, sum wire.GridSummary) (*wire.GridSummary, error) {
+		return &sum, nil
+	})
 }
 
 // handleTournament runs a policy tournament through the same store-backed,
@@ -186,16 +145,8 @@ func (s *Server) handleGrid(w http.ResponseWriter, r *http.Request) {
 // cells of completion time normalized to each cell's best, averaged over
 // the request's seeds. A warm store re-ranks without simulating anything.
 func (s *Server) handleTournament(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		w.Header().Set("Allow", http.MethodPost)
-		http.Error(w, "POST required", http.StatusMethodNotAllowed)
-		return
-	}
-	var req tournamentRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		http.Error(w, "bad tournament request: "+err.Error(), http.StatusBadRequest)
+	var req wire.TournamentRequest
+	if !readRequest(w, r, "tournament", &req) {
 		return
 	}
 	polNames := req.Policies
@@ -205,23 +156,94 @@ func (s *Server) handleTournament(w http.ResponseWriter, r *http.Request) {
 	// The ranking needs exactly one measurement per (policy, bench,
 	// topology, seed); a duplicated axis entry would double cells, so it
 	// is rejected up front rather than surfacing as a ranking error after
-	// the grid already streamed.
-	for axis, vals := range map[string][]string{
-		"benches": req.Benches, "topologies": req.Topologies, "policies": polNames,
-	} {
-		seen := make(map[string]bool, len(vals))
-		for _, v := range vals {
+	// the grid already streamed. The axes are checked in a fixed order so
+	// a request with several duplicates always names the same one.
+	for _, axis := range []struct {
+		name string
+		vals []string
+	}{{"benches", req.Benches}, {"topologies", req.Topologies}, {"policies", polNames}} {
+		seen := make(map[string]bool, len(axis.vals))
+		for _, v := range axis.vals {
 			if seen[v] {
-				http.Error(w, fmt.Sprintf("duplicate %s entry %q", axis, v), http.StatusBadRequest)
+				http.Error(w, fmt.Sprintf("duplicate %s entry %q", axis.name, v), http.StatusBadRequest)
 				return
 			}
 			seen[v] = true
 		}
 	}
-	runs, err := s.expand(gridRequest{
+	streamRuns(s, w, r, "tournament", wire.GridRequest{
 		Benches: req.Benches, Topologies: req.Topologies, Policies: polNames,
 		Seeds: req.Seeds, Scale: req.Scale, Verify: req.Verify,
-	})
+	}, rank)
+}
+
+// rank builds a tournament's trailer from its rows, in the expansion's
+// canonical order. A tournament with failed cells is unranked.
+func rank(rows []*wire.GridRow, sum wire.GridSummary) (*wire.TournamentSummary, error) {
+	out := &wire.TournamentSummary{GridSummary: sum}
+	if sum.Failed > 0 {
+		return out, nil
+	}
+	type cellKey struct{ pol, bench, topo string }
+	var order []cellKey
+	type acc struct{ total, n int64 }
+	agg := map[cellKey]acc{}
+	for _, row := range rows {
+		k := cellKey{row.Policy, row.Bench, row.Topology}
+		a, ok := agg[k]
+		if !ok {
+			order = append(order, k)
+		}
+		a.total += row.Time
+		a.n++
+		agg[k] = a
+	}
+	cells := make([]metrics.TournamentCell, len(order))
+	for i, k := range order {
+		a := agg[k]
+		cells[i] = metrics.TournamentCell{
+			Policy: k.pol, Bench: k.bench, Topology: k.topo, TP: a.total / a.n,
+		}
+	}
+	t, err := metrics.NewTournament(cells)
+	if err != nil {
+		// Unreachable with handleTournament's duplicate-axis check.
+		return nil, err
+	}
+	for _, e := range t.Entries {
+		out.Ranking = append(out.Ranking, wire.TournamentRank{Rank: e.Rank, Policy: e.Policy, Score: e.Score})
+	}
+	return out, nil
+}
+
+// readRequest decodes a streaming endpoint's POST body into req, bounded
+// at 1 MiB. On failure it has already answered (405 or 400) and returns
+// false.
+func readRequest(w http.ResponseWriter, r *http.Request, what string, req any) bool {
+	if r.Method != http.MethodPost {
+		w.Header().Set("Allow", http.MethodPost)
+		http.Error(w, "POST required", http.StatusMethodNotAllowed)
+		return false
+	}
+	if err := decodeRequest(http.MaxBytesReader(w, r.Body, 1<<20), req); err != nil {
+		http.Error(w, "bad "+what+" request: "+err.Error(), http.StatusBadRequest)
+		return false
+	}
+	return true
+}
+
+// streamRuns is the one execution path of every streaming endpoint: it
+// expands req (a 400 when invalid), fans the runs out on a bounded pool
+// and streams each completed row as its own NDJSON event, then the
+// trailer that done builds from the rows (index-addressed in expansion
+// order, not completion order) and their counts. The handler's context
+// is the request's: client disconnect cancels the pool, skipping runs
+// not yet started, and the stream ends without its trailer — as it does
+// when a run hits a grid-level error (cancellation, store I/O) or done
+// fails.
+func streamRuns[S any](s *Server, w http.ResponseWriter, r *http.Request, what string,
+	req wire.GridRequest, done func([]*wire.GridRow, wire.GridSummary) (*S, error)) {
+	runs, err := s.expand(req)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
@@ -230,21 +252,18 @@ func (s *Server) handleTournament(w http.ResponseWriter, r *http.Request) {
 	ctx := r.Context()
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	st := newStream(w)
-	// results is index-addressed so the post-wait aggregation walks the
-	// expansion's canonical order, not completion order.
-	results := make([]*gridRow, len(runs))
+	rows := make([]*wire.GridRow, len(runs))
 	var mu sync.Mutex
-	var sum tournamentSummary
+	var sum wire.GridSummary
 	pool := exec.NewPool(ctx, s.jobs)
 	for i, rn := range runs {
-		i, rn := i, rn
 		pool.Submit(ctx, i, func() error {
 			row, err := s.runOne(ctx, rn)
 			if err != nil {
 				return err
 			}
 			mu.Lock()
-			results[i] = row
+			rows[i] = row
 			sum.Rows++
 			switch {
 			case row.Err != nil:
@@ -256,56 +275,30 @@ func (s *Server) handleTournament(w http.ResponseWriter, r *http.Request) {
 			}
 			mu.Unlock()
 			s.rows.Add(1)
-			return st.event(tournamentEvent{Row: row})
+			return st.event(wire.Event[S]{Row: row})
 		})
 	}
 	if err := pool.Wait(ctx); err != nil {
-		s.logf("numaws: tournament aborted: %v", err)
+		// The stream is committed to 200 by now; ending it without the
+		// done trailer is the in-band abort signal.
+		s.logf("numaws: %s aborted: %v", what, err)
 		return
 	}
-	if sum.Failed == 0 {
-		type cellKey struct{ pol, bench, topo string }
-		var order []cellKey
-		type acc struct{ total, n int64 }
-		agg := map[cellKey]acc{}
-		for _, row := range results {
-			k := cellKey{row.Policy, row.Bench, row.Topology}
-			a, ok := agg[k]
-			if !ok {
-				order = append(order, k)
-			}
-			a.total += row.Time
-			a.n++
-			agg[k] = a
-		}
-		cells := make([]metrics.TournamentCell, len(order))
-		for i, k := range order {
-			a := agg[k]
-			cells[i] = metrics.TournamentCell{
-				Policy: k.pol, Bench: k.bench, Topology: k.topo, TP: a.total / a.n,
-			}
-		}
-		t, err := metrics.NewTournament(cells)
-		if err != nil {
-			// Unreachable with the duplicate-axis check above; ending the
-			// stream without its trailer is the in-band abort signal.
-			s.logf("numaws: tournament ranking: %v", err)
-			return
-		}
-		for _, e := range t.Entries {
-			sum.Ranking = append(sum.Ranking, tournamentRank{Rank: e.Rank, Policy: e.Policy, Score: e.Score})
-		}
+	trailer, err := done(rows, sum)
+	if err != nil {
+		s.logf("numaws: %s trailer: %v", what, err)
+		return
 	}
-	if err := st.event(tournamentEvent{Done: &sum}); err != nil {
-		s.logf("numaws: tournament summary write: %v", err)
+	if err := st.event(wire.Event[S]{Done: trailer}); err != nil {
+		s.logf("numaws: %s summary write: %v", what, err)
 	}
 }
 
 // runOne produces one grid row. Contained run failures (*harness.RunError:
 // panic, verification mismatch, deadline) become the row's err field and
 // the grid proceeds; only cancellation and store I/O return an error.
-func (s *Server) runOne(ctx context.Context, rn runSpec) (*gridRow, error) {
-	row := &gridRow{
+func (s *Server) runOne(ctx context.Context, rn runSpec) (*wire.GridRow, error) {
+	row := &wire.GridRow{
 		Bench: rn.spec.Name, Input: rn.spec.Input, Scale: rn.scaleName,
 		Topology: rn.topoName, Policy: rn.polName, P: rn.p, Seed: rn.seed,
 		Serial: rn.serial,
@@ -315,7 +308,7 @@ func (s *Server) runOne(ctx context.Context, rn runSpec) (*gridRow, error) {
 		var re *harness.RunError
 		if errors.As(err, &re) && ctx.Err() == nil {
 			s.failures.Add(1)
-			row.Err = &rowError{Kind: re.Kind.String(), Msg: re.Error()}
+			row.Err = &wire.GridRowError{Kind: re.Kind.String(), Msg: re.Error()}
 			return row, nil
 		}
 		return nil, err
@@ -377,17 +370,8 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	fmt.Fprintln(w, "ok")
 }
 
-// axes is the GET /v1/axes payload: every accepted axis value, so a
-// client can build valid grid requests without guessing.
-type axes struct {
-	Benches    []string `json:"benches"`
-	Topologies []string `json:"topologies"` // presets; SOCKETSxCORES shapes are accepted too
-	Policies   []string `json:"policies"`
-	Scales     []string `json:"scales"`
-}
-
 func (s *Server) handleAxes(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, axes{
+	writeJSON(w, wire.Axes{
 		Benches:    workloads.Names(),
 		Topologies: topology.Presets(),
 		Policies:   sched.Names(),
@@ -395,33 +379,8 @@ func (s *Server) handleAxes(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// statusz is the GET /statusz payload, expvar-style: the server's own
-// counters plus the store's and the workload pool's.
-type statusz struct {
-	Grids     uint64 `json:"grids"`
-	Rows      uint64 `json:"rows"`
-	CacheHits uint64 `json:"cache_hits"`
-	Simulated uint64 `json:"simulated"`
-	Coalesced uint64 `json:"coalesced"`
-	Failures  uint64 `json:"failures"`
-	Inflight  int64  `json:"inflight"`
-	Store     struct {
-		Records int    `json:"records"`
-		Corrupt int    `json:"corrupt_lines_skipped"`
-		Puts    uint64 `json:"puts"`
-		Hits    uint64 `json:"hits"`
-		Misses  uint64 `json:"misses"`
-	} `json:"store"`
-	Pool struct {
-		Built       uint64 `json:"built"`
-		Pooled      uint64 `json:"pooled"`
-		Refs        uint64 `json:"refs"`
-		Quarantined uint64 `json:"quarantined"`
-	} `json:"pool"`
-}
-
 func (s *Server) handleStatusz(w http.ResponseWriter, r *http.Request) {
-	var st statusz
+	var st wire.Status
 	st.Grids = s.grids.Load()
 	st.Rows = s.rows.Load()
 	st.CacheHits = s.hits.Load()

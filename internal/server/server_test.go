@@ -1,9 +1,8 @@
 // End-to-end tests for the sweep service, driven the way a real client
 // drives it: a live handler behind httptest and the facade's QueryGrid
 // streaming client. Living in package server_test lets them import
-// pkg/numaws, which pins the facade's mirrored wire types to this
-// package's in lockstep — a tag drift on either side breaks decoding
-// here.
+// pkg/numaws. The wire bytes themselves are pinned by pkg/numaws/wire's
+// own tests.
 //
 // Several tests arm faultinject plans, which are process-global, so no
 // test in this file runs with t.Parallel.

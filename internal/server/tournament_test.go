@@ -1,6 +1,5 @@
 // End-to-end tests for POST /v1/tournament, driven through the facade's
-// QueryTournament streaming client like a real consumer — which also pins
-// the facade's mirrored tournament wire types to this package's.
+// QueryTournament streaming client like a real consumer.
 package server_test
 
 import (
@@ -144,6 +143,10 @@ func TestTournamentRejectsBadRequests(t *testing.T) {
 		{numaws.TournamentRequest{Policies: []string{"cilk", "cilk"}}, `duplicate policies entry "cilk"`},
 		{numaws.TournamentRequest{Benches: []string{"fib", "fib"}}, `duplicate benches entry "fib"`},
 		{numaws.TournamentRequest{Topologies: []string{"2x4", "2x4"}}, `duplicate topologies entry "2x4"`},
+		// Duplicates on two axes always name the first axis in the fixed
+		// order benches, topologies, policies.
+		{numaws.TournamentRequest{Benches: []string{"fib", "fib"}, Policies: []string{"cilk", "cilk"}},
+			`duplicate benches entry "fib"`},
 		{numaws.TournamentRequest{Benches: []string{"nope"}}, "no benchmark named"},
 		{numaws.TournamentRequest{Policies: []string{"fifo?"}}, "unknown policy"},
 		{numaws.TournamentRequest{Scale: "medium"}, "unknown scale"},

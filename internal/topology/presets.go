@@ -97,6 +97,12 @@ func Preset(name string) (*Topology, bool) {
 	return nil, false
 }
 
+// maxShapeSockets bounds the socket count of a generic shape. A machine's
+// distance matrix is quadratic in its sockets, so without a bound a short
+// spec string such as "100000x1" (from a flag or a service request) would
+// make Parse allocate tens of gigabytes.
+const maxShapeSockets = 64
+
 // Parse resolves a topology spec: a preset name (see Presets) or a generic
 // "SxC" shape — S sockets of C cores on a ring interconnect, e.g. "2x4" or
 // "16x8". Unknown specs return an error naming the accepted forms, so
@@ -110,6 +116,9 @@ func Parse(spec string) (*Topology, error) {
 		spec == fmt.Sprintf("%dx%d", sockets, cores) {
 		if sockets <= 0 || cores <= 0 {
 			return nil, fmt.Errorf("topology: shape %q must have positive sockets and cores", spec)
+		}
+		if sockets > maxShapeSockets {
+			return nil, fmt.Errorf("topology: shape %q has more than %d sockets", spec, maxShapeSockets)
 		}
 		return Ring(sockets, cores), nil
 	}

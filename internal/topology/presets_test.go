@@ -145,4 +145,10 @@ func TestParse(t *testing.T) {
 			t.Errorf("Parse(%q) error %q does not name the accepted forms", bad, err)
 		}
 	}
+	if _, err := Parse("100000x1"); err == nil || !strings.Contains(err.Error(), "more than 64 sockets") {
+		t.Errorf("Parse(100000x1): error %v, want the socket bound", err)
+	}
+	if _, err := Parse("64x1"); err != nil {
+		t.Errorf("Parse(64x1): %v", err)
+	}
 }

@@ -1,11 +1,9 @@
 package numaws
 
-// The sweep service's public wire types and streaming client. They mirror
-// internal/server's wire structs field for field — the facade wraps the
-// server (see serve.go), so the server cannot import this package, and
-// the JSON tags are the contract the two sides share. The server's
-// end-to-end tests drive a real handler through QueryGrid, pinning the
-// mirror in lockstep.
+// The sweep service's streaming clients. The wire schema itself is
+// declared once, in pkg/numaws/wire, which the server encodes and these
+// clients decode; the facade re-exports its types under their public
+// names as aliases.
 
 import (
 	"bytes"
@@ -16,163 +14,34 @@ import (
 	"io"
 	"net/http"
 	"strings"
+
+	"repro/pkg/numaws/wire"
 )
 
 // GridRequest asks a sweep service for the cross product of the given
-// experiment axes — the same axes the CLI takes. Empty axes take the
-// CLI's defaults.
-type GridRequest struct {
-	// Benches restricts the grid to the named benchmarks, in the given
-	// order; empty means every registered benchmark.
-	Benches []string `json:"benches,omitempty"`
-	// Topologies lists preset names or SOCKETSxCORES shapes; empty means
-	// ["paper-4x8"].
-	Topologies []string `json:"topologies,omitempty"`
-	// Policies lists registered policy names; empty means ["numaws"].
-	Policies []string `json:"policies,omitempty"`
-	// Workers lists simulated worker counts; 0 means the whole machine of
-	// each topology. Empty means [0].
-	Workers []int `json:"workers,omitempty"`
-	// Seeds lists scheduler seeds; 0 is rejected (the engine reserves it
-	// as "default"). Empty means [1].
-	Seeds []int64 `json:"seeds,omitempty"`
-	// Scale is "small" or "full" (the default).
-	Scale string `json:"scale,omitempty"`
-	// Serial adds one serial-elision (TS) row per benchmark × topology.
-	Serial bool `json:"serial,omitempty"`
-	// Verify controls result verification; nil means true.
-	Verify *bool `json:"verify,omitempty"`
-}
+// experiment axes — the same axes the CLI takes (see wire.GridRequest).
+type GridRequest = wire.GridRequest
 
 // GridRow is one completed run streamed by the service, in completion
-// order. Because every simulation is deterministic in the row's identity
-// fields, a Cached row is byte-identical to a freshly simulated one.
-type GridRow struct {
-	Bench    string `json:"bench"`
-	Input    string `json:"input"`
-	Scale    string `json:"scale"`
-	Topology string `json:"topology"` // the requested spec string
-	Policy   string `json:"policy"`   // "serial" for serial-elision rows
-	P        int    `json:"p"`
-	Seed     int64  `json:"seed"`
-	Serial   bool   `json:"serial,omitempty"`
-	// Cached marks a row the service served without simulating for this
-	// request: a store hit, or a coalesced ride on a concurrent client's
-	// identical in-flight run.
-	Cached bool  `json:"cached"`
-	Time   int64 `json:"time"`
-	Work   int64 `json:"work"`
-	Sched  int64 `json:"sched"`
-	Idle   int64 `json:"idle"`
-	// Err marks a contained run failure (panic, verification mismatch,
-	// deadline); the measurement fields are zero and the rest of the grid
-	// completed normally.
-	Err *GridRowError `json:"err,omitempty"`
-}
+// order (see wire.GridRow).
+type GridRow = wire.GridRow
 
 // GridRowError is a contained run failure on the wire.
-type GridRowError struct {
-	Kind string `json:"kind"`
-	Msg  string `json:"msg"`
-}
+type GridRowError = wire.GridRowError
 
-// GridSummary trails a grid stream: how the rows broke down. Simulated
-// counts the runs this request actually executed; on a fully warm query
-// it is zero.
-type GridSummary struct {
-	Rows      int `json:"rows"`
-	Cached    int `json:"cached"`
-	Simulated int `json:"simulated"`
-	Failed    int `json:"failed"`
-}
+// GridSummary trails a grid stream: how the rows broke down.
+type GridSummary = wire.GridSummary
 
 // TournamentRequest asks a sweep service to rank scheduling policies over
-// a benchmark × topology grid. Every cell runs at its machine's full core
-// count — a fixed worker axis would bias the ranking toward machines it
-// happens to fit — so the request has no worker axis.
-type TournamentRequest struct {
-	// Benches restricts the grid to the named benchmarks, in the given
-	// order; empty means every registered benchmark.
-	Benches []string `json:"benches,omitempty"`
-	// Topologies lists preset names or SOCKETSxCORES shapes; empty means
-	// ["paper-4x8"].
-	Topologies []string `json:"topologies,omitempty"`
-	// Policies lists the contestants; empty means every registered policy.
-	Policies []string `json:"policies,omitempty"`
-	// Seeds lists scheduler seeds to average each cell over; empty means
-	// [1].
-	Seeds []int64 `json:"seeds,omitempty"`
-	// Scale is "small" or "full" (the default).
-	Scale string `json:"scale,omitempty"`
-	// Verify controls result verification; nil means true.
-	Verify *bool `json:"verify,omitempty"`
-}
+// a benchmark × topology grid (see wire.TournamentRequest).
+type TournamentRequest = wire.TournamentRequest
 
 // TournamentRank is one ranked policy of a tournament summary.
-type TournamentRank struct {
-	Rank   int     `json:"rank"`
-	Policy string  `json:"policy"`
-	Score  float64 `json:"score"` // geomean of per-cell TP / cell-best TP
-}
+type TournamentRank = wire.TournamentRank
 
 // TournamentSummary trails a tournament stream: the grid counts plus the
-// deterministic ranking. Ranking is omitted when any cell failed — a
-// ranking over missing cells would compare incomparables — so a summary
-// with Failed > 0 is an unranked tournament.
-type TournamentSummary struct {
-	Rows      int              `json:"rows"`
-	Cached    int              `json:"cached"`
-	Simulated int              `json:"simulated"`
-	Failed    int              `json:"failed"`
-	Ranking   []TournamentRank `json:"ranking,omitempty"`
-}
-
-// QueryTournament streams a tournament request against a running sweep
-// service, invoking onRow (which may be nil) for each run as the service
-// completes it, and returns the trailing summary with the ranking. The
-// rows are the same shape grid streams use. A stream that ends without a
-// summary is an error, exactly as in QueryGrid.
-func QueryTournament(ctx context.Context, server string, req TournamentRequest, onRow func(GridRow)) (TournamentSummary, error) {
-	body, err := json.Marshal(req)
-	if err != nil {
-		return TournamentSummary{}, fmt.Errorf("numaws: tournament: %w", err)
-	}
-	hr, err := http.NewRequestWithContext(ctx, http.MethodPost,
-		strings.TrimSuffix(server, "/")+"/v1/tournament", bytes.NewReader(body))
-	if err != nil {
-		return TournamentSummary{}, fmt.Errorf("numaws: tournament: %w", err)
-	}
-	hr.Header.Set("Content-Type", "application/json")
-	resp, err := http.DefaultClient.Do(hr)
-	if err != nil {
-		return TournamentSummary{}, fmt.Errorf("numaws: tournament: %w", err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
-		return TournamentSummary{}, fmt.Errorf("numaws: tournament: server said %s: %s",
-			resp.Status, strings.TrimSpace(string(msg)))
-	}
-	dec := json.NewDecoder(resp.Body)
-	for {
-		var ev struct {
-			Row  *GridRow           `json:"row"`
-			Done *TournamentSummary `json:"done"`
-		}
-		if err := dec.Decode(&ev); err != nil {
-			if errors.Is(err, io.EOF) {
-				return TournamentSummary{}, fmt.Errorf("numaws: tournament: stream ended without its summary (the server aborted the run)")
-			}
-			return TournamentSummary{}, fmt.Errorf("numaws: tournament: %w", err)
-		}
-		if ev.Row != nil && onRow != nil {
-			onRow(*ev.Row)
-		}
-		if ev.Done != nil {
-			return *ev.Done, nil
-		}
-	}
-}
+// ranking, which is omitted when any cell failed.
+type TournamentSummary = wire.TournamentSummary
 
 // QueryGrid streams a grid request against a running sweep service
 // (`numaws serve`) at the given base URL, invoking onRow (which may be
@@ -182,37 +51,51 @@ func QueryTournament(ctx context.Context, server string, req TournamentRequest, 
 // onRow remain valid, since each stands alone. Cancelling ctx abandons
 // the stream; the service cancels only this client's uncached work.
 func QueryGrid(ctx context.Context, server string, req GridRequest, onRow func(GridRow)) (GridSummary, error) {
+	return query[GridSummary](ctx, server, "/v1/grid", "query", req, onRow)
+}
+
+// QueryTournament streams a tournament request against a running sweep
+// service, invoking onRow (which may be nil) for each run as the service
+// completes it, and returns the trailing summary with the ranking. The
+// rows are the same shape grid streams use. A stream that ends without a
+// summary is an error, exactly as in QueryGrid.
+func QueryTournament(ctx context.Context, server string, req TournamentRequest, onRow func(GridRow)) (TournamentSummary, error) {
+	return query[TournamentSummary](ctx, server, "/v1/tournament", "tournament", req, onRow)
+}
+
+// query POSTs req to server+path and decodes the NDJSON answer: rows go
+// to onRow as they arrive, and the trailing wire.Event's Done is the
+// result. op names the call in errors.
+func query[S any](ctx context.Context, server, path, op string, req any, onRow func(GridRow)) (S, error) {
+	var zero S
+	fail := func(err error) (S, error) { return zero, fmt.Errorf("numaws: %s: %w", op, err) }
 	body, err := json.Marshal(req)
 	if err != nil {
-		return GridSummary{}, fmt.Errorf("numaws: query: %w", err)
+		return fail(err)
 	}
 	hr, err := http.NewRequestWithContext(ctx, http.MethodPost,
-		strings.TrimSuffix(server, "/")+"/v1/grid", bytes.NewReader(body))
+		strings.TrimSuffix(server, "/")+path, bytes.NewReader(body))
 	if err != nil {
-		return GridSummary{}, fmt.Errorf("numaws: query: %w", err)
+		return fail(err)
 	}
 	hr.Header.Set("Content-Type", "application/json")
 	resp, err := http.DefaultClient.Do(hr)
 	if err != nil {
-		return GridSummary{}, fmt.Errorf("numaws: query: %w", err)
+		return fail(err)
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
-		return GridSummary{}, fmt.Errorf("numaws: query: server said %s: %s",
-			resp.Status, strings.TrimSpace(string(msg)))
+		return fail(fmt.Errorf("server said %s: %s", resp.Status, strings.TrimSpace(string(msg))))
 	}
 	dec := json.NewDecoder(resp.Body)
 	for {
-		var ev struct {
-			Row  *GridRow     `json:"row"`
-			Done *GridSummary `json:"done"`
-		}
+		var ev wire.Event[S]
 		if err := dec.Decode(&ev); err != nil {
 			if errors.Is(err, io.EOF) {
-				return GridSummary{}, fmt.Errorf("numaws: query: stream ended without its summary (the server aborted the grid)")
+				err = errors.New("stream ended without its summary (the server aborted it)")
 			}
-			return GridSummary{}, fmt.Errorf("numaws: query: %w", err)
+			return fail(err)
 		}
 		if ev.Row != nil && onRow != nil {
 			onRow(*ev.Row)
