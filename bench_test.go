@@ -44,9 +44,9 @@ func specByName(b *testing.B, name string) harness.Spec {
 	return harness.Spec{}
 }
 
-// allNames is the paper's nine — the set the committed BENCH_baseline.json
-// was captured over, kept stable so comparisons against it stay
-// apples-to-apples. The Cilk-suite additions get their own benchmark
+// allNames is the paper's nine — the set the simulator-performance
+// before/after tables in EXPERIMENTS.md were measured over, kept stable
+// so comparisons against them stay apples-to-apples. The Cilk-suite additions get their own benchmark
 // family (BenchmarkCilkSuite) below.
 var allNames = []string{
 	"cg", "cilksort", "heat", "hull1", "hull2",
@@ -370,8 +370,8 @@ func BenchmarkAblationEagerPush(b *testing.B) {
 // the whole-machine worker pool — the wall-clock win of internal/exec.
 // Each iteration is one complete MeasureAll at the small scale; compare
 // jobs=1 against jobs=N for the speedup (results are identical; see
-// TestMeasureAllParallelMatchesSerial). Restricted to the paper nine:
-// the committed BENCH_baseline.json entry was captured over that set.
+// TestMeasureAllParallelMatchesSerial). Restricted to the paper nine, the
+// set EXPERIMENTS.md's simulator-performance tables cover.
 func BenchmarkMeasureAllJobs(b *testing.B) {
 	specs := make([]harness.Spec, len(allNames))
 	for i, name := range allNames {

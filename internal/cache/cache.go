@@ -337,7 +337,14 @@ type Hierarchy struct {
 	lat  Latency
 	priv []*setAssoc // indexed by core
 	llc  []*setAssoc // indexed by socket
-	dir  map[int64]*lineInfo
+	// dir is the coherence directory, indexed by global line number: a
+	// run's allocator hands out addresses densely from 0, so a slice grown
+	// geometrically to the highest line touched replaces a hash map. live
+	// counts its non-nil entries and hi bounds the lines touched since the
+	// last Reset, so Reset clears only that prefix.
+	dir  []*lineInfo
+	live int
+	hi   int
 	// Directory entries are carved out of block allocations: entries are
 	// the simulator's dominant allocation count, and handing them out from
 	// a block turns ~256 allocations into one. The blocks are kept and the
@@ -374,7 +381,6 @@ func NewHierarchy(top *topology.Topology, geo Geometry, lat Latency) *Hierarchy 
 		lat:        lat,
 		priv:       make([]*setAssoc, top.Cores()),
 		llc:        make([]*setAssoc, top.Sockets()),
-		dir:        make(map[int64]*lineInfo),
 		perCore:    make([]Stats, top.Cores()),
 		epochCount: make([][congestionRing]int64, top.Sockets()),
 		epochTag:   make([][congestionRing]int64, top.Sockets()),
@@ -408,7 +414,8 @@ func (h *Hierarchy) Reset() {
 	for _, c := range h.llc {
 		c.reset()
 	}
-	clear(h.dir)
+	clear(h.dir[:h.hi])
+	h.live, h.hi = 0, 0
 	h.slabI, h.slabOff = 0, 0
 	clear(h.perCore)
 	for i := range h.epochCount {
@@ -433,7 +440,22 @@ func (h *Hierarchy) TotalStats() Stats {
 	return t
 }
 
+// entry returns line's directory entry, or nil when no cache holds it.
+func (h *Hierarchy) entry(line int64) *lineInfo {
+	if line < 0 || line >= int64(len(h.dir)) {
+		return nil
+	}
+	return h.dir[line]
+}
+
+// info returns line's directory entry, creating an empty one if no cache
+// holds it.
 func (h *Hierarchy) info(line int64) *lineInfo {
+	if line >= int64(len(h.dir)) {
+		grown := make([]*lineInfo, max(2*len(h.dir), int(line)+1))
+		copy(grown, h.dir[:h.hi])
+		h.dir = grown
+	}
 	li := h.dir[line]
 	if li == nil {
 		// Entries come from the slab; use the inline backing when the
@@ -458,22 +480,23 @@ func (h *Hierarchy) info(line int64) *lineInfo {
 			li.llc = words[pw:]
 		}
 		h.dir[line] = li
+		h.live++
+		h.hi = max(h.hi, int(line)+1)
 	}
 	return li
 }
 
 func (h *Hierarchy) dropIfEmpty(line int64, li *lineInfo) {
 	if !li.priv.any() && !li.llc.any() {
-		delete(h.dir, line)
+		h.dir[line] = nil
+		h.live--
 	}
 }
 
-// evictFromPrivate records that core's private cache dropped line.
+// evictFromPrivate records that core's private cache dropped line (-1, an
+// empty way, is no line).
 func (h *Hierarchy) evictFromPrivate(core int, line int64) {
-	if line < 0 {
-		return
-	}
-	if li, ok := h.dir[line]; ok {
+	if li := h.entry(line); li != nil {
 		li.priv.clear(core)
 		h.dropIfEmpty(line, li)
 	}
@@ -482,10 +505,7 @@ func (h *Hierarchy) evictFromPrivate(core int, line int64) {
 // evictFromLLC records that socket's LLC dropped line (non-inclusive: lines
 // may remain in private caches).
 func (h *Hierarchy) evictFromLLC(socket int, line int64) {
-	if line < 0 {
-		return
-	}
-	if li, ok := h.dir[line]; ok {
+	if li := h.entry(line); li != nil {
 		li.llc.clear(socket)
 		h.dropIfEmpty(line, li)
 	}
@@ -522,8 +542,8 @@ func (h *Hierarchy) nearestHolder(from int, li *lineInfo) int {
 // invalidateOthers removes the line from every cache except core's own
 // private cache and reports whether any copy existed elsewhere.
 func (h *Hierarchy) invalidateOthers(core int, line int64) bool {
-	li, ok := h.dir[line]
-	if !ok {
+	li := h.entry(line)
+	if li == nil {
 		return false
 	}
 	any := false
@@ -555,7 +575,9 @@ func (h *Hierarchy) invalidateOthers(core int, line int64) bool {
 // local DRAM, the cheapest case, because an unbound page has no remote cost
 // yet). streaming marks the line as a continuation of a contiguous run,
 // eligible for the prefetch discount on DRAM fills. It returns the cycle
-// cost and where the access was serviced.
+// cost and where the access was serviced. line is a global line number as
+// memory.Region.GlobalLine computes it; allocators hand those out densely
+// from 0, and the directory grows to the highest line accessed.
 func (h *Hierarchy) Access(now int64, core int, line int64, home int, write, streaming bool) (int64, Kind) {
 	socket := h.top.SocketOf(core)
 	cost, kind := h.service(now, core, socket, line, home, streaming)
@@ -716,4 +738,4 @@ func (h *Hierarchy) FlushCore(core int) {
 
 // DirectorySize reports the number of tracked lines (bounded by total cache
 // capacity; used by tests to check the directory does not leak).
-func (h *Hierarchy) DirectorySize() int { return len(h.dir) }
+func (h *Hierarchy) DirectorySize() int { return h.live }

@@ -18,8 +18,11 @@ package deque
 type Deque[T any] struct {
 	head  int // next index a thief takes
 	tail  int // next index the owner pushes
+	end   int // len(tasks), kept as a field so PushTail fits the inline budget
 	tasks []T
-	zero  T
+	// capacity is the most live items; tasks grows toward it on demand.
+	capacity int
+	zero     T
 }
 
 // DefaultCapacity bounds deque depth. Depth equals the spawn depth of the
@@ -27,32 +30,54 @@ type Deque[T any] struct {
 // logarithmic for divide-and-conquer programs, so this is generous.
 const DefaultCapacity = 1 << 16
 
-// New returns an empty deque with the given capacity (DefaultCapacity if
-// capacity <= 0). Capacity is fixed; spawn depth bounds usage.
+// initialSlots is the ring a new deque starts with. Spawn depth is
+// logarithmic for divide-and-conquer programs, so almost every deque stays
+// this small; deeper ones double on demand up to their capacity.
+const initialSlots = 64
+
+// New returns an empty deque that holds at most capacity items
+// (DefaultCapacity if capacity <= 0). Its ring starts small and doubles on
+// demand, so only the spawn depth actually reached costs memory.
 func New[T any](capacity int) *Deque[T] {
 	if capacity <= 0 {
 		capacity = DefaultCapacity
 	}
-	return &Deque[T]{tasks: make([]T, capacity)}
+	slots := min(capacity, initialSlots)
+	return &Deque[T]{end: slots, tasks: make([]T, slots), capacity: capacity}
 }
 
-// PushTail adds x at the tail. It panics if the deque is full (spawn depth
-// exceeded capacity).
+// PushTail adds x at the tail. It panics if the deque already holds its
+// capacity (spawn depth exceeded it). The full-ring path is out of line,
+// in makeRoom, so PushTail inlines into the engine's spawn path.
 //
 //numaws:alloc-free
 func (d *Deque[T]) PushTail(x T) {
-	if d.tail == len(d.tasks) {
-		// Out of room at the end: shift the live entries [head, tail) to
-		// the front and clear the slots they vacated.
-		if d.head == 0 {
-			panic("deque: capacity exceeded")
-		}
-		n := copy(d.tasks, d.tasks[d.head:d.tail])
-		clear(d.tasks[n:d.tail])
-		d.head, d.tail = 0, n
+	if d.tail == d.end {
+		d.makeRoom()
 	}
 	d.tasks[d.tail] = x
 	d.tail++
+}
+
+// makeRoom frees the slot at the tail of a ring whose end is reached: it
+// doubles the ring, up to the capacity, when live items fill at least half
+// of it, and otherwise shifts the live entries [head, tail) to the front.
+//
+//numaws:alloc-free
+func (d *Deque[T]) makeRoom() {
+	n := d.tail - d.head
+	if n == d.capacity {
+		panic("deque: capacity exceeded")
+	}
+	if len(d.tasks) < d.capacity && 2*n >= len(d.tasks) {
+		tasks := make([]T, min(2*len(d.tasks), d.capacity)) //numaws:alloc-ok growth to the spawn depth reached, amortized over the doubling
+		copy(tasks, d.tasks[d.head:d.tail])
+		d.tasks, d.end, d.head, d.tail = tasks, len(tasks), 0, n
+		return
+	}
+	copy(d.tasks, d.tasks[d.head:d.tail])
+	clear(d.tasks[n:d.tail])
+	d.head, d.tail = 0, n
 }
 
 // PopTail removes and returns the item at the tail, the newest.

@@ -76,16 +76,61 @@ func TestCompactionOnFull(t *testing.T) {
 	}
 }
 
+// TestCapacityPanic pins the capacity contract across lazy growth: New(c)
+// holds exactly c items, in order, whether c fits the first ring, equals
+// it, or needs it to grow, and the next push panics.
 func TestCapacityPanic(t *testing.T) {
-	d := New[int](2)
-	d.PushTail(1)
-	d.PushTail(2)
-	defer func() {
-		if recover() == nil {
-			t.Error("overfull push did not panic")
+	for _, c := range []int{1, 2, initialSlots - 1, initialSlots, initialSlots + 1, 100} {
+		d := New[int](c)
+		for i := range c {
+			d.PushTail(i)
 		}
-	}()
-	d.PushTail(3)
+		if d.Len() != c {
+			t.Fatalf("New(%d): Len() = %d after %d pushes", c, d.Len(), c)
+		}
+		for i := range c {
+			if v, ok := d.StealHead(); !ok || v != i {
+				t.Fatalf("New(%d): StealHead() = (%d, %v), want (%d, true)", c, v, ok, i)
+			}
+		}
+		for i := range c {
+			d.PushTail(i)
+		}
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("New(%d): push past capacity did not panic", c)
+				}
+			}()
+			d.PushTail(c)
+		}()
+	}
+}
+
+// TestRingGrowsToSpawnDepth pins the lazy ring: a deque starts with
+// initialSlots slots whatever its capacity, and the ring only grows, by
+// doubling up to the capacity, when the live items need it.
+func TestRingGrowsToSpawnDepth(t *testing.T) {
+	d := New[int](0)
+	if len(d.tasks) != initialSlots {
+		t.Fatalf("New(0) ring = %d slots, want %d", len(d.tasks), initialSlots)
+	}
+	for i := range 1000 {
+		d.PushTail(i)
+		d.PopTail()
+	}
+	if len(d.tasks) != initialSlots {
+		t.Errorf("push/pop at depth 1 grew the ring to %d slots", len(d.tasks))
+	}
+	for i := range 200 {
+		d.PushTail(i)
+	}
+	if len(d.tasks) != 256 {
+		t.Errorf("depth 200 ring = %d slots, want 256", len(d.tasks))
+	}
+	if c := New[int](100); len(c.tasks) != initialSlots {
+		t.Errorf("New(100) ring = %d slots, want %d", len(c.tasks), initialSlots)
+	}
 }
 
 func TestZeroCapacityGetsDefault(t *testing.T) {
@@ -304,8 +349,10 @@ func TestStealHalfConcurrentNoDuplicates(t *testing.T) {
 
 // FuzzDeque drives a small deque through an arbitrary sequence of owner
 // and thief operations and checks every result against a plain-slice
-// model. data[0] picks the capacity (1..8, so pushes past the end compact
-// often); each later byte is one operation: PushTail, PopTail, StealHead,
+// model. data[0] picks the capacity: 1..8 below 128, so pushes past the
+// end compact often, and 64..191 from 128 up, so the ring grows past its
+// first 64 slots and compacts after growing. Each later byte is one
+// operation: PushTail, PopTail, StealHead,
 // StealHalf into a dst of length 0..9, Len or Empty. A push the model says
 // would overflow is skipped (TestCapacityPanic covers the panic). After
 // every operation the live range must hold the model's items in order and
@@ -317,6 +364,9 @@ func FuzzDeque(f *testing.F) {
 			return
 		}
 		capacity := int(data[0])%8 + 1
+		if data[0] >= 128 {
+			capacity = initialSlots + int(data[0]-128)
+		}
 		d := New[int](capacity)
 		var model []int
 		next := 1

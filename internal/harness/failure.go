@@ -101,7 +101,8 @@ func (e *RunError) Transient() bool { return e.Kind == KindTimeout || e.Kind == 
 func (e *RunError) detail() string {
 	switch e.Kind {
 	case KindPanic:
-		return fmt.Sprintf("panic: %v", e.Panic)
+		// The kind already says "panic"; the detail is the panic value.
+		return fmt.Sprint(e.Panic)
 	case KindTimeout:
 		return fmt.Sprintf("deadline exceeded (%d attempt(s))", e.Attempts)
 	}

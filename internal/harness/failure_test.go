@@ -11,6 +11,7 @@ package harness
 import (
 	"context"
 	"errors"
+	"math"
 	"path/filepath"
 	"reflect"
 	"strings"
@@ -425,5 +426,43 @@ func TestErrorRowsExport(t *testing.T) {
 	}
 	if out := metrics.Table7([]metrics.Row{row}); !strings.Contains(out, "FAILED") {
 		t.Errorf("Table7 hides the failed row:\n%s", out)
+	}
+}
+
+// nonFiniteAdapt is NUMA-WS with an Adapt hook that writes w into every
+// hop-class weight. It is never registered: RunOne takes the policy value
+// itself, so no other test's policy list sees it.
+type nonFiniteAdapt struct {
+	sched.Policy
+	w float64
+}
+
+func (p nonFiniteAdapt) Name() string      { return "non-finite-adapt" }
+func (p nonFiniteAdapt) AdaptEvery() int64 { return 64 }
+func (p nonFiniteAdapt) Adapt(_ sched.Observation, weights []float64) bool {
+	for i := range weights {
+		weights[i] = p.w
+	}
+	return true
+}
+
+// TestNonFiniteAdaptWeightIsTypedError pins the Adapt boundary: a hook
+// that writes a NaN or +Inf weight fails its run as a typed panic
+// RunError that names Adapt, not as a later victim-selection panic
+// blaming another hook, and the message carries the panic kind once.
+func TestNonFiniteAdaptWeightIsTypedError(t *testing.T) {
+	heat := specByName(t, "heat")
+	for _, w := range []float64{math.NaN(), math.Inf(1)} {
+		_, err := RunOne(t.Context(), heat, nonFiniteAdapt{sched.NUMAWS, w}, Options{P: 16})
+		var re *RunError
+		if !errors.As(err, &re) || re.Kind != KindPanic {
+			t.Fatalf("weight %g: err = %v, want a panic *RunError", w, err)
+		}
+		if msg := re.RowError().Msg; !strings.Contains(msg, "Adapt set weight") {
+			t.Errorf("weight %g: failure %q does not name Adapt", w, msg)
+		}
+		if strings.Contains(err.Error(), "panic: panic") {
+			t.Errorf("weight %g: doubled panic prefix: %v", w, err)
+		}
 	}
 }

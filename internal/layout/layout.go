@@ -142,6 +142,28 @@ func (m *Matrix) Index(row, col int) int {
 	}
 }
 
+// Tile resolves the n x n tile whose top-left corner is (row, col) to a
+// base offset and a row stride: element (row+i, col+j) is
+// Data[off+i*stride+j]. Base-case kernels resolve a tile once and then walk
+// plain row slices instead of paying Index per element. Tiles of RowMajor
+// matrices and tiles inside one BlockedMorton block qualify; a tile that
+// crosses a block boundary, or any tile of a cell Z-Morton matrix, has no
+// single stride, and Tile panics.
+func (m *Matrix) Tile(row, col, n int) (off, stride int) {
+	switch m.Kind {
+	case RowMajor:
+		return row*m.N + col, m.N
+	case BlockedMorton:
+		b := m.Block
+		if row/b != (row+n-1)/b || col/b != (col+n-1)/b {
+			panic(fmt.Sprintf("layout: %dx%d tile at (%d,%d) crosses a %d-block boundary", n, n, row, col, b))
+		}
+		return m.Index(row, col), b
+	default:
+		panic("layout: Tile unsupported for cell Z-Morton")
+	}
+}
+
 // At reads element (row, col).
 func (m *Matrix) At(row, col int) float64 { return m.Data[m.Index(row, col)] }
 

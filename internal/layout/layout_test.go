@@ -174,6 +174,57 @@ func TestRowSpan(t *testing.T) {
 	}()
 }
 
+// TestTileAgreesWithIndex pins Tile's contract: on every aligned tile of a
+// row-major matrix and of blocked Z-Morton matrices (tiles up to the block
+// side), element (row+i, col+j) sits at off+i*stride+j, exactly where
+// Index puts it. Tiles crossing a block, and cell Z-Morton, panic.
+func TestTileAgreesWithIndex(t *testing.T) {
+	const n = 16
+	a := memory.NewAllocator(4)
+	for _, m := range []*Matrix{
+		NewMatrix(a, "rm", n, RowMajor, 0, memory.Interleave{}),
+		NewMatrix(a, "bm4", n, BlockedMorton, 4, memory.Interleave{}),
+		NewMatrix(a, "bm8", n, BlockedMorton, 8, memory.Interleave{}),
+	} {
+		maxTile := n
+		if m.Kind == BlockedMorton {
+			maxTile = m.Block
+		}
+		for side := 1; side <= maxTile; side *= 2 {
+			for r := 0; r < n; r += side {
+				for c := 0; c < n; c += side {
+					off, stride := m.Tile(r, c, side)
+					for i := 0; i < side; i++ {
+						for j := 0; j < side; j++ {
+							if got, want := off+i*stride+j, m.Index(r+i, c+j); got != want {
+								t.Fatalf("%s: %dx%d tile at (%d,%d): element (%d,%d) at %d, Index says %d",
+									m.Kind, side, side, r, c, i, j, got, want)
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+	bm := NewMatrix(a, "bm", n, BlockedMorton, 4, memory.Interleave{})
+	mo := NewMatrix(a, "mo", n, Morton, 0, memory.Interleave{})
+	for name, tile := range map[string]func(){
+		"block-crossing column": func() { bm.Tile(0, 2, 4) },
+		"block-crossing row":    func() { bm.Tile(6, 0, 4) },
+		"oversized":             func() { bm.Tile(0, 0, 8) },
+		"cell Z-Morton":         func() { mo.Tile(0, 0, 1) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("Tile (%s) did not panic", name)
+				}
+			}()
+			tile()
+		}()
+	}
+}
+
 func TestAtSetAddAcrossLayouts(t *testing.T) {
 	a := memory.NewAllocator(2)
 	for _, tc := range []struct {

@@ -7,7 +7,7 @@ import (
 )
 
 // Arena owns the allocation-heavy engine state that survives from one run
-// to the next: the worker set (each worker carries a 64K-entry deque), the
+// to the next: the worker set (each worker carries a deque), the
 // per-thief victim pickers, the per-socket push-candidate lists, the event
 // queue's backing array, and a Frame free list. harness.Measure* repeats
 // thousands of (spec, policy, P, seed) runs on identical machine shapes;
@@ -33,6 +33,11 @@ type Arena struct {
 	// reuse reconstructs them from the base weights so a following run
 	// starts exactly where a fresh engine would.
 	pickersDirty bool
+
+	// deques holds every deque this arena has built, indexed by worker id.
+	// A shape change reuses them, so a P sweep that shrinks and regrows the
+	// worker set builds each deque once.
+	deques []*deque.Deque[*Frame]
 
 	// bulkBuf is the StealHalf transfer buffer shared by every bulk steal
 	// of every run in this arena (the engine is single-threaded and drains
@@ -105,8 +110,8 @@ func (a *Arena) workersFor(c *Config, needBias bool) []*worker {
 }
 
 // build constructs workers, pickers and push-candidate lists for shape c
-// and records the shape key. The old workers' deques — by far the largest
-// engine allocation, 64K entries each — are salvaged for the new set.
+// and records the shape key. Workers take their deques from the arena's
+// pool, which grows only when c has more workers than any earlier shape.
 func (a *Arena) build(c *Config, needBias bool) {
 	old := a.workers
 	a.workers = make([]*worker, c.Workers)
@@ -116,11 +121,12 @@ func (a *Arena) build(c *Config, needBias bool) {
 			core:   c.Placement.Core[i],
 			socket: c.Placement.Socket[i],
 		}
-		if i < len(old) && old[i].deque.Empty() {
-			w.deque = old[i].deque
-		} else {
-			w.deque = deque.New[*Frame](0)
+		if i == len(a.deques) {
+			a.deques = append(a.deques, deque.New[*Frame](0))
+		} else if !a.deques[i].Empty() {
+			a.deques[i] = deque.New[*Frame](0)
 		}
+		w.deque = a.deques[i]
 		if i < len(old) && cap(old[i].mailbox) >= c.MailboxCapacity {
 			w.mailbox = old[i].mailbox[:0:c.MailboxCapacity]
 		} else {

@@ -3,6 +3,8 @@ package sched
 import (
 	"reflect"
 	"testing"
+
+	"repro/internal/deque"
 )
 
 // TestArenaReuseMatchesFreshEngines pins the arena's compatibility
@@ -67,6 +69,35 @@ func TestArenaFrameRecycling(t *testing.T) {
 	run()
 	if len(arena.blocks) != blocks {
 		t.Errorf("second identical run grew the arena from %d to %d blocks", blocks, len(arena.blocks))
+	}
+}
+
+// TestArenaKeepsDequesAcrossShapes pins the deque pool: a P sweep that
+// shrinks the worker set and regrows it (32 -> 1 -> 32, as Fig. 9's P
+// sweep does between benchmarks) builds each worker's deque, and so its
+// ring, once; every later shape reuses the same deques.
+func TestArenaKeepsDequesAcrossShapes(t *testing.T) {
+	arena := NewArena()
+	run := func(p int) []*deque.Deque[*Frame] {
+		r := &treeRunner{fanout: 3, depth: 4, leafCost: 300, innerCost: 5}
+		e := NewEngineIn(arena, testConfig(p, NUMAWS), r)
+		e.Run(e.NewRootFrame(PlaceAny))
+		ds := make([]*deque.Deque[*Frame], p)
+		for i, w := range arena.workers {
+			ds[i] = w.deque
+		}
+		return ds
+	}
+	first := run(32)
+	run(1)
+	again := run(32)
+	if len(arena.deques) != 32 {
+		t.Errorf("arena holds %d deques after a 32->1->32 sweep, want 32", len(arena.deques))
+	}
+	for i := range first {
+		if again[i] != first[i] {
+			t.Errorf("worker %d got a new deque after the 32->1->32 sweep", i)
+		}
 	}
 }
 

@@ -966,8 +966,8 @@ func (e *Engine) adaptTick() {
 		return
 	}
 	for h, wt := range e.adWeights {
-		if wt <= 0 {
-			panic(fmt.Sprintf("sched: policy %q: Adapt set weight %g for hop class %d; every weight must stay positive",
+		if !(wt > 0) || math.IsInf(wt, 1) {
+			panic(fmt.Sprintf("sched: policy %q: Adapt set weight %g for hop class %d; every weight must stay finite and positive",
 				e.cfg.Policy.Name(), wt, h))
 		}
 	}

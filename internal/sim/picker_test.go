@@ -114,6 +114,8 @@ func TestNewPickerPanics(t *testing.T) {
 		"negative": {1, -1},
 		"all zero": {0, 0},
 		"empty":    {},
+		"NaN":      {1, math.NaN()},
+		"+Inf":     {1, math.Inf(1)},
 	} {
 		func() {
 			defer func() {
@@ -122,6 +124,14 @@ func TestNewPickerPanics(t *testing.T) {
 				}
 			}()
 			NewPicker(w)
+		}()
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("Pick(%s) did not panic", name)
+				}
+			}()
+			NewRNG(1).Pick(w)
 		}()
 	}
 }

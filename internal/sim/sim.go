@@ -17,6 +17,7 @@ package sim
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 )
 
@@ -202,9 +203,18 @@ func (g *RNG) Float64() float64 { return g.r.Float64() }
 // between a victim's deque and its mailbox.
 func (g *RNG) Coin() bool { return g.r.Intn(2) == 0 }
 
+// checkWeight panics unless w is a usable draw weight: finite and
+// non-negative. A NaN or +Inf weight would make every draw fall through to
+// the last index.
+func checkWeight(w float64, i int) {
+	if !(w >= 0) || math.IsInf(w, 1) {
+		panic(fmt.Sprintf("sim: weight %g at %d is negative or not finite", w, i))
+	}
+}
+
 // Pick returns an index in [0, len(weights)) chosen with probability
-// proportional to weights[i]. Weights must be non-negative with a positive
-// sum. This implements the locality-biased victim distribution.
+// proportional to weights[i]. Weights must be finite and non-negative with
+// a positive sum. This implements the locality-biased victim distribution.
 //
 // Pick re-validates and re-scans the weights on every call; hot paths that
 // draw from a fixed distribution should build a Picker once instead. Picker
@@ -214,9 +224,7 @@ func (g *RNG) Coin() bool { return g.r.Intn(2) == 0 }
 func (g *RNG) Pick(weights []float64) int {
 	var sum float64
 	for i, w := range weights {
-		if w < 0 {
-			panic(fmt.Sprintf("sim: negative weight %f at %d", w, i))
-		}
+		checkWeight(w, i)
 		sum += w
 	}
 	if sum <= 0 {
@@ -243,15 +251,13 @@ type Picker struct {
 	prefix []float64
 }
 
-// NewPicker validates weights (non-negative, positive sum — the same panics
-// Pick raises per call, paid once here) and returns a Picker over them.
-// The weights slice is not retained.
+// NewPicker validates weights (finite and non-negative, positive sum — the
+// same panics Pick raises per call, paid once here) and returns a Picker
+// over them. The weights slice is not retained.
 func NewPicker(weights []float64) *Picker {
 	p := &Picker{prefix: make([]float64, len(weights)+1)}
 	for i, w := range weights {
-		if w < 0 {
-			panic(fmt.Sprintf("sim: negative weight %f at %d", w, i))
-		}
+		checkWeight(w, i)
 		p.prefix[i+1] = p.prefix[i] + w
 	}
 	if p.prefix[len(weights)] <= 0 {

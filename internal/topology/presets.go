@@ -100,8 +100,14 @@ func Preset(name string) (*Topology, bool) {
 // maxShapeSockets bounds the socket count of a generic shape. A machine's
 // distance matrix is quadratic in its sockets, so without a bound a short
 // spec string such as "100000x1" (from a flag or a service request) would
-// make Parse allocate tens of gigabytes.
-const maxShapeSockets = 64
+// make Parse allocate tens of gigabytes. maxShapeCores bounds the total
+// core count the same way: every core can host a simulated worker, so
+// "1x100000000" would otherwise ask the engine for 10^8 workers at run
+// time.
+const (
+	maxShapeSockets = 64
+	maxShapeCores   = 1024
+)
 
 // Parse resolves a topology spec: a preset name (see Presets) or a generic
 // "SxC" shape — S sockets of C cores on a ring interconnect, e.g. "2x4" or
@@ -119,6 +125,9 @@ func Parse(spec string) (*Topology, error) {
 		}
 		if sockets > maxShapeSockets {
 			return nil, fmt.Errorf("topology: shape %q has more than %d sockets", spec, maxShapeSockets)
+		}
+		if cores > maxShapeCores/sockets {
+			return nil, fmt.Errorf("topology: shape %q has more than %d cores", spec, maxShapeCores)
 		}
 		return Ring(sockets, cores), nil
 	}

@@ -151,4 +151,14 @@ func TestParse(t *testing.T) {
 	if _, err := Parse("64x1"); err != nil {
 		t.Errorf("Parse(64x1): %v", err)
 	}
+	for _, bad := range []string{"1x100000000", "1x1025", "64x17", "2x9223372036854775807"} {
+		if _, err := Parse(bad); err == nil || !strings.Contains(err.Error(), "more than 1024 cores") {
+			t.Errorf("Parse(%s): error %v, want the core bound", bad, err)
+		}
+	}
+	for _, ok := range []string{"1x1024", "64x16", "8x128"} {
+		if _, err := Parse(ok); err != nil {
+			t.Errorf("Parse(%s): %v", ok, err)
+		}
+	}
 }

@@ -126,17 +126,29 @@ func (m *Matmul) baseMul(ctx core.Context, cr, cc, ar, ac, br, bc, n int) {
 	chargeTile(ctx, m.a, ar, ac, n, false)
 	chargeTile(ctx, m.b, br, bc, n, false)
 	chargeTile(ctx, m.c, cr, cc, n, false)
-	for i := 0; i < n; i++ {
-		for j := 0; j < n; j++ {
-			s := m.c.At(cr+i, cc+j)
-			for k := 0; k < n; k++ {
-				s += m.a.At(ar+i, ac+k) * m.b.At(br+k, bc+j)
-			}
-			m.c.Set(cr+i, cc+j, s)
-		}
-	}
+	tileMul(m.c, cr, cc, m.a, ar, ac, m.b, br, bc, n)
 	chargeTile(ctx, m.c, cr, cc, n, true)
 	ctx.Compute(int64(n) * int64(n) * int64(n))
+}
+
+// tileMul accumulates the n x n tile product C[cr.., cc..] += A[ar.., ac..]
+// * B[br.., bc..] over row slices resolved once per tile. Each cell still
+// sums its products in ascending k onto its previous value, so the result is
+// bit-identical to the textbook triple loop.
+func tileMul(c *layout.Matrix, cr, cc int, a *layout.Matrix, ar, ac int, b *layout.Matrix, br, bc, n int) {
+	co, cs := c.Tile(cr, cc, n)
+	ao, as := a.Tile(ar, ac, n)
+	bo, bs := b.Tile(br, bc, n)
+	for i := 0; i < n; i++ {
+		crow := c.Data[co+i*cs : co+i*cs+n]
+		arow := a.Data[ao+i*as : ao+i*as+n]
+		for k, aik := range arow {
+			brow := b.Data[bo+k*bs : bo+k*bs+n]
+			for j, bkj := range brow {
+				crow[j] += aik * bkj
+			}
+		}
+	}
 }
 
 // chargeTile charges one access to the n x n tile at (r, c): a single

@@ -183,7 +183,7 @@ func (s *Strassen) Root() core.Task {
 // mul computes C = A * B by Strassen recursion.
 func (s *Strassen) mul(ctx core.Context, c, a, b view, node *stNode) {
 	if c.n <= s.base {
-		s.baseMul(ctx, c, a, b, false)
+		s.baseMul(ctx, c, a, b)
 		return
 	}
 	a11, a12, a21, a22 := a.quad(0, 0), a.quad(0, 1), a.quad(1, 0), a.quad(1, 1)
@@ -267,6 +267,13 @@ func (v view) chargeBlock(ctx core.Context, r, c int, write bool) {
 	}
 }
 
+// block returns the b x b layout block at (r, c) of a blockwise view as
+// one slice: a whole block's rows are back to back (its Tile stride is b).
+func (v view) block(r, c, b int) []float64 {
+	off, _ := v.m.Tile(v.r0+r, v.c0+c, b)
+	return v.m.Data[off : off+b*b]
+}
+
 // addSub computes dst = x + y (or x - y), parallel over row bands (or block
 // rows for blocked layouts).
 func (s *Strassen) addSub(ctx core.Context, dst, x, y view, sub bool) {
@@ -282,9 +289,14 @@ func (s *Strassen) addSub(ctx core.Context, dst, x, y view, sub bool) {
 		core.SpawnRange(ctx, 0, nb, 1, func(c core.Context, lo, hi int) {
 			for br := lo; br < hi; br++ {
 				for bc := 0; bc < nb; bc++ {
-					for i := 0; i < b; i++ {
-						for j := 0; j < b; j++ {
-							apply(br*b+i, bc*b+j)
+					d, xs, ys := dst.block(br*b, bc*b, b), x.block(br*b, bc*b, b), y.block(br*b, bc*b, b)
+					if sub {
+						for i := range d {
+							d[i] = xs[i] - ys[i]
+						}
+					} else {
+						for i := range d {
+							d[i] = xs[i] + ys[i]
 						}
 					}
 					x.chargeBlock(c, br*b, bc*b, false)
@@ -329,9 +341,14 @@ func (s *Strassen) combine(ctx core.Context, dst view, ms []view, w []float64) {
 		core.SpawnRange(ctx, 0, nb, 1, func(c core.Context, lo, hi int) {
 			for br := lo; br < hi; br++ {
 				for bc := 0; bc < nb; bc++ {
-					for i := 0; i < b; i++ {
-						for j := 0; j < b; j++ {
-							apply(br*b+i, bc*b+j)
+					// Each cell sums its weighted products in k order
+					// from zero, as apply does.
+					d := dst.block(br*b, bc*b, b)
+					clear(d)
+					for k := range ms {
+						wk, mk := w[k], ms[k].block(br*b, bc*b, b)
+						for i := range d {
+							d[i] += wk * mk[i]
 						}
 					}
 					for k := range ms {
@@ -362,23 +379,16 @@ func (s *Strassen) combine(ctx core.Context, dst view, ms []view, w []float64) {
 	})
 }
 
-// baseMul is the sequential tile multiply (C = A*B, or += when acc).
-func (s *Strassen) baseMul(ctx core.Context, c, a, b view, acc bool) {
+// baseMul is the sequential tile multiply C = A*B.
+func (s *Strassen) baseMul(ctx core.Context, c, a, b view) {
 	n := c.n
 	chargeTile(ctx, a.m, a.r0, a.c0, n, false)
 	chargeTile(ctx, b.m, b.r0, b.c0, n, false)
+	co, cs := c.m.Tile(c.r0, c.c0, n)
 	for i := 0; i < n; i++ {
-		for j := 0; j < n; j++ {
-			v := 0.0
-			if acc {
-				v = c.at(i, j)
-			}
-			for k := 0; k < n; k++ {
-				v += a.at(i, k) * b.at(k, j)
-			}
-			c.set(i, j, v)
-		}
+		clear(c.m.Data[co+i*cs:][:n])
 	}
+	tileMul(c.m, c.r0, c.c0, a.m, a.r0, a.c0, b.m, b.r0, b.c0, n)
 	chargeTile(ctx, c.m, c.r0, c.c0, n, true)
 	ctx.Compute(int64(n) * int64(n) * int64(n))
 }
