@@ -20,9 +20,6 @@ package harness
 import (
 	"context"
 	"errors"
-	"fmt"
-	"hash/fnv"
-	"io"
 	"sync"
 
 	"repro/internal/core"
@@ -30,7 +27,6 @@ import (
 	"repro/internal/journal"
 	"repro/internal/metrics"
 	"repro/internal/sched"
-	"repro/internal/topology"
 )
 
 // runResult is one completed run's measured totals — exactly the fields
@@ -54,41 +50,20 @@ func resultOf(rep *core.Report) runResult {
 	return rr
 }
 
-// topologyKey is the journal's compact machine signature: the shape for
-// readability plus a content hash of the full rendering (which includes
-// the distance matrix), so two same-shape machines with different
-// distance structure never share journal records.
-func topologyKey(top *topology.Topology) string {
-	h := fnv.New64a()
-	io.WriteString(h, top.String())
-	return fmt.Sprintf("%dx%d-%016x", top.Sockets(), top.CoresPerSocket(), h.Sum64())
-}
-
 // journaler adapts Options.Journal/Options.Resume for the submission loop.
-// A nil journaler (no journal, no resume) is valid and inert.
+// A nil journaler (no journal, no resume) is valid and inert. Its records
+// are keyed by KeyFor, the same content address the sweep service's store
+// uses.
 type journaler struct {
 	w      *journal.Writer
 	resume map[journal.Key]journal.Result
-	top    string
 }
 
 func newJournaler(opt Options) *journaler {
 	if opt.Journal == nil && opt.Resume == nil {
 		return nil
 	}
-	return &journaler{w: opt.Journal, resume: opt.Resume, top: topologyKey(opt.Topology)}
-}
-
-// key builds the run's full journal identity. Baseline is deliberately
-// absent: the baseline and policy columns of a cilk-vs-cilk comparison
-// measure the identical simulation, and the journal dedups by content.
-func (j *journaler) key(spec Spec, meta RunMeta, opt Options) journal.Key {
-	return journal.Key{
-		Gen: spec.Generation(), Bench: spec.Name, Input: spec.Input,
-		Scale: int(spec.SpecScale()), Topology: j.top,
-		Policy: meta.Policy, P: meta.P, Seed: meta.Seed,
-		Serial: meta.Serial, Verify: opt.Verify,
-	}
+	return &journaler{w: opt.Journal, resume: opt.Resume}
 }
 
 // lookup reports the journaled result for a key, if resuming and present.
@@ -151,22 +126,31 @@ func (r *specRuns) recordFailure(idx int, re *RunError) {
 // the resume journal fill their slot immediately — emitted with
 // RunMeta.Replayed set — and submit no job.
 func (r *specRuns) submit(ctx context.Context, pool *exec.Pool, em *emitter, jr *journaler, idx *int, spec Spec, opt Options) {
-	submit := func(slot *runResult, meta RunMeta, run func() (*core.Report, error)) {
+	// Each run is named by its key: KeyFor normalizes the serial axes, and
+	// the emitted RunMeta reads its identity back from the key. Baseline
+	// is deliberately absent from the key: the two columns of a
+	// cilk-vs-cilk comparison measure the identical simulation, and the
+	// journal dedups by content.
+	submit := func(slot *runResult, pol sched.Policy, o Options, serial, baseline bool) {
 		myIdx := *idx
 		*idx++
-		key := journal.Key{}
-		if jr != nil {
-			key = jr.key(spec, meta, opt)
-			if rr, ok := jr.lookup(key); ok {
-				*slot = rr
-				meta.Replayed = true
-				meta.Time = rr.time
-				em.emit(meta)
-				return
-			}
+		key := KeyFor(spec, pol, o, serial)
+		meta := RunMeta{Bench: spec.Name, Policy: key.Policy, P: key.P, Seed: key.Seed, Serial: serial, Baseline: baseline}
+		if rr, ok := jr.lookup(key); ok {
+			*slot = rr
+			meta.Replayed = true
+			meta.Time = rr.time
+			em.emit(meta)
+			return
 		}
 		pool.Submit(ctx, myIdx, func() error {
-			rep, err := run()
+			var rep *core.Report
+			var err error
+			if serial {
+				rep, err = RunSerial(ctx, spec, o)
+			} else {
+				rep, err = RunOne(ctx, spec, pol, o)
+			}
 			if err != nil {
 				var re *RunError
 				if errors.As(err, &re) && ctx.Err() == nil {
@@ -186,8 +170,7 @@ func (r *specRuns) submit(ctx context.Context, pool *exec.Pool, em *emitter, jr 
 		})
 	}
 
-	submit(&r.ts, RunMeta{Bench: spec.Name, Policy: "serial", P: 1, Seed: opt.Seed, Serial: true},
-		func() (*core.Report, error) { return RunSerial(ctx, spec, opt) })
+	submit(&r.ts, nil, opt, true, false)
 	for pi, pol := range []sched.Policy{sched.Cilk, opt.Policy} {
 		// Column position, not policy identity: with Policy: sched.Cilk the
 		// comparison degenerates to cilk-vs-cilk, and both columns must
@@ -197,16 +180,13 @@ func (r *specRuns) submit(ctx context.Context, pool *exec.Pool, em *emitter, jr 
 			pr = &r.policy
 		}
 		pr.seeds = make([]runResult, opt.Seeds)
-		pol, baseline := pol, pi == 0
 		o1 := opt
 		o1.P = 1
-		submit(&pr.t1, RunMeta{Bench: spec.Name, Policy: pol.Name(), P: 1, Seed: opt.Seed, Baseline: baseline},
-			func() (*core.Report, error) { return RunOne(ctx, spec, pol, o1) })
+		submit(&pr.t1, pol, o1, false, pi == 0)
 		for s := 0; s < opt.Seeds; s++ {
 			o := opt
 			o.Seed = opt.Seed + int64(s)
-			submit(&pr.seeds[s], RunMeta{Bench: spec.Name, Policy: pol.Name(), P: opt.P, Seed: o.Seed, Baseline: baseline},
-				func() (*core.Report, error) { return RunOne(ctx, spec, pol, o) })
+			submit(&pr.seeds[s], pol, o, false, pi == 0)
 		}
 	}
 }

@@ -3,9 +3,9 @@ package harness
 // This file is the sweep service's execute-through-cache seam
 // (internal/server): single runs addressed by their full journal key,
 // simulated only when a persistent result cache does not already hold
-// them. The key recipe is shared with the grid journaler in parallel.go,
-// so a service store and a -journal file are mutually intelligible — a
-// record written by either is a hit for both.
+// them. KeyFor is also the grid journaler's key (parallel.go), so a
+// service store and a -journal file are mutually intelligible — a record
+// written by either is a hit for both.
 
 import (
 	"context"
@@ -25,9 +25,9 @@ type ResultCache interface {
 	Put(journal.Key, journal.Result) error
 }
 
-// KeyFor is the content address of one run: the exact key the grid
-// journaler writes (journaler.key), built from the run's spec, policy and
-// options. Serial runs pin Policy "serial" and P 1 — the serial elision
+// KeyFor is the content address of one run, built from the run's spec,
+// policy and options; the grid journaler and the service store both key
+// their records with it. Serial runs pin Policy "serial" and P 1 — the serial elision
 // has no scheduler, so those axes are normalized, not echoed; pol is
 // ignored for them and may be nil.
 func KeyFor(spec Spec, pol sched.Policy, opt Options, serial bool) journal.Key {
@@ -38,7 +38,7 @@ func KeyFor(spec Spec, pol sched.Policy, opt Options, serial bool) journal.Key {
 	}
 	return journal.Key{
 		Gen: spec.Generation(), Bench: spec.Name, Input: spec.Input,
-		Scale: int(spec.SpecScale()), Topology: topologyKey(opt.Topology),
+		Scale: int(spec.SpecScale()), Topology: opt.Topology.Key(),
 		Policy: policy, P: p, Seed: opt.Seed,
 		Serial: serial, Verify: opt.Verify,
 	}

@@ -2,6 +2,7 @@ package harness
 
 import (
 	"errors"
+	"path/filepath"
 	"testing"
 
 	"repro/internal/journal"
@@ -10,22 +11,42 @@ import (
 )
 
 // TestKeyForMatchesJournalerKey pins the seam the sweep service depends
-// on: KeyFor must produce byte-for-byte the key the grid journaler writes
-// for the same run, so a service store and a -journal file are mutually
-// intelligible.
+// on: every record the grid journaler writes is keyed by KeyFor of its
+// run, so a service store and a -journal file are mutually intelligible.
 func TestKeyForMatchesJournalerKey(t *testing.T) {
 	spec := specByName(t, "fib")
-	opt := Options{Topology: topology.TwoSocket(4), P: 4, Seed: 3, Verify: true}.fill()
-	jr := newJournaler(Options{Topology: opt.Topology, Resume: map[journal.Key]journal.Result{}})
-
-	par := jr.key(spec, RunMeta{Bench: spec.Name, Policy: sched.Cilk.Name(), P: opt.P, Seed: opt.Seed}, opt)
-	if got := KeyFor(spec, sched.Cilk, opt, false); got != par {
-		t.Errorf("parallel key mismatch:\n KeyFor    %+v\n journaler %+v", got, par)
+	path := filepath.Join(t.TempDir(), "grid.jsonl")
+	w, err := journal.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opt := Options{Topology: topology.TwoSocket(4), P: 4, Seed: 3, Verify: true, Policy: sched.NUMAWS, Journal: w}
+	if _, err := MeasureAll(t.Context(), []Spec{spec}, opt); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	got, err := journal.Replay(path)
+	if err != nil {
+		t.Fatal(err)
 	}
 
-	ser := jr.key(spec, RunMeta{Bench: spec.Name, Policy: "serial", P: 1, Seed: opt.Seed, Serial: true}, opt)
-	if got := KeyFor(spec, nil, opt, true); got != ser {
-		t.Errorf("serial key mismatch:\n KeyFor    %+v\n journaler %+v", got, ser)
+	opt = opt.fill()
+	o1 := opt
+	o1.P = 1
+	want := []journal.Key{
+		KeyFor(spec, nil, opt, true),
+		KeyFor(spec, sched.Cilk, o1, false), KeyFor(spec, sched.Cilk, opt, false),
+		KeyFor(spec, sched.NUMAWS, o1, false), KeyFor(spec, sched.NUMAWS, opt, false),
+	}
+	if len(got) != len(want) {
+		t.Errorf("journal holds %d keys, want %d: %+v", len(got), len(want), got)
+	}
+	for _, k := range want {
+		if _, ok := got[k]; !ok {
+			t.Errorf("journal lacks KeyFor's key %+v", k)
+		}
 	}
 }
 

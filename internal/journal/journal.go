@@ -11,8 +11,9 @@
 //
 // The checksum guards the only corruption append-only files suffer in
 // practice: a torn final line from a crash mid-write. Replay stops at the
-// first record that fails to parse or checksum and returns what preceded
-// it; the writer appends from there, so the torn tail is simply re-measured.
+// first record that fails to parse or checksum, or that lacks its
+// newline, and returns what preceded it; the writer appends from there,
+// so the torn tail is simply re-measured.
 //
 // Keys carry the full run tuple plus the workload-registry generation:
 // a journal written under one registry population never replays into a
@@ -41,7 +42,7 @@ type Key struct {
 	Input string `json:"input"`
 	Scale int    `json:"scale"`
 	// Topology is the compact machine signature (shape plus a content
-	// hash), not the full rendering; see harness's topologyKey.
+	// hash), not the full rendering; see topology.Topology.Key.
 	Topology string `json:"topology"`
 	Policy   string `json:"policy"`
 	P        int    `json:"p"`
@@ -185,6 +186,7 @@ func ReplayWithStats(path string) (map[Key]Result, ReplayStats, error) {
 	defer f.Close()
 	sc := bufio.NewScanner(f)
 	sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
+	sc.Split(splitLines)
 	corrupt := false
 	for sc.Scan() {
 		raw := bytes.TrimSpace(sc.Bytes())
@@ -194,7 +196,7 @@ func ReplayWithStats(path string) (map[Key]Result, ReplayStats, error) {
 			}
 			continue
 		}
-		n := int64(len(sc.Bytes())) + 1 // the line plus its newline
+		n := int64(len(sc.Bytes()))
 		if len(raw) == 0 {
 			st.Tail += n
 			continue
@@ -202,6 +204,11 @@ func ReplayWithStats(path string) (map[Key]Result, ReplayStats, error) {
 		var ln line
 		var rec record
 		switch {
+		case !bytes.HasSuffix(sc.Bytes(), []byte{'\n'}):
+			// Write ends every record with its newline, so a final line
+			// without one is torn, however well it parses; a record
+			// appended after it would join its line.
+			corrupt = true
 		case json.Unmarshal(raw, &ln) != nil:
 			corrupt = true // torn tail
 		case crc32.ChecksumIEEE(ln.Rec) != ln.CRC:
@@ -221,4 +228,18 @@ func ReplayWithStats(path string) (map[Key]Result, ReplayStats, error) {
 		return nil, st, fmt.Errorf("journal: read: %w", err)
 	}
 	return out, st, nil
+}
+
+// splitLines is bufio.ScanLines keeping each line's exact bytes: its
+// newline, any carriage return, and a final line without a newline. The
+// replay sums token lengths into ReplayStats.Tail, so every byte of the
+// file must be in some token.
+func splitLines(data []byte, atEOF bool) (int, []byte, error) {
+	if i := bytes.IndexByte(data, '\n'); i >= 0 {
+		return i + 1, data[:i+1], nil
+	}
+	if atEOF && len(data) > 0 {
+		return len(data), data, nil
+	}
+	return 0, nil, nil
 }

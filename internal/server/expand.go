@@ -13,6 +13,7 @@ import (
 	"strings"
 
 	"repro/internal/harness"
+	"repro/internal/journal"
 	"repro/internal/sched"
 	"repro/internal/topology"
 	"repro/pkg/numaws/wire"
@@ -26,18 +27,26 @@ func decodeRequest(body io.Reader, v any) error {
 	return dec.Decode(v)
 }
 
-// runSpec is one expanded grid cell, validated and resolved.
+// runSpec is one expanded grid cell, validated and resolved. Its key is
+// built once, at expansion, and carries the run's identity: bench, input,
+// policy ("serial" for serial rows), P, seed, serial and verify.
 type runSpec struct {
 	spec      harness.Spec
 	topoName  string
 	top       *topology.Topology
 	pol       sched.Policy // nil for serial rows
-	polName   string       // "serial" for serial rows
-	p         int
-	seed      int64
-	serial    bool
 	scaleName string
-	verify    bool
+	key       journal.Key
+}
+
+// row is the run's grid row carrying res.
+func (rn *runSpec) row(res journal.Result, cached bool) *wire.GridRow {
+	return &wire.GridRow{
+		Bench: rn.key.Bench, Input: rn.key.Input, Scale: rn.scaleName,
+		Topology: rn.topoName, Policy: rn.key.Policy, P: rn.key.P, Seed: rn.key.Seed,
+		Serial: rn.key.Serial, Cached: cached,
+		Time: res.Time, Work: res.Work, Sched: res.Sched, Idle: res.Idle,
+	}
 }
 
 // expand validates a request the way the CLI validates its flags — every
@@ -151,14 +160,17 @@ func (s *Server) expand(req wire.GridRequest) ([]runSpec, error) {
 		machines = append(machines, machine{name: t, top: top})
 	}
 	runs := make([]runSpec, 0, n)
+	add := func(sp harness.Spec, m machine, pol sched.Policy, p int, seed int64) {
+		opt := harness.Options{Topology: m.top, P: p, Seed: seed, Verify: verify}
+		runs = append(runs, runSpec{
+			spec: sp, topoName: m.name, top: m.top, pol: pol, scaleName: scaleName,
+			key: harness.KeyFor(sp, pol, opt, pol == nil),
+		})
+	}
 	for _, sp := range specs {
 		for _, m := range machines {
 			if req.Serial {
-				runs = append(runs, runSpec{
-					spec: sp, topoName: m.name, top: m.top,
-					polName: "serial", p: 1, seed: seeds[0], serial: true,
-					scaleName: scaleName, verify: verify,
-				})
+				add(sp, m, nil, 1, seeds[0])
 			}
 			for _, pol := range pols {
 				for _, p := range workers {
@@ -167,11 +179,7 @@ func (s *Server) expand(req wire.GridRequest) ([]runSpec, error) {
 						rp = m.top.Cores()
 					}
 					for _, sd := range seeds {
-						runs = append(runs, runSpec{
-							spec: sp, topoName: m.name, top: m.top,
-							pol: pol, polName: pol.Name(), p: rp, seed: sd,
-							scaleName: scaleName, verify: verify,
-						})
+						add(sp, m, pol, rp, sd)
 					}
 				}
 			}

@@ -1,10 +1,11 @@
 // Package server implements the numaws sweep service: an HTTP/JSON API
 // over the measurement harness backed by a persistent content-addressed
 // result store (internal/store). A grid request is expanded to its run
-// tuples, each tuple is served from the store when its key is already
-// recorded, concurrent identical in-flight runs are coalesced behind a
-// per-key single-flight, and completed rows stream to the client as
-// NDJSON the moment they finish. Because every simulation is
+// tuples, each with its key. Every tuple whose key is already recorded is
+// answered from the store first, and those rows go to the client in one
+// write. The rest are simulated, with concurrent identical in-flight runs
+// coalesced behind a per-key single-flight, and each row streams as
+// NDJSON the moment it finishes. Because every simulation is
 // deterministic in its key, a cached row is byte-identical to a simulated
 // one — the service turns repeated queries into O(1) lookups.
 //
@@ -29,9 +30,10 @@
 // declaration of the service's schema; the facade's clients decode the
 // same types.
 //
-// Concurrency: each request fans its runs out on its own internal/exec
-// pool, and a server-wide semaphore bounds the total simulations in
-// flight across all clients, so one large grid cannot starve the host.
+// Concurrency: each request fans the runs the store did not hold out on
+// its own internal/exec pool, and a server-wide semaphore bounds the
+// total simulations in flight across all clients, so one large grid
+// cannot starve the host.
 // Client disconnect cancels that client's request context, which aborts
 // only its own uncached work — runs another client is waiting on are
 // taken over by a waiter, and completed records are already durable.
@@ -233,14 +235,18 @@ func readRequest(w http.ResponseWriter, r *http.Request, what string, req any) b
 }
 
 // streamRuns is the one execution path of every streaming endpoint: it
-// expands req (a 400 when invalid), fans the runs out on a bounded pool
-// and streams each completed row as its own NDJSON event, then the
-// trailer that done builds from the rows (index-addressed in expansion
-// order, not completion order) and their counts. The handler's context
-// is the request's: client disconnect cancels the pool, skipping runs
-// not yet started, and the stream ends without its trailer — as it does
-// when a run hits a grid-level error (cancellation, store I/O) or done
-// fails.
+// expands req (a 400 when invalid) and answers in two passes. The first
+// looks every tuple up in the store and writes each hit as a row event,
+// with one flush after the loop. The second fans the misses out on a
+// bounded pool and streams each simulated row as its own flushed event,
+// in completion order. The passes are separate because Submit blocks on
+// a full pool: a hit queued behind a miss would wait for a simulation.
+// Last comes the trailer that done builds from the rows (index-addressed
+// in expansion order, not stream order) and their counts. The handler's
+// context is the request's: client disconnect cancels the pool, skipping
+// runs not yet started, and the stream ends without its trailer — as it
+// does when a run hits a grid-level error (cancellation, store I/O) or
+// done fails.
 func streamRuns[S any](s *Server, w http.ResponseWriter, r *http.Request, what string,
 	req wire.GridRequest, done func([]*wire.GridRow, wire.GridSummary) (*S, error)) {
 	runs, err := s.expand(req)
@@ -253,12 +259,34 @@ func streamRuns[S any](s *Server, w http.ResponseWriter, r *http.Request, what s
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	st := newStream(w)
 	rows := make([]*wire.GridRow, len(runs))
-	var mu sync.Mutex
 	var sum wire.GridSummary
+	var misses []int
+	for i := range runs {
+		res, ok := s.st.Get(runs[i].key)
+		if !ok {
+			misses = append(misses, i)
+			continue
+		}
+		row := runs[i].row(res, true)
+		rows[i] = row
+		sum.Rows++
+		sum.Cached++
+		s.hits.Add(1)
+		s.rows.Add(1)
+		if err := st.encode(wire.Event[S]{Row: row}); err != nil {
+			s.logf("numaws: %s aborted: %v", what, err)
+			return
+		}
+	}
+	if sum.Cached > 0 {
+		st.flush()
+	}
+
+	var mu sync.Mutex
 	pool := exec.NewPool(ctx, s.jobs)
-	for i, rn := range runs {
+	for _, i := range misses {
 		pool.Submit(ctx, i, func() error {
-			row, err := s.runOne(ctx, rn)
+			row, err := s.runOne(ctx, &runs[i])
 			if err != nil {
 				return err
 			}
@@ -294,44 +322,34 @@ func streamRuns[S any](s *Server, w http.ResponseWriter, r *http.Request, what s
 	}
 }
 
-// runOne produces one grid row. Contained run failures (*harness.RunError:
-// panic, verification mismatch, deadline) become the row's err field and
-// the grid proceeds; only cancellation and store I/O return an error.
-func (s *Server) runOne(ctx context.Context, rn runSpec) (*wire.GridRow, error) {
-	row := &wire.GridRow{
-		Bench: rn.spec.Name, Input: rn.spec.Input, Scale: rn.scaleName,
-		Topology: rn.topoName, Policy: rn.polName, P: rn.p, Seed: rn.seed,
-		Serial: rn.serial,
-	}
+// runOne produces the grid row of a tuple the store did not hold.
+// Contained run failures (*harness.RunError: panic, verification
+// mismatch, deadline) become the row's err field and the grid proceeds;
+// only cancellation and store I/O return an error.
+func (s *Server) runOne(ctx context.Context, rn *runSpec) (*wire.GridRow, error) {
 	res, cached, err := s.result(ctx, rn)
 	if err != nil {
 		var re *harness.RunError
 		if errors.As(err, &re) && ctx.Err() == nil {
 			s.failures.Add(1)
+			row := rn.row(journal.Result{}, false)
 			row.Err = &wire.GridRowError{Kind: re.Kind.String(), Msg: re.Error()}
 			return row, nil
 		}
 		return nil, err
 	}
-	row.Cached = cached
-	row.Time, row.Work, row.Sched, row.Idle = res.Time, res.Work, res.Sched, res.Idle
-	return row, nil
+	return rn.row(res, cached), nil
 }
 
-// result serves one run tuple: from the store when recorded, otherwise by
+// result serves one run tuple the store did not hold at lookup, by
 // simulating it exactly once across all concurrent clients. The reported
-// bool is true when this request did not simulate (store hit or a
-// coalesced ride on another request's run).
-func (s *Server) result(ctx context.Context, rn runSpec) (journal.Result, bool, error) {
-	opt := harness.Options{Topology: rn.top, P: rn.p, Seed: rn.seed, Verify: rn.verify}
-	key := harness.KeyFor(rn.spec, rn.pol, opt, rn.serial)
-	if res, ok := s.st.Get(key); ok {
-		s.hits.Add(1)
-		return res, true, nil
-	}
+// bool is true when this request did not simulate: a coalesced ride on
+// another request's run, or a record another client stored since the
+// lookup.
+func (s *Server) result(ctx context.Context, rn *runSpec) (journal.Result, bool, error) {
 	for {
-		leader := false
-		res, err := s.flight.do(key, func() (journal.Result, error) {
+		leader, simulated := false, false
+		res, err := s.flight.do(rn.key, func() (journal.Result, error) {
 			leader = true
 			select {
 			case s.sem <- struct{}{}:
@@ -339,17 +357,30 @@ func (s *Server) result(ctx context.Context, rn runSpec) (journal.Result, bool, 
 				return journal.Result{}, ctx.Err()
 			}
 			defer func() { <-s.sem }()
+			// A leader that finished since this request's lookup has
+			// stored the key; Peek re-checks without counting a second
+			// store lookup for the tuple.
+			if res, ok := s.st.Peek(rn.key); ok {
+				s.hits.Add(1)
+				return res, nil
+			}
 			s.inflight.Add(1)
 			defer s.inflight.Add(-1)
-			res, hit, err := harness.ExecuteThrough(ctx, s.st, rn.spec, rn.pol, opt, rn.serial)
-			if err == nil && !hit {
-				s.misses.Add(1)
+			opt := harness.Options{Topology: rn.top, P: rn.key.P, Seed: rn.key.Seed, Verify: rn.key.Verify}
+			res, err := harness.Execute(ctx, rn.spec, rn.pol, opt, rn.key.Serial)
+			if err == nil {
+				err = s.st.Put(rn.key, res)
 			}
-			return res, err
+			if err != nil {
+				return journal.Result{}, err
+			}
+			simulated = true
+			s.misses.Add(1)
+			return res, nil
 		})
 		switch {
 		case err == nil && leader:
-			return res, false, nil
+			return res, !simulated, nil
 		case err == nil:
 			s.coalesced.Add(1)
 			return res, true, nil
@@ -404,7 +435,8 @@ func writeJSON(w http.ResponseWriter, v any) {
 
 // stream serializes NDJSON events onto one response: pool workers emit
 // rows concurrently, and the ResponseWriter is not safe for concurrent
-// writes. Each event flushes, so a slow grid still streams.
+// writes. event flushes each event, so a slow grid still streams; encode
+// leaves the event in the writer's buffer until flush.
 type stream struct {
 	mu  sync.Mutex
 	enc *json.Encoder
@@ -420,15 +452,25 @@ func newStream(w http.ResponseWriter) *stream {
 }
 
 func (s *stream) event(ev any) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if err := s.enc.Encode(ev); err != nil {
+	if err := s.encode(ev); err != nil {
 		return err
 	}
+	s.flush()
+	return nil
+}
+
+func (s *stream) encode(ev any) error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.enc.Encode(ev)
+}
+
+func (s *stream) flush() {
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	if s.fl != nil {
 		s.fl.Flush()
 	}
-	return nil
 }
 
 // flight is the per-key single-flight for in-progress simulations: the

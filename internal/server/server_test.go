@@ -9,6 +9,7 @@
 package server_test
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -27,6 +28,7 @@ import (
 
 	"repro/internal/faultinject"
 	"repro/pkg/numaws"
+	"repro/pkg/numaws/wire"
 )
 
 // newService builds a facade server over a store at path and mounts it
@@ -421,6 +423,100 @@ func TestStatuszReportsCountersAndCorruption(t *testing.T) {
 	}
 	if !reflect.DeepEqual(ax.Scales, []string{"small", "full"}) {
 		t.Errorf("axes scales: %v", ax.Scales)
+	}
+}
+
+// TestStatuszCountsEachTupleOnce queries one tuple cold, then again: the
+// store counts one miss for the simulation and one hit for the repeat,
+// not a second lookup per simulated tuple.
+func TestStatuszCountsEachTupleOnce(t *testing.T) {
+	srv, hs := newService(t, filepath.Join(t.TempDir(), "store.jsonl"), 1)
+	defer srv.Close()
+	req := numaws.GridRequest{
+		Benches: []string{"fib"}, Topologies: []string{"2x4"},
+		Workers: []int{2}, Seeds: []int64{1}, Scale: "small",
+	}
+	if _, sum := collect(t, hs.URL, req); sum.Simulated != 1 {
+		t.Fatalf("cold query: %+v, want 1 simulated", sum)
+	}
+	if _, sum := collect(t, hs.URL, req); sum.Cached != 1 {
+		t.Fatalf("warm query: %+v, want 1 cached", sum)
+	}
+	var st wire.Status
+	getJSON(t, hs.URL+"/statusz", &st)
+	if st.Store.Puts != 1 || st.Store.Hits != 1 || st.Store.Misses != 1 {
+		t.Errorf("statusz store: puts=%d hits=%d misses=%d, want 1/1/1",
+			st.Store.Puts, st.Store.Hits, st.Store.Misses)
+	}
+	if st.Rows != 2 || st.CacheHits != 1 || st.Simulated != 1 {
+		t.Errorf("statusz counters: rows=%d cache_hits=%d simulated=%d, want 2/1/1",
+			st.Rows, st.CacheHits, st.Simulated)
+	}
+}
+
+// flushRecorder records, at each Flush, how many NDJSON lines the body
+// holds.
+type flushRecorder struct {
+	*httptest.ResponseRecorder
+	flushedAt []int
+}
+
+func (r *flushRecorder) Flush() {
+	r.flushedAt = append(r.flushedAt, bytes.Count(r.Body.Bytes(), []byte("\n")))
+}
+
+// TestStoredRowsStreamFirstInOneFlush queries a grid whose tuples are
+// partly stored: every stored row goes out before the first simulated
+// row, all of them under one flush, then each simulated row under its own
+// flush, then the trailer under one more.
+func TestStoredRowsStreamFirstInOneFlush(t *testing.T) {
+	srv, hs := newService(t, filepath.Join(t.TempDir(), "store.jsonl"), 1)
+	defer srv.Close()
+	req := numaws.GridRequest{
+		Benches: []string{"fib"}, Topologies: []string{"2x4"},
+		Workers: []int{2}, Seeds: []int64{3, 1}, Scale: "small",
+	}
+	if _, sum := collect(t, hs.URL, req); sum.Simulated != 2 {
+		t.Fatalf("prefill: %+v, want 2 simulated", sum)
+	}
+
+	req.Seeds = []int64{1, 2, 3, 4, 5}
+	body, err := json.Marshal(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := &flushRecorder{ResponseRecorder: httptest.NewRecorder()}
+	srv.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/grid", bytes.NewReader(body)))
+	if rec.Code != http.StatusOK {
+		t.Fatalf("status %d: %s", rec.Code, rec.Body)
+	}
+	lines := strings.Split(strings.TrimSuffix(rec.Body.String(), "\n"), "\n")
+	if len(lines) != 6 {
+		t.Fatalf("%d events, want 5 rows and a trailer:\n%s", len(lines), rec.Body)
+	}
+	var seeds []int64
+	for i, ln := range lines[:5] {
+		var ev wire.Event[wire.GridSummary]
+		if err := json.Unmarshal([]byte(ln), &ev); err != nil || ev.Row == nil {
+			t.Fatalf("event %d is not a row (%v): %s", i, err, ln)
+		}
+		if want := i < 2; ev.Row.Cached != want {
+			t.Errorf("event %d (seed %d): cached %v, want %v", i, ev.Row.Seed, ev.Row.Cached, want)
+		}
+		seeds = append(seeds, ev.Row.Seed)
+	}
+	if want := []int64{1, 3, 2, 4, 5}; !reflect.DeepEqual(seeds, want) {
+		t.Errorf("row seeds in stream order %v, want %v (stored rows in expansion order first)", seeds, want)
+	}
+	var ev wire.Event[wire.GridSummary]
+	if err := json.Unmarshal([]byte(lines[5]), &ev); err != nil || ev.Done == nil {
+		t.Fatalf("last event is not the trailer (%v): %s", err, lines[5])
+	}
+	if s := *ev.Done; s.Rows != 5 || s.Cached != 2 || s.Simulated != 3 {
+		t.Errorf("trailer %+v, want 5 rows: 2 cached, 3 simulated", s)
+	}
+	if want := []int{2, 3, 4, 5, 6}; !reflect.DeepEqual(rec.flushedAt, want) {
+		t.Errorf("flushes after line counts %v, want %v", rec.flushedAt, want)
 	}
 }
 

@@ -71,7 +71,8 @@ func Open(path string) (*Store, error) {
 // Path reports the file the store persists to.
 func (s *Store) Path() string { return s.path }
 
-// Get reports the recorded result for a key, if present.
+// Get reports the recorded result for a key, if present, and counts the
+// lookup as a hit or a miss.
 func (s *Store) Get(k journal.Key) (journal.Result, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -81,6 +82,15 @@ func (s *Store) Get(k journal.Key) (journal.Result, bool) {
 	} else {
 		s.misses++
 	}
+	return r, ok
+}
+
+// Peek is Get without counting: a re-check of a key the caller already
+// looked up with Get, so each lookup is counted once.
+func (s *Store) Peek(k journal.Key) (journal.Result, bool) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	r, ok := s.idx[k]
 	return r, ok
 }
 

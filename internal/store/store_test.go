@@ -161,6 +161,13 @@ func TestGetCountsHitsAndMisses(t *testing.T) {
 	s.Get(key(1))
 	s.Get(key(1))
 	s.Get(key(2))
+	// Peek answers like Get but leaves the counters alone.
+	if r, ok := s.Peek(key(1)); !ok || r != result(1) {
+		t.Errorf("Peek(key(1)) = %+v, %v; want the stored result", r, ok)
+	}
+	if _, ok := s.Peek(key(2)); ok {
+		t.Error("Peek(key(2)) found a record never stored")
+	}
 	c := s.Counters()
 	if c.Hits != 2 || c.Misses != 1 {
 		t.Errorf("hits/misses = %d/%d, want 2/1", c.Hits, c.Misses)

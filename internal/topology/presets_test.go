@@ -162,3 +162,26 @@ func TestParse(t *testing.T) {
 		}
 	}
 }
+
+// TestKeyPinsSignatures pins Key to the signatures existing store and
+// journal files carry: a change to the hash, to its input rendering or to
+// any preset's construction would orphan every record written before it.
+func TestKeyPinsSignatures(t *testing.T) {
+	for spec, want := range map[string]string{
+		"paper-4x8": "4x8-10fdc5270e116cad",
+		"2x16":      "2x16-9e36c827e6d6cbaf",
+		"8x4":       "8x4-211413ddc7a514fe",
+		"snc-2x2x8": "4x8-a79dbe98b1163fb5",
+		"uniform":   "1x32-9004f0a0363179cf",
+		"2x4":       "2x4-e0720c0ae15bfc75",
+		"3x5":       "3x5-3a71103d666724a8",
+	} {
+		top, err := Parse(spec)
+		if err != nil {
+			t.Fatalf("Parse(%q): %v", spec, err)
+		}
+		if got := top.Key(); got != want {
+			t.Errorf("Parse(%q).Key() = %s, want %s", spec, got, want)
+		}
+	}
+}

@@ -10,6 +10,8 @@ package topology
 
 import (
 	"fmt"
+	"hash/fnv"
+	"strconv"
 	"strings"
 )
 
@@ -19,6 +21,7 @@ type Topology struct {
 	sockets  int
 	perSock  int
 	distance [][]int // distance[i][j]: hop distance between sockets i and j
+	key      string  // see Key; fixed once the machine is built
 }
 
 // New builds a topology with the given socket count and cores per socket,
@@ -54,7 +57,12 @@ func New(sockets, coresPerSocket int, distance [][]int) (*Topology, error) {
 			}
 		}
 	}
-	return &Topology{sockets: sockets, perSock: coresPerSocket, distance: d}, nil
+	t := &Topology{sockets: sockets, perSock: coresPerSocket, distance: d}
+	h := fnv.New64a()
+	h.Write(t.render(nil))
+	hex := strconv.FormatUint(h.Sum64(), 16)
+	t.key = strconv.Itoa(sockets) + "x" + strconv.Itoa(coresPerSocket) + "-" + strings.Repeat("0", 16-len(hex)) + hex
+	return t, nil
 }
 
 // MustNew is New but panics on error; for package-level machine presets.
@@ -97,6 +105,13 @@ func (t *Topology) CoresPerSocket() int { return t.perSock }
 
 // Cores reports the total number of cores in the machine.
 func (t *Topology) Cores() int { return t.sockets * t.perSock }
+
+// Key is the machine's compact signature, the topology field of every
+// run key (journal and store records): the shape for readability plus an
+// FNV-64a hash of String(), which includes the distance matrix, so two
+// same-shape machines with different distance structure never share a
+// key. It is computed once, when the machine is built.
+func (t *Topology) Key() string { return t.key }
 
 // SocketOf reports the socket that owns the given core. Cores are numbered
 // socket-major: cores [0, perSocket) are on socket 0, and so on.
@@ -244,25 +259,48 @@ func (pl *Placement) WorkersOn(socket int) []int {
 
 // String renders the machine in the spirit of the paper's Fig. 1: one box
 // per socket listing its cores, plus the hop-distance matrix.
-func (t *Topology) String() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "NUMA machine: %d sockets x %d cores\n", t.sockets, t.perSock)
+func (t *Topology) String() string { return string(t.render(nil)) }
+
+// render appends String's text to b. It formats with strconv rather than
+// fmt, so building a machine (New hashes this text) draws nothing from
+// fmt's pooled printers and allocates the same on every call.
+func (t *Topology) render(b []byte) []byte {
+	b = append(b, "NUMA machine: "...)
+	b = strconv.AppendInt(b, int64(t.sockets), 10)
+	b = append(b, " sockets x "...)
+	b = strconv.AppendInt(b, int64(t.perSock), 10)
+	b = append(b, " cores\n"...)
 	for s := 0; s < t.sockets; s++ {
-		fmt.Fprintf(&b, "  Socket %d [LLC, MC, DRAM]: cores %d-%d\n",
-			s, s*t.perSock, (s+1)*t.perSock-1)
+		b = append(b, "  Socket "...)
+		b = strconv.AppendInt(b, int64(s), 10)
+		b = append(b, " [LLC, MC, DRAM]: cores "...)
+		b = strconv.AppendInt(b, int64(s*t.perSock), 10)
+		b = append(b, '-')
+		b = strconv.AppendInt(b, int64((s+1)*t.perSock-1), 10)
+		b = append(b, '\n')
 	}
-	b.WriteString("  node distances (hops):\n")
-	b.WriteString("      ")
+	b = append(b, "  node distances (hops):\n      "...)
 	for j := 0; j < t.sockets; j++ {
-		fmt.Fprintf(&b, "%4d", j)
+		b = appendCell(b, j)
 	}
-	b.WriteByte('\n')
+	b = append(b, '\n')
 	for i := 0; i < t.sockets; i++ {
-		fmt.Fprintf(&b, "  %4d", i)
+		b = append(b, "  "...)
+		b = appendCell(b, i)
 		for j := 0; j < t.sockets; j++ {
-			fmt.Fprintf(&b, "%4d", t.distance[i][j])
+			b = appendCell(b, t.distance[i][j])
 		}
-		b.WriteByte('\n')
+		b = append(b, '\n')
 	}
-	return b.String()
+	return b
+}
+
+// appendCell appends n right-aligned in four columns, as %4d formats it.
+func appendCell(b []byte, n int) []byte {
+	var digits [20]byte
+	d := strconv.AppendInt(digits[:0], int64(n), 10)
+	for i := len(d); i < 4; i++ {
+		b = append(b, ' ')
+	}
+	return append(b, d...)
 }
