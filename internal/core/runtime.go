@@ -282,30 +282,29 @@ type simRunner Runtime
 // Resume implements sched.Runner by switching into the frame's coroutine
 // until its next scheduling event. Exactly one strand runs at a time, and
 // only inside the engine's next call, which keeps the simulation
-// deterministic and surfaces a task's panic there. A returned task's
-// coroutine and record go back to the pools for the next frame, so the
-// steady-state loop creates no coroutines and allocates no task state.
+// deterministic and surfaces a task's panic there. Inside the coroutine,
+// yield may carry the worker on through calls, trivial syncs and call
+// returns (Engine.Continue), so the yield Resume returns may end a strand
+// of a later frame on the same coroutine, not of f.
 func (r *simRunner) Resume(w int, f *sched.Frame) sched.Yield {
 	rt := (*Runtime)(r)
-	c := f.Data.(*simCtx)
-	c.worker = w
-	c.core = rt.engine.CoreOf(w)
-	c.start = rt.engine.ClockOf(w)
+	c := rt.enter(w, f)
 	if c.u == nil {
 		c.u = rt.getUnit()
 		c.u.task = c
 	}
-	u := c.u
-	y, _ := u.next()
-	if y.Kind == sched.YieldReturn {
-		// The task is done: its coroutine is suspended in its final yield
-		// and will run whatever task it is handed next. Nothing references
-		// either anymore (the engine recycles the frame when it applies
-		// this yield), so both are safe to hand to the next frame.
-		rt.freeUnits = append(rt.freeUnits, u)
-		rt.putTask(c)
-	}
+	y, _ := c.u.next()
 	return y
+}
+
+// enter binds frame f's task record to worker w for the strand about to
+// run: the core whose caches it charges and the virtual time it starts at.
+func (rt *Runtime) enter(w int, f *sched.Frame) *simCtx {
+	c := f.Data.(*simCtx)
+	c.worker = w
+	c.core = rt.engine.CoreOf(w)
+	c.start = rt.engine.ClockOf(w)
+	return c
 }
 
 // unit is one pooled strand coroutine, running the task handed to it.
@@ -343,10 +342,12 @@ func (u *unit) body(yield func(sched.Yield) bool) {
 	u.yield = yield
 	for {
 		c := u.task
-		c.fn(c)
-		if c.spawned {
-			c.Sync()
-		}
+		c.run()
+		// The task is done. Its final yield, a spawned or root return, always
+		// goes back to the engine, which recycles the frame; the unit then
+		// waits in that yield for whatever task it is handed next, so it can
+		// go back to the pool now.
+		c.rt.freeUnits = append(c.rt.freeUnits, u)
 		c.yield(sched.YieldReturn, nil)
 	}
 }
@@ -430,20 +431,53 @@ func (c *simCtx) Sync() {
 
 // Call runs t as a plain (non-spawn) Cilk function call: same worker, no
 // stealable continuation, but its own frame — so a cilk_sync inside t waits
-// only for t's own spawned children, never the caller's.
+// only for t's own spawned children, never the caller's. The callee runs
+// inline on the caller's coroutine: a called frame is never stolen and its
+// caller resumes only once it returns, so the coroutine's stack is exactly
+// the chain of called frames, innermost on top.
 func (c *simCtx) Call(t Task) {
 	child := c.rt.engine.NewCalledFrame(c.frame, c.frame.Place)
-	child.Data = c.rt.newTask(child, t)
+	callee := c.rt.newTask(child, t)
+	callee.u = c.u
+	child.Data = callee
 	c.yield(sched.YieldCall, child)
+	callee.run()
+	callee.yield(sched.YieldReturn, nil)
 }
 
-// yield ends the current strand: it hands the engine a scheduling event
-// carrying the strand's cost and suspends until the engine resumes the
-// frame. A false yield means closeUnits stopped the unit: unwind.
+// run runs the task's function, then the implicit sync every Cilk function
+// performs before returning.
+func (c *simCtx) run() {
+	c.fn(c)
+	if c.spawned {
+		c.Sync()
+	}
+}
+
+// yield ends the current strand with a scheduling event carrying the
+// strand's cost. When the engine can run the worker's next strand on this
+// coroutine (Engine.Continue), yield returns at once with that strand
+// entered; otherwise it hands the event to the engine and suspends until
+// the engine resumes a frame on this coroutine. A false yield means
+// closeUnits stopped the unit: unwind.
+//
+// A returning task record is pooled before anything else: whichever path
+// the return takes, nothing touches c again.
 func (c *simCtx) yield(k sched.YieldKind, child *sched.Frame) {
-	cost := c.cost
+	rt, u, w := c.rt, c.u, c.worker
+	y := sched.Yield{Kind: k, Cost: c.cost, Child: child}
 	c.cost = 0
-	if !c.u.yield(sched.Yield{Kind: k, Cost: cost, Child: child}) {
+	if k == sched.YieldReturn {
+		rt.putTask(c)
+	}
+	// A dag.Recorder must see every strand through Resume.
+	if !rt.cfg.RecordDAG {
+		if f := rt.engine.Continue(w, y); f != nil {
+			rt.enter(w, f)
+			return
+		}
+	}
+	if !u.yield(y) {
 		panic(unitUnwind{})
 	}
 }

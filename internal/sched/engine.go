@@ -507,16 +507,75 @@ func (e *Engine) Run(root *Frame) *Stats {
 // the strand began — otherwise a long strand would, for example, pop its
 // parent continuation "at" its start and collapse the steal window to
 // nothing.
+//
+// The Runner may carry the worker through further strands inside Resume
+// (see Continue), so the strand that y ends starts at w.clock as Resume
+// returns, not as it was called.
 func (e *Engine) execute(w *worker) {
-	f := w.run
+	y := e.runner.Resume(w.id, w.run)
+	e.endStrand(w, y)
+	w.pending, w.hasPending = y, true
+}
+
+// endStrand charges a finished strand to its worker: the strand occupies
+// [w.clock, w.clock+y.Cost) and is useful work.
+func (e *Engine) endStrand(w *worker, y Yield) {
 	start := w.clock
-	y := e.runner.Resume(w.id, f)
 	w.clock += y.Cost
 	w.stats.Work += y.Cost
-	w.pending, w.hasPending = y, true
 	if e.cfg.Tracer != nil && w.clock > start {
 		e.cfg.Tracer.Span(w.id, start, w.clock, TraceWork)
 	}
+}
+
+// Continue is the work-first fast path for a Runner whose next strand
+// would run on the same host stack: called from inside Resume with the
+// yield y that ends worker w's current strand, it either processes the
+// next two events itself and returns the frame w now runs, or declines
+// with nil and leaves every piece of engine state untouched (the Runner
+// then returns y from Resume as usual).
+//
+// It handles the three yields after which w runs again at once with
+// nothing for another worker to see: a plain call (w runs the callee), a
+// trivial sync (w continues the same frame) and a called frame's return (w
+// resumes the caller). For these, the loop in Run would process exactly
+// two events for w back to back — applying y, then executing w's next
+// frame — provided that after the strand and y's cost no other worker's
+// (time, id) comes first, which is the queue's Before. Continue makes that
+// check and then does what those two events do: the strand's epilogue,
+// apply, and the Events count, with the same stats and tracer spans. It
+// also declines when either event would run one of the loop's hooks (the
+// MaxEvents guard, the interrupt poll, an adaptation epoch), so those only
+// ever run on the engine's own goroutine, between Resume calls.
+func (e *Engine) Continue(wid int, y Yield) *Frame {
+	w := e.workers[wid]
+	f := w.run
+	end := w.clock + y.Cost
+	switch {
+	case y.Kind == YieldCall:
+	case y.Kind == YieldSync && !f.stolen && f.children == 0:
+	case y.Kind == YieldReturn && f.called:
+		end += e.cfg.ReturnCost
+	default:
+		return nil
+	}
+	n := e.stats.Events
+	if !e.hookFree(n+1) || !e.hookFree(n+2) || !e.q.Before(end, wid) {
+		return nil
+	}
+	e.endStrand(w, y)
+	e.stats.Events++
+	e.apply(w, y)
+	e.stats.Events++
+	return w.run
+}
+
+// hookFree reports whether Run's event number n runs none of the loop's
+// hooks: it stays within MaxEvents, is not an interrupt poll and is not an
+// adaptation epoch.
+func (e *Engine) hookFree(n int64) bool {
+	return n <= e.cfg.MaxEvents && n&(interruptPollInterval-1) != 0 &&
+		(e.adaptive == nil || n != e.adaptNext)
 }
 
 // apply performs the scheduling event a completed strand ended with

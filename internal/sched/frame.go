@@ -139,6 +139,13 @@ type Yield struct {
 // Contract: after a YieldSync, the engine will call Resume again on the same
 // frame only when the sync is allowed to complete (trivially, or after all
 // children returned); the Runner then continues past the sync point.
+//
+// A Runner may offer each yield to Engine.Continue from inside Resume. When
+// Continue takes it, the worker has moved on to the frame Continue returns
+// and the Runner keeps running that frame's next strand in the same Resume
+// call; the yield Resume finally returns is then the one that ends the
+// latest such strand, of the frame the worker is on by then, not
+// necessarily f's.
 type Runner interface {
 	Resume(w int, f *Frame) Yield
 }

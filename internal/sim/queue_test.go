@@ -164,3 +164,72 @@ func TestQueueReset(t *testing.T) {
 		t.Errorf("second pop after reuse = (%d,%d), want (5,2)", at, id)
 	}
 }
+
+// FuzzSimQueue drives the queue through an arbitrary operation sequence
+// and checks every result against the container/heap reference. Each pair
+// of bytes is one operation: the first byte's low three bits, mod 5, pick
+// Push, Pop, PushPop, Before or Peek, the second is the (time, id)
+// argument — time arg>>3, id arg&7, so times and ids collide often. With bit 3 of the op byte set and the
+// queue non-empty, the time is instead the root's time -1, 0 or +1, which
+// walks ties with the root from both sides. Before is checked against its
+// definition: pushing the pair and popping would hand it straight back.
+// Pop and Peek on an empty queue are skipped (they panic by contract).
+func FuzzSimQueue(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var q Queue
+		var ref refHeap
+		for i := 0; i+1 < len(data); i += 2 {
+			op, arg := data[i], data[i+1]
+			x := item{at: Time(arg >> 3), id: int(arg & 7)}
+			if op&8 != 0 && ref.Len() > 0 {
+				x.at = ref[0].at + Time(arg>>3)%3 - 1
+				if x.at < 0 {
+					x.at = 0
+				}
+			}
+			switch (op & 7) % 5 {
+			case 0:
+				q.Push(x.at, x.id)
+				heap.Push(&ref, x)
+			case 1:
+				if ref.Len() == 0 {
+					continue
+				}
+				at, id := q.Pop()
+				if want := heap.Pop(&ref).(item); at != want.at || id != want.id {
+					t.Fatalf("op %d: Pop = (%d,%d), reference (%d,%d)", i/2, at, id, want.at, want.id)
+				}
+			case 2:
+				at, id := q.PushPop(x.at, x.id)
+				heap.Push(&ref, x)
+				if want := heap.Pop(&ref).(item); at != want.at || id != want.id {
+					t.Fatalf("op %d: PushPop(%d,%d) = (%d,%d), reference (%d,%d)", i/2, x.at, x.id, at, id, want.at, want.id)
+				}
+			case 3:
+				probe := append(refHeap(nil), ref...)
+				heap.Push(&probe, x)
+				want := heap.Pop(&probe).(item) == x
+				if got := q.Before(x.at, x.id); got != want {
+					t.Fatalf("op %d: Before(%d,%d) = %v, reference %v", i/2, x.at, x.id, got, want)
+				}
+			case 4:
+				if ref.Len() == 0 {
+					continue
+				}
+				at, id := q.Peek()
+				if at != ref[0].at || id != ref[0].id {
+					t.Fatalf("op %d: Peek = (%d,%d), reference (%d,%d)", i/2, at, id, ref[0].at, ref[0].id)
+				}
+			}
+			if q.Len() != ref.Len() {
+				t.Fatalf("op %d: Len %d, reference %d", i/2, q.Len(), ref.Len())
+			}
+		}
+		for ref.Len() > 0 {
+			at, id := q.Pop()
+			if want := heap.Pop(&ref).(item); at != want.at || id != want.id {
+				t.Fatalf("drain: Pop = (%d,%d), reference (%d,%d)", at, id, want.at, want.id)
+			}
+		}
+	})
+}

@@ -109,14 +109,24 @@ func (q *Queue) Pop() (Time, int) {
 //numaws:alloc-free
 func (q *Queue) PushPop(at Time, id int) (Time, int) {
 	checkTime(at)
-	x := item{at: at, id: id}
-	if len(q.h) == 0 || !q.h[0].less(x) {
+	if q.Before(at, id) {
 		return at, id
 	}
 	top := q.h[0]
-	q.h[0] = x
+	q.h[0] = item{at: at, id: id}
 	q.siftDown(0)
 	return top.at, top.id
+}
+
+// Before reports whether (at, id) would be the next entry out if it were
+// pushed now: the queue is empty or no queued (time, id) precedes it. It is
+// exactly the test PushPop makes before returning its argument untouched,
+// so a worker whose next event passes Before is the worker the engine's
+// loop would run next.
+//
+//numaws:alloc-free
+func (q *Queue) Before(at Time, id int) bool {
+	return len(q.h) == 0 || !q.h[0].less(item{at: at, id: id})
 }
 
 // Peek reports the earliest entry without removing it.

@@ -19,6 +19,22 @@ type Fib struct {
 	reusable
 	n, base int
 	result  uint64
+	// free recycles the recursion's nodes. One run owns the instance at a
+	// time, and a node goes back only after its sync has joined both
+	// children, so no live strand can still reach a node on the list. A run
+	// that is aborted mid-tree simply never returns the nodes it was
+	// using; a later run builds new ones.
+	free []*fibNode
+}
+
+// fibNode is the state of one internal call of the recursion: its
+// argument, its two children's results and the two tasks computing them,
+// bound to the node once when it is first built. Recycling nodes keeps a
+// steady-state run from allocating per spawn.
+type fibNode struct {
+	n           int
+	a, b        uint64
+	left, right core.Task
 }
 
 // NewFib builds a fib(n) computation that spawns recursively down to
@@ -43,22 +59,38 @@ func (f *Fib) Prepare(*core.Runtime) {}
 // Root implements Workload.
 func (f *Fib) Root() core.Task {
 	return func(ctx core.Context) {
-		f.result = fibRec(ctx, f.n, f.base)
+		f.result = f.rec(ctx, f.n)
 	}
 }
 
-// fibRec is the Cilk fib recursion: spawn fib(n-1), call fib(n-2), sync,
+// rec is the Cilk fib recursion: spawn fib(n-1), call fib(n-2), sync,
 // add. Below base the subtree runs serially.
-func fibRec(ctx core.Context, n, base int) uint64 {
-	if n < base {
+func (f *Fib) rec(ctx core.Context, n int) uint64 {
+	if n < f.base {
 		return fibLeaf(ctx, n)
 	}
-	var a, b uint64
-	ctx.Spawn(func(c core.Context) { a = fibRec(c, n-1, base) })
-	ctx.Call(func(c core.Context) { b = fibRec(c, n-2, base) })
+	nd := f.node(n)
+	ctx.Spawn(nd.left)
+	ctx.Call(nd.right)
 	ctx.Sync()
 	ctx.Compute(4) // the two returns and the add
-	return a + b
+	r := nd.a + nd.b
+	f.free = append(f.free, nd)
+	return r
+}
+
+// node returns a recycled or new node for fib(n).
+func (f *Fib) node(n int) *fibNode {
+	if k := len(f.free); k > 0 {
+		nd := f.free[k-1]
+		f.free = f.free[:k-1]
+		nd.n = n
+		return nd
+	}
+	nd := &fibNode{n: n}
+	nd.left = func(c core.Context) { nd.a = f.rec(c, nd.n-1) }
+	nd.right = func(c core.Context) { nd.b = f.rec(c, nd.n-2) }
+	return nd
 }
 
 // fibLeaf is the serial base case. The value is computed iteratively (so
