@@ -27,8 +27,8 @@ import (
 	"runtime/debug"
 
 	"repro/internal/core"
-	"repro/internal/metrics"
 	"repro/internal/sched"
+	"repro/pkg/numaws/results"
 )
 
 // FailKind classifies a contained run failure, deciding retryability:
@@ -125,12 +125,13 @@ func (e *RunError) Error() string {
 // Unwrap exposes the underlying error to errors.Is/As.
 func (e *RunError) Unwrap() error { return e.Err }
 
-// RowError converts the failure into the metrics layer's export shape —
-// also what the facade converts into its public RunFailure.
-func (e *RunError) RowError() *metrics.RowError {
-	return &metrics.RowError{
+// RowError reports the failure as its row's Err: the failed run's identity
+// and classification, which renderers, exporters and the facade all carry
+// as is.
+func (e *RunError) RowError() *results.RunFailure {
+	return &results.RunFailure{
 		Bench: e.Bench, Policy: e.Policy, P: e.P, Seed: e.Seed,
-		Kind: e.Kind.String(), Msg: e.detail(),
+		Kind: e.Kind.String(), Message: e.detail(),
 	}
 }
 

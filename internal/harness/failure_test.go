@@ -24,6 +24,7 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/sched"
 	"repro/internal/workloads"
+	"repro/pkg/numaws/results"
 )
 
 // gridOpts is the small grid configuration the containment tests share.
@@ -67,7 +68,7 @@ func TestGridContainsInjectedPanic(t *testing.T) {
 				t.Fatalf("victim %s has no error row: %+v", victim, row)
 			}
 			failed++
-			if row.Err.Kind != "panic" || !strings.Contains(row.Err.Msg, "injected panic") {
+			if row.Err.Kind != "panic" || !strings.Contains(row.Err.Message, "injected panic") {
 				t.Errorf("error row = %+v, want kind panic mentioning the injection", row.Err)
 			}
 			// Lowest submission index wins: the victim's TS reference was
@@ -424,7 +425,7 @@ func TestErrorRowsExport(t *testing.T) {
 	if row.Err == nil || row.Err.Kind != "verify" {
 		t.Fatalf("row = %+v, want verify error row", row)
 	}
-	if out := metrics.Table7([]metrics.Row{row}); !strings.Contains(out, "FAILED") {
+	if out := metrics.Table7([]results.Row{row}); !strings.Contains(out, "FAILED") {
 		t.Errorf("Table7 hides the failed row:\n%s", out)
 	}
 }
@@ -458,7 +459,7 @@ func TestNonFiniteAdaptWeightIsTypedError(t *testing.T) {
 		if !errors.As(err, &re) || re.Kind != KindPanic {
 			t.Fatalf("weight %g: err = %v, want a panic *RunError", w, err)
 		}
-		if msg := re.RowError().Msg; !strings.Contains(msg, "Adapt set weight") {
+		if msg := re.RowError().Message; !strings.Contains(msg, "Adapt set weight") {
 			t.Errorf("weight %g: failure %q does not name Adapt", w, msg)
 		}
 		if strings.Contains(err.Error(), "panic: panic") {

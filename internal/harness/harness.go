@@ -22,11 +22,11 @@ import (
 	"repro/internal/exec"
 	"repro/internal/faultinject"
 	"repro/internal/journal"
-	"repro/internal/metrics"
 	"repro/internal/sched"
 	"repro/internal/topology"
 	"repro/internal/trace"
 	"repro/internal/workloads"
+	"repro/pkg/numaws/results"
 )
 
 // arenas is the free list of run-scoped simulator storage (worker
@@ -444,10 +444,10 @@ func runSerialOnce(rctx context.Context, spec Spec, opt Options, key runKey) (*c
 // protocol's independent runs execute concurrently; the row is identical
 // either way. A failed run comes back as an error row (Row.Err), not an
 // error — see MeasureAll.
-func Measure(ctx context.Context, spec Spec, opt Options) (metrics.Row, error) {
+func Measure(ctx context.Context, spec Spec, opt Options) (results.Row, error) {
 	rows, err := MeasureAll(ctx, []Spec{spec}, opt)
 	if err != nil {
-		return metrics.Row{Name: spec.Name, Input: spec.Input, P: opt.fill().P}, err
+		return results.Row{Name: spec.Name, Input: spec.Input, P: opt.fill().P}, err
 	}
 	return rows[0], nil
 }
@@ -466,7 +466,7 @@ func Measure(ctx context.Context, spec Spec, opt Options) (metrics.Row, error) {
 // failures (cancellation, journal I/O). With opt.Journal set each
 // completed run is durably journaled as it finishes; with opt.Resume set
 // journaled runs replay instead of simulating.
-func MeasureAll(ctx context.Context, specs []Spec, opt Options) ([]metrics.Row, error) {
+func MeasureAll(ctx context.Context, specs []Spec, opt Options) ([]results.Row, error) {
 	opt = opt.fill()
 	runs := make([]specRuns, len(specs))
 	pool := exec.NewPool(ctx, opt.Jobs)
@@ -479,7 +479,7 @@ func MeasureAll(ctx context.Context, specs []Spec, opt Options) ([]metrics.Row, 
 	if err := pool.Wait(ctx); err != nil {
 		return nil, err
 	}
-	rows := make([]metrics.Row, len(specs))
+	rows := make([]results.Row, len(specs))
 	for i := range specs {
 		rows[i] = runs[i].row(specs[i], opt)
 	}
@@ -495,7 +495,7 @@ var Fig9Points = []int{1, 8, 16, 24, 32}
 // seed) run out to an opt.Jobs-worker pool and aggregates in canonical
 // order. nil points derive the axis from the machine (SweepPoints), which
 // on the paper's topology is exactly Fig9Points.
-func MeasureScalability(ctx context.Context, specs []Spec, opt Options, points []int) ([]metrics.Series, error) {
+func MeasureScalability(ctx context.Context, specs []Spec, opt Options, points []int) ([]results.Series, error) {
 	opt = opt.fill()
 	var curve []Spec
 	for _, spec := range specs {
@@ -508,9 +508,9 @@ func MeasureScalability(ctx context.Context, specs []Spec, opt Options, points [
 	if err != nil {
 		return nil, err
 	}
-	out := make([]metrics.Series, len(curve))
+	out := make([]results.Series, len(curve))
 	for i, spec := range curve {
-		out[i] = metrics.Series{Name: spec.Fig9Name, P: sweeps[i].P, TP: sweeps[i].TP}
+		out[i] = results.Series{Name: spec.Fig9Name, P: sweeps[i].P, TP: sweeps[i].TP}
 	}
 	return out, nil
 }

@@ -13,6 +13,7 @@ import (
 	"repro/internal/sched"
 	"repro/internal/topology"
 	"repro/internal/workloads"
+	"repro/pkg/numaws/results"
 )
 
 // TestOptionsZeroValuesMeanDefaults pins the Options zero-value contract:
@@ -95,7 +96,7 @@ func TestMeasureAllParallelMatchesSerial(t *testing.T) {
 	if !reflect.DeepEqual(serial, parallel) {
 		t.Errorf("rows differ between Jobs=1 and Jobs=8:\nserial:   %+v\nparallel: %+v", serial, parallel)
 	}
-	for _, render := range []func([]metrics.Row) string{metrics.Table7, metrics.Table8, metrics.Fig3} {
+	for _, render := range []func([]results.Row) string{metrics.Table7, metrics.Table8, metrics.Fig3} {
 		if s, p := render(serial), render(parallel); s != p {
 			t.Errorf("rendered table differs between Jobs=1 and Jobs=8:\n--- serial\n%s--- parallel\n%s", s, p)
 		}
@@ -177,7 +178,7 @@ func TestMeasureAllErrorSurfaces(t *testing.T) {
 		if failed.Err == nil {
 			t.Fatalf("Jobs=%d: failing spec's row has no error: %+v", jobs, failed)
 		}
-		if failed.Err.Kind != "verify" || !strings.Contains(failed.Err.Msg, "forced verification failure") {
+		if failed.Err.Kind != "verify" || !strings.Contains(failed.Err.Message, "forced verification failure") {
 			t.Errorf("Jobs=%d: error row = %+v, want kind verify mentioning the forced failure", jobs, failed.Err)
 		}
 		if failed.Name != specs[1].Name || failed.TS != 0 {

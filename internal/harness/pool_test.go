@@ -13,9 +13,9 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/metrics"
 	"repro/internal/sched"
 	"repro/internal/workloads"
+	"repro/pkg/numaws/results"
 )
 
 // TestGridAmortizationByteIdentical drives a (2 policies x 3 P x 2 seeds)
@@ -42,8 +42,8 @@ func TestGridAmortizationByteIdentical(t *testing.T) {
 	} {
 		t.Run(tc.bench, func(t *testing.T) {
 			spec := specByName(t, tc.bench)
-			grid := func(fresh bool) []metrics.Row {
-				var rows []metrics.Row
+			grid := func(fresh bool) []results.Row {
+				var rows []results.Row
 				for _, p := range []int{2, 4, 8} {
 					row, err := Measure(t.Context(), spec, Options{
 						P: p, Seeds: 2, Jobs: 1, Verify: true, FreshInputs: fresh,

@@ -58,8 +58,7 @@ func Execute(ctx context.Context, spec Spec, pol sched.Policy, opt Options, seri
 	if err != nil {
 		return journal.Result{}, err
 	}
-	rr := resultOf(rep)
-	return journal.Result{Time: rr.time, Work: rr.work, Sched: rr.sched, Idle: rr.idle}, nil
+	return resultOf(rep), nil
 }
 
 // ExecuteThrough is Execute behind a ResultCache: a key the cache holds

@@ -12,8 +12,8 @@ import (
 	"sort"
 
 	"repro/internal/exec"
-	"repro/internal/metrics"
 	"repro/internal/topology"
+	"repro/pkg/numaws/results"
 )
 
 // Machine names one topology of a sweep grid.
@@ -99,7 +99,7 @@ func machinePoints(name string, top *topology.Topology, points []int) ([]int, er
 // spec). Cancelling ctx skips every simulation not yet started and returns
 // the context's error; completed runs already streamed through opt.OnRun
 // remain valid.
-func MeasureTopologies(ctx context.Context, specs []Spec, machines []Machine, opt Options, points []int) ([]metrics.Sweep, error) {
+func MeasureTopologies(ctx context.Context, specs []Spec, machines []Machine, opt Options, points []int) ([]results.SweepCurve, error) {
 	opt = opt.fill()
 	if len(machines) == 0 {
 		return nil, fmt.Errorf("harness: no machines to sweep")
@@ -147,10 +147,10 @@ func MeasureTopologies(ctx context.Context, specs []Spec, machines []Machine, op
 	if err := pool.Wait(ctx); err != nil {
 		return nil, err
 	}
-	out := make([]metrics.Sweep, 0, len(machines)*len(specs))
+	out := make([]results.SweepCurve, 0, len(machines)*len(specs))
 	for m, mach := range machines {
 		for i, spec := range specs {
-			s := metrics.Sweep{
+			s := results.SweepCurve{
 				Bench:    spec.Name,
 				Topology: mach.Name,
 				Sockets:  mach.Top.Sockets(),

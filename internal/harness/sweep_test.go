@@ -8,6 +8,7 @@ import (
 	"repro/internal/exec"
 	"repro/internal/metrics"
 	"repro/internal/topology"
+	"repro/pkg/numaws/results"
 )
 
 func TestSweepPoints(t *testing.T) {
@@ -151,7 +152,7 @@ func TestPaperPresetByteIdentical(t *testing.T) {
 // TestSweepTableRendering checks the sweep's human-readable table groups by
 // topology and carries every benchmark row.
 func TestSweepTableRendering(t *testing.T) {
-	sweeps := []metrics.Sweep{
+	sweeps := []results.SweepCurve{
 		{Bench: "heat", Topology: "paper-4x8", Sockets: 4, Cores: 32, P: []int{1, 8}, TP: []int64{100, 20}},
 		{Bench: "cg", Topology: "paper-4x8", Sockets: 4, Cores: 32, P: []int{1, 8}, TP: []int64{90, 30}},
 		{Bench: "heat", Topology: "2x4", Sockets: 2, Cores: 8, P: []int{1, 8}, TP: []int64{100, 25}},

@@ -17,6 +17,7 @@ import (
 	"repro/internal/exec"
 	"repro/internal/metrics"
 	"repro/internal/sched"
+	"repro/pkg/numaws/results"
 )
 
 // Tournament runs pols over the specs x machines grid and ranks them.
@@ -24,21 +25,21 @@ import (
 // a contained *RunError — aborts the tournament: a ranking with missing
 // cells would silently compare incomparables. Cancelling ctx skips every
 // simulation not yet started and returns the context's error.
-func Tournament(ctx context.Context, specs []Spec, machines []Machine, pols []sched.Policy, cache ResultCache, opt Options) (metrics.Tournament, error) {
+func Tournament(ctx context.Context, specs []Spec, machines []Machine, pols []sched.Policy, cache ResultCache, opt Options) (results.Tournament, error) {
 	opt = opt.fill()
 	if len(pols) == 0 {
-		return metrics.Tournament{}, fmt.Errorf("harness: tournament needs at least one policy")
+		return results.Tournament{}, fmt.Errorf("harness: tournament needs at least one policy")
 	}
 	if len(specs) == 0 {
-		return metrics.Tournament{}, fmt.Errorf("harness: tournament needs at least one benchmark")
+		return results.Tournament{}, fmt.Errorf("harness: tournament needs at least one benchmark")
 	}
 	if len(machines) == 0 {
-		return metrics.Tournament{}, fmt.Errorf("harness: tournament needs at least one machine")
+		return results.Tournament{}, fmt.Errorf("harness: tournament needs at least one machine")
 	}
 	seen := make(map[string]bool, len(pols))
 	for _, pol := range pols {
 		if seen[pol.Name()] {
-			return metrics.Tournament{}, fmt.Errorf("harness: tournament policy %q named twice", pol.Name())
+			return results.Tournament{}, fmt.Errorf("harness: tournament policy %q named twice", pol.Name())
 		}
 		seen[pol.Name()] = true
 	}
@@ -75,9 +76,9 @@ func Tournament(ctx context.Context, specs []Spec, machines []Machine, pols []sc
 		}
 	}
 	if err := pool.Wait(ctx); err != nil {
-		return metrics.Tournament{}, err
+		return results.Tournament{}, err
 	}
-	cells := make([]metrics.TournamentCell, 0, len(times))
+	cells := make([]metrics.CellTime, 0, len(times))
 	for pi, pol := range pols {
 		for si, spec := range specs {
 			for mi, mach := range machines {
@@ -85,7 +86,7 @@ func Tournament(ctx context.Context, specs []Spec, machines []Machine, pols []sc
 				for _, t := range times[cellOf(pi, si, mi)] {
 					total += t
 				}
-				cells = append(cells, metrics.TournamentCell{
+				cells = append(cells, metrics.CellTime{
 					Policy: pol.Name(), Bench: spec.Name, Topology: mach.Name,
 					TP: total / int64(opt.Seeds),
 				})

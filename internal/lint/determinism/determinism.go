@@ -16,7 +16,8 @@
 //     to slices, each of which is later sorted in the same function.
 //
 // Scope: the deterministic core — internal/{sim,sched,cache,core,dag,
-// workloads,harness,metrics} — excluding _test.go files. A violation that
+// workloads,harness,metrics} and the measurement schema pkg/numaws/results
+// (it renders the tournament table) — excluding _test.go files. A violation that
 // is provably order-independent (e.g. a max-reduction with a total-order
 // tie-break) is waived line-by-line with `//numaws:nondet-ok <reason>`;
 // the reason is mandatory.
@@ -49,6 +50,7 @@ var scope = []string{
 	"repro/internal/workloads",
 	"repro/internal/harness",
 	"repro/internal/metrics",
+	"repro/pkg/numaws/results",
 }
 
 // bannedFuncs maps package path → function names whose call sites break

@@ -12,7 +12,11 @@
 //     only the facade, never repro/internal/... directly. The lint
 //     infrastructure itself (repro/internal/lint/...) is exempt: the
 //     numaws-vet binary is developer tooling, not a simulator embedder,
-//     and couples to no engine internals.
+//     and couples to no engine internals;
+//   - every package under pkg/numaws (the wire and results schemas the
+//     facade re-exports as aliases) gets the same surface check and
+//     imports no repro/internal/... package at all, so an alias can never
+//     smuggle an internal type past the facade's own check.
 //
 // This analyzer supersedes the ad-hoc AST walk that lived in
 // pkg/numaws/apiguard_test.go and the facade job's shell greps over
@@ -31,8 +35,9 @@ import (
 // Analyzer is the facade-layering checker.
 var Analyzer = &analysis.Analyzer{
 	Name: "facadepurity",
-	Doc: "pkg/numaws's exported surface names no internal type, and cmd/examples " +
-		"import only the facade (no suppression: the contract is absolute)",
+	Doc: "pkg/numaws's exported surface names no internal type, its subpackages import " +
+		"no internal package, and cmd/examples import only the facade (no suppression: " +
+		"the contract is absolute)",
 	Run: run,
 }
 
@@ -43,15 +48,18 @@ func run(pass *analysis.Pass) error {
 	switch {
 	case path == facadePath:
 		checkSurface(pass)
+	case analysis.InPackage(path, facadePath):
+		checkSurface(pass)
+		checkImports(pass, false, "packages under pkg/numaws import no internal package")
 	case analysis.InPackage(path, "repro/cmd") || analysis.InPackage(path, "repro/examples"):
-		checkImports(pass)
+		checkImports(pass, true, "binaries and examples build against the pkg/numaws facade only")
 	}
 	return nil
 }
 
-// checkImports flags direct imports of internal packages from binaries
-// and examples.
-func checkImports(pass *analysis.Pass) {
+// checkImports flags direct imports of internal packages; lintOK exempts
+// the lint suite (see the package doc), and why ends the diagnostic.
+func checkImports(pass *analysis.Pass, lintOK bool, why string) {
 	for _, file := range pass.Files {
 		if pass.InTestFile(file.Pos()) {
 			continue
@@ -63,11 +71,10 @@ func checkImports(pass *analysis.Pass) {
 			}
 			// The lint suite is developer tooling, not engine internals:
 			// cmd/numaws-vet must wire the analyzers up.
-			if analysis.InPackage(p, "repro/internal/lint") {
+			if lintOK && analysis.InPackage(p, "repro/internal/lint") {
 				continue
 			}
-			pass.Reportf(imp.Pos(), "%s imports %s: binaries and examples build against the "+
-				"pkg/numaws facade only", pass.Pkg.Path(), p)
+			pass.Reportf(imp.Pos(), "%s imports %s: %s", pass.Pkg.Path(), p, why)
 		}
 	}
 }

@@ -11,23 +11,25 @@ import (
 	"encoding/csv"
 	"strings"
 	"testing"
+
+	"repro/pkg/numaws/results"
 )
 
 func TestRowsCSVRoundTripsHostileFields(t *testing.T) {
-	rows := []Row{
+	rows := []results.Row{
 		{
 			Name:  `bench,with "quotes"`,
 			Input: `16384x32,"q"/n=128`,
 			P:     8, TS: 100,
-			Cilk:   PlatformResult{T1: 110, TP: 25, WP: 80, SP: 5, IP: 15},
-			NUMAWS: PlatformResult{T1: 105, TP: 20, WP: 70, SP: 4, IP: 6},
+			Cilk:   results.PlatformResult{T1: 110, TP: 25, WP: 80, SP: 5, IP: 15},
+			NUMAWS: results.PlatformResult{T1: 105, TP: 20, WP: 70, SP: 4, IP: 6},
 		},
 		{
 			Name:  "plain",
 			Input: "has\nnewline and ,comma",
 			P:     4, TS: 50,
-			Cilk:   PlatformResult{T1: 55, TP: 15},
-			NUMAWS: PlatformResult{T1: 52, TP: 12},
+			Cilk:   results.PlatformResult{T1: 55, TP: 15},
+			NUMAWS: results.PlatformResult{T1: 52, TP: 12},
 		},
 	}
 	var b strings.Builder
@@ -54,7 +56,7 @@ func TestRowsCSVRoundTripsHostileFields(t *testing.T) {
 }
 
 func TestSweepsCSVRoundTripsHostileFields(t *testing.T) {
-	sweeps := []Sweep{{
+	sweeps := []results.SweepCurve{{
 		Bench:    `fft,"banded"`,
 		Topology: "weird,topo",
 		Sockets:  2, Cores: 8,
@@ -81,7 +83,7 @@ func TestSweepsCSVRoundTripsHostileFields(t *testing.T) {
 }
 
 func TestSeriesCSVRoundTripsHostileFields(t *testing.T) {
-	series := []Series{{Name: `curve,"x"`, P: []int{1, 4}, TP: []int64{100, 30}}}
+	series := []results.Series{{Name: `curve,"x"`, P: []int{1, 4}, TP: []int64{100, 30}}}
 	var b strings.Builder
 	if err := WriteSeriesCSV(&b, series); err != nil {
 		t.Fatal(err)

@@ -10,6 +10,8 @@ import (
 	"encoding/json"
 	"io"
 	"strconv"
+
+	"repro/pkg/numaws/results"
 )
 
 // platformJSON is one platform's exported measurements.
@@ -25,7 +27,7 @@ type platformJSON struct {
 	WorkInflation float64 `json:"work_inflation"` // WP/T1
 }
 
-func exportPlatform(r PlatformResult, ts int64) platformJSON {
+func exportPlatform(r results.PlatformResult, ts int64) platformJSON {
 	return platformJSON{
 		T1: r.T1, TP: r.TP, WP: r.WP, SP: r.SP, IP: r.IP,
 		SpawnOverhead: r.SpawnOverhead(ts),
@@ -108,24 +110,15 @@ type document struct {
 	Tournament *tournamentJSON `json:"tournament,omitempty"`
 }
 
-// Export bundles every measurement kind a command can produce, for the
-// machine-readable writers.
-type Export struct {
-	Rows       []Row
-	Series     []Series
-	Sweeps     []Sweep
-	Tournament *Tournament
-}
-
 // WriteJSON writes rows and/or series (either may be empty) as one
 // indented JSON document.
-func WriteJSON(w io.Writer, rows []Row, series []Series) error {
-	return WriteExport(w, Export{Rows: rows, Series: series})
+func WriteJSON(w io.Writer, rows []results.Row, series []results.Series) error {
+	return WriteExport(w, results.Export{Rows: rows, Series: series})
 }
 
 // WriteExport writes every measurement kind in e (any may be empty) as one
 // indented JSON document.
-func WriteExport(w io.Writer, e Export) error {
+func WriteExport(w io.Writer, e results.Export) error {
 	rows, series := e.Rows, e.Series
 	var doc document
 	for _, r := range rows {
@@ -137,7 +130,7 @@ func WriteExport(w io.Writer, e Export) error {
 		if r.Err != nil {
 			rj.Error = &rowErrorJSON{
 				Bench: r.Err.Bench, Policy: r.Err.Policy, P: r.Err.P,
-				Seed: r.Err.Seed, Kind: r.Err.Kind, Msg: r.Err.Msg,
+				Seed: r.Err.Seed, Kind: r.Err.Kind, Msg: r.Err.Message,
 			}
 		}
 		doc.Rows = append(doc.Rows, rj)
@@ -191,7 +184,7 @@ func writeCSVRecords(w io.Writer, records [][]string) error {
 // cycle counts, and the derived ratios for both platforms, plus a trailing
 // error column — empty for healthy rows, the failed run's diagnosis for
 // error rows (whose measurement columns are zero).
-func WriteRowsCSV(w io.Writer, rows []Row) error {
+func WriteRowsCSV(w io.Writer, rows []results.Row) error {
 	records := [][]string{{
 		"name", "input", "p", "ts",
 		"cilk_t1", "cilk_tp", "cilk_wp", "cilk_sp", "cilk_ip",
@@ -201,7 +194,7 @@ func WriteRowsCSV(w io.Writer, rows []Row) error {
 		"error",
 	}}
 	for _, r := range rows {
-		plat := func(p PlatformResult) []string {
+		plat := func(p results.PlatformResult) []string {
 			return []string{
 				strconv.FormatInt(p.T1, 10), strconv.FormatInt(p.TP, 10),
 				strconv.FormatInt(p.WP, 10), strconv.FormatInt(p.SP, 10),
@@ -225,7 +218,7 @@ func WriteRowsCSV(w io.Writer, rows []Row) error {
 
 // WriteSeriesCSV writes scalability curves in long form: one CSV record
 // per (series, point).
-func WriteSeriesCSV(w io.Writer, series []Series) error {
+func WriteSeriesCSV(w io.Writer, series []results.Series) error {
 	records := [][]string{{"name", "p", "tp", "speedup"}}
 	for _, s := range series {
 		speedup := s.Speedup()
@@ -240,7 +233,7 @@ func WriteSeriesCSV(w io.Writer, series []Series) error {
 
 // WriteSweepsCSV writes topology-sweep curves in long form: one CSV record
 // per (bench, topology, point).
-func WriteSweepsCSV(w io.Writer, sweeps []Sweep) error {
+func WriteSweepsCSV(w io.Writer, sweeps []results.SweepCurve) error {
 	records := [][]string{{"bench", "topology", "sockets", "cores", "p", "tp", "speedup"}}
 	for _, s := range sweeps {
 		speedup := s.Speedup()
@@ -258,7 +251,7 @@ func WriteSweepsCSV(w io.Writer, sweeps []Sweep) error {
 // record per (policy, bench, topology) cell, rank-major, carrying the
 // entry's score alongside the cell's raw TP and its ratio to the cell's
 // best.
-func WriteTournamentCSV(w io.Writer, t *Tournament) error {
+func WriteTournamentCSV(w io.Writer, t *results.Tournament) error {
 	records := [][]string{{"rank", "policy", "score", "bench", "topology", "tp", "norm"}}
 	for _, e := range t.Entries {
 		for _, c := range e.Cells {
@@ -276,7 +269,7 @@ func WriteTournamentCSV(w io.Writer, t *Tournament) error {
 // a stream for eyeballing, not for strict CSV parsers (the tables have
 // different widths); tooling that reads the output back should receive
 // one kind per writer (WriteRowsCSV / WriteSeriesCSV).
-func WriteCSV(w io.Writer, rows []Row, series []Series) error {
+func WriteCSV(w io.Writer, rows []results.Row, series []results.Series) error {
 	if len(rows) > 0 {
 		if err := WriteRowsCSV(w, rows); err != nil {
 			return err

@@ -6,22 +6,24 @@ import (
 	"encoding/json"
 	"strings"
 	"testing"
+
+	"repro/pkg/numaws/results"
 )
 
-func exportFixtures() ([]Row, []Series) {
-	rows := []Row{
+func exportFixtures() ([]results.Row, []results.Series) {
+	rows := []results.Row{
 		{
 			Name: "heat", Input: "128x128x8/8 rows", P: 32, TS: 1000,
-			Cilk:   PlatformResult{T1: 1100, TP: 200, WP: 1500, SP: 300, IP: 400, W1: 1100},
-			NUMAWS: PlatformResult{T1: 1050, TP: 100, WP: 1200, SP: 150, IP: 250, W1: 1050},
+			Cilk:   results.PlatformResult{T1: 1100, TP: 200, WP: 1500, SP: 300, IP: 400, W1: 1100},
+			NUMAWS: results.PlatformResult{T1: 1050, TP: 100, WP: 1200, SP: 150, IP: 250, W1: 1050},
 		},
 		{
 			Name: "cg", Input: "1024x16/n=16", P: 32, TS: 2000,
-			Cilk:   PlatformResult{T1: 2400, TP: 500, WP: 3000, SP: 600, IP: 700, W1: 2400},
-			NUMAWS: PlatformResult{T1: 2200, TP: 250, WP: 2500, SP: 300, IP: 350, W1: 2200},
+			Cilk:   results.PlatformResult{T1: 2400, TP: 500, WP: 3000, SP: 600, IP: 700, W1: 2400},
+			NUMAWS: results.PlatformResult{T1: 2200, TP: 250, WP: 2500, SP: 300, IP: 350, W1: 2200},
 		},
 	}
-	series := []Series{
+	series := []results.Series{
 		{Name: "heat", P: []int{1, 8, 32}, TP: []int64{1000, 150, 50}},
 	}
 	return rows, series

@@ -1,78 +1,15 @@
-// Package metrics derives and formats the paper's reported quantities: spawn
-// overhead T1/TS, scalability T1/TP, work inflation W_P/T1, and the
-// work/scheduling/idle time breakdown, rendered as the rows of Fig. 3,
-// Fig. 7 (table), Fig. 8 (table) and Fig. 9.
+// Package metrics renders the paper's measurements — the rows, curves and
+// rankings declared in pkg/numaws/results — as the Fig. 3, Fig. 7 (table),
+// Fig. 8 (table), Fig. 9 and topology-sweep tables, exports them as JSON
+// and CSV, and ranks raw policy-tournament cells.
 package metrics
 
 import (
 	"fmt"
 	"strings"
+
+	"repro/pkg/numaws/results"
 )
-
-// PlatformResult is one platform's measurements for one benchmark.
-type PlatformResult struct {
-	T1 int64 // one-worker time
-	TP int64 // P-worker time
-	WP int64 // summed work time at P workers
-	SP int64 // summed scheduling time at P workers
-	IP int64 // summed idle time at P workers
-	W1 int64 // work time at one worker (= T1)
-}
-
-// SpawnOverhead is T1/TS.
-func (r *PlatformResult) SpawnOverhead(ts int64) float64 { return ratio(r.T1, ts) }
-
-// Scalability is T1/TP.
-func (r *PlatformResult) Scalability() float64 { return ratio(r.T1, r.TP) }
-
-// WorkInflation is WP/T1: how much the total useful-work time grew going
-// parallel.
-func (r *PlatformResult) WorkInflation() float64 { return ratio(r.WP, r.T1) }
-
-// RowError describes why a benchmark's measurement failed: the failed
-// run's key and the harness's failure classification. It lives here rather
-// than in the harness so renderers and exporters can carry it without an
-// import cycle.
-type RowError struct {
-	Bench  string
-	Policy string // "" for serial-reference failures
-	P      int
-	Seed   int64
-	Kind   string // the harness taxonomy: panic, verify, timeout, cancel
-	Msg    string
-}
-
-// Error implements error.
-func (e *RowError) Error() string {
-	mode := e.Policy
-	if mode == "" {
-		mode = "serial"
-	}
-	return fmt.Sprintf("%s [%s P=%d seed=%d]: %s: %s", e.Bench, mode, e.P, e.Seed, e.Kind, e.Msg)
-}
-
-// Row is one benchmark's full measurement across both platforms.
-type Row struct {
-	Name   string
-	Input  string // "input size / base case size" description
-	TS     int64
-	Cilk   PlatformResult
-	NUMAWS PlatformResult
-	P      int // worker count of the TP/WP/SP/IP columns
-	// Err, when non-nil, marks the row as failed: one of its runs died
-	// (panic, deadline, verify mismatch) and containment turned the loss
-	// of this row into an error row instead of the loss of the grid. The
-	// measurement fields are zero; renderers print a diagnostic line and
-	// exporters carry the error alongside the identity fields.
-	Err *RowError
-}
-
-func ratio(a, b int64) float64 {
-	if b == 0 {
-		return 0
-	}
-	return float64(a) / float64(b)
-}
 
 // cyc renders a cycle count compactly.
 func cyc(v int64) string {
@@ -91,7 +28,7 @@ func cyc(v int64) string {
 // Table7 renders the Fig. 7 table: TS, then T1 (spawn overhead) and TP
 // (scalability) per platform. Times are virtual cycles, not seconds — the
 // parenthesized ratios are the comparable quantities.
-func Table7(rows []Row) string {
+func Table7(rows []results.Row) string {
 	var b strings.Builder
 	p := 0
 	if len(rows) > 0 {
@@ -117,7 +54,7 @@ func Table7(rows []Row) string {
 
 // Table8 renders the Fig. 8 table: T1, W_P (work inflation), S_P, I_P per
 // platform.
-func Table8(rows []Row) string {
+func Table8(rows []results.Row) string {
 	var b strings.Builder
 	p := 0
 	if len(rows) > 0 {
@@ -144,7 +81,7 @@ func Table8(rows []Row) string {
 // Fig3 renders the normalized total processing times of the Cilk Plus runs:
 // for P=1 the normalized T1, for P=P the work/scheduling/idle components,
 // all normalized to TS.
-func Fig3(rows []Row) string {
+func Fig3(rows []results.Row) string {
 	var b strings.Builder
 	p := 0
 	if len(rows) > 0 {
@@ -171,28 +108,8 @@ func Fig3(rows []Row) string {
 	return b.String()
 }
 
-// Series is one benchmark's scalability curve for Fig. 9.
-type Series struct {
-	Name string
-	P    []int
-	TP   []int64 // TP[i] corresponds to P[i]
-}
-
-// Speedup reports T1/TP per point (P[0] must be 1).
-func (s *Series) Speedup() []float64 {
-	out := make([]float64, len(s.TP))
-	if len(s.TP) == 0 {
-		return out
-	}
-	t1 := s.TP[0]
-	for i, tp := range s.TP {
-		out[i] = ratio(t1, tp)
-	}
-	return out
-}
-
 // Fig9 renders the scalability curves as a table of T1/TP values.
-func Fig9(series []Series) string {
+func Fig9(series []results.Series) string {
 	var b strings.Builder
 	b.WriteString("Fig. 9: scalability (T1/TP) on NUMA-WS; workers packed onto the fewest sockets\n")
 	if len(series) == 0 {

@@ -3,25 +3,27 @@ package metrics
 import (
 	"strings"
 	"testing"
+
+	"repro/pkg/numaws/results"
 )
 
-func sampleRows() []Row {
-	return []Row{
+func sampleRows() []results.Row {
+	return []results.Row{
 		{
 			Name: "cilksort", Input: "1048576/4096", TS: 1000, P: 32,
-			Cilk:   PlatformResult{T1: 1005, TP: 47, WP: 1540, SP: 10, IP: 30, W1: 1005},
-			NUMAWS: PlatformResult{T1: 1030, TP: 39, WP: 1210, SP: 15, IP: 20, W1: 1030},
+			Cilk:   results.PlatformResult{T1: 1005, TP: 47, WP: 1540, SP: 10, IP: 30, W1: 1005},
+			NUMAWS: results.PlatformResult{T1: 1030, TP: 39, WP: 1210, SP: 15, IP: 20, W1: 1030},
 		},
 		{
 			Name: "heat", Input: "512x512", TS: 2000, P: 32,
-			Cilk:   PlatformResult{T1: 1990, TP: 330, WP: 10430, SP: 26, IP: 71, W1: 1990},
-			NUMAWS: PlatformResult{T1: 1990, TP: 143, WP: 4478, SP: 10, IP: 45, W1: 1990},
+			Cilk:   results.PlatformResult{T1: 1990, TP: 330, WP: 10430, SP: 26, IP: 71, W1: 1990},
+			NUMAWS: results.PlatformResult{T1: 1990, TP: 143, WP: 4478, SP: 10, IP: 45, W1: 1990},
 		},
 	}
 }
 
 func TestPlatformResultRatios(t *testing.T) {
-	r := PlatformResult{T1: 1070, TP: 107, WP: 2140}
+	r := results.PlatformResult{T1: 1070, TP: 107, WP: 2140}
 	if got := r.SpawnOverhead(1000); got != 1.07 {
 		t.Errorf("SpawnOverhead = %f, want 1.07", got)
 	}
@@ -34,7 +36,7 @@ func TestPlatformResultRatios(t *testing.T) {
 }
 
 func TestRatioZeroDenominator(t *testing.T) {
-	r := PlatformResult{T1: 100}
+	r := results.PlatformResult{T1: 100}
 	if got := r.Scalability(); got != 0 {
 		t.Errorf("Scalability with TP=0 = %f, want 0", got)
 	}
@@ -85,7 +87,7 @@ func TestFig3Rendering(t *testing.T) {
 }
 
 func TestFig3SkipsZeroTS(t *testing.T) {
-	rows := []Row{{Name: "broken", TS: 0, P: 32}}
+	rows := []results.Row{{Name: "broken", TS: 0, P: 32}}
 	out := Fig3(rows)
 	if strings.Contains(out, "broken") {
 		t.Errorf("Fig3 rendered a zero-TS row:\n%s", out)
@@ -93,7 +95,7 @@ func TestFig3SkipsZeroTS(t *testing.T) {
 }
 
 func TestSeriesSpeedup(t *testing.T) {
-	s := Series{Name: "cg", P: []int{1, 8, 32}, TP: []int64{3200, 400, 100}}
+	s := results.Series{Name: "cg", P: []int{1, 8, 32}, TP: []int64{3200, 400, 100}}
 	sp := s.Speedup()
 	want := []float64{1, 8, 32}
 	for i := range want {
@@ -101,14 +103,14 @@ func TestSeriesSpeedup(t *testing.T) {
 			t.Errorf("Speedup[%d] = %f, want %f", i, sp[i], want[i])
 		}
 	}
-	empty := Series{}
+	empty := results.Series{}
 	if got := empty.Speedup(); len(got) != 0 {
 		t.Errorf("empty Speedup = %v, want empty", got)
 	}
 }
 
 func TestFig9Rendering(t *testing.T) {
-	series := []Series{
+	series := []results.Series{
 		{Name: "cg", P: []int{1, 8, 32}, TP: []int64{3200, 400, 100}},
 		{Name: "heat", P: []int{1, 8, 32}, TP: []int64{1000, 200, 80}},
 	}

@@ -6,39 +6,18 @@ package metrics
 import (
 	"fmt"
 	"strings"
+
+	"repro/pkg/numaws/results"
 )
-
-// Sweep is one benchmark's scalability curve on one machine topology.
-type Sweep struct {
-	Bench    string
-	Topology string // the spec the machine was named by (preset or SxC)
-	Sockets  int
-	Cores    int // total cores; the largest meaningful P
-	P        []int
-	TP       []int64 // TP[i] corresponds to P[i]
-}
-
-// Speedup reports T1/TP per point (P[0] must be 1).
-func (s *Sweep) Speedup() []float64 {
-	out := make([]float64, len(s.TP))
-	if len(s.TP) == 0 {
-		return out
-	}
-	t1 := s.TP[0]
-	for i, tp := range s.TP {
-		out[i] = ratio(t1, tp)
-	}
-	return out
-}
 
 // SweepTable renders the per-topology speedup tables: one Fig. 9-style block
 // per topology, in first-appearance order, so curves measured on the same
 // machine shape line up under one point axis.
-func SweepTable(sweeps []Sweep) string {
+func SweepTable(sweeps []results.SweepCurve) string {
 	var b strings.Builder
 	b.WriteString("Sweep: NUMA-WS speedup (T1/TP) by machine topology; workers packed onto the fewest sockets\n")
 	var order []string
-	byTopo := map[string][]Sweep{}
+	byTopo := map[string][]results.SweepCurve{}
 	for _, s := range sweeps {
 		if _, ok := byTopo[s.Topology]; !ok {
 			order = append(order, s.Topology)

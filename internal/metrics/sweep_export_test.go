@@ -6,10 +6,12 @@ import (
 	"encoding/json"
 	"strings"
 	"testing"
+
+	"repro/pkg/numaws/results"
 )
 
-func sweepFixtures() []Sweep {
-	return []Sweep{
+func sweepFixtures() []results.SweepCurve {
+	return []results.SweepCurve{
 		{Bench: "heat", Topology: "paper-4x8", Sockets: 4, Cores: 32,
 			P: []int{1, 8, 32}, TP: []int64{1000, 200, 100}},
 		{Bench: "heat", Topology: "2x16", Sockets: 2, Cores: 32,
@@ -19,7 +21,7 @@ func sweepFixtures() []Sweep {
 
 func TestWriteExportSweepsRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
-	if err := WriteExport(&buf, Export{Sweeps: sweepFixtures()}); err != nil {
+	if err := WriteExport(&buf, results.Export{Sweeps: sweepFixtures()}); err != nil {
 		t.Fatal(err)
 	}
 	var doc struct {

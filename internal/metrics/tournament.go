@@ -11,54 +11,17 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"strings"
+
+	"repro/pkg/numaws/results"
 )
 
-// TournamentCell is one raw tournament measurement: policy pol completed
-// bench on topology in TP cycles (averaged over the protocol's seeds).
-type TournamentCell struct {
+// CellTime is one raw tournament measurement: policy Policy completed
+// Bench on Topology in TP cycles (averaged over the protocol's seeds).
+type CellTime struct {
 	Policy   string
 	Bench    string
 	Topology string
 	TP       int64
-}
-
-// TournamentResult is one cell of a ranked entry: the raw completion time
-// plus its ratio to the cell's best time across all policies (1.0 = this
-// policy won the cell).
-type TournamentResult struct {
-	Bench    string
-	Topology string
-	TP       int64
-	Norm     float64 // TP / best TP in this (bench, topology) cell
-}
-
-// TournamentEntry is one policy's ranked tournament outcome.
-type TournamentEntry struct {
-	Rank   int
-	Policy string
-	// Score is the geometric mean of Norm over the entry's cells; lower is
-	// better and 1.0 means the policy had the best time in every cell.
-	Score float64
-	// Cells holds one result per (bench, topology), bench-major, in the
-	// tournament's axis order.
-	Cells []TournamentResult
-}
-
-// Tournament is a complete ranked tournament: the grid axes and one entry
-// per policy, best score first.
-type Tournament struct {
-	Benches    []string
-	Topologies []string
-	Entries    []TournamentEntry
-}
-
-// Winner reports the top-ranked policy name ("" for an empty tournament).
-func (t *Tournament) Winner() string {
-	if len(t.Entries) == 0 {
-		return ""
-	}
-	return t.Entries[0].Policy
 }
 
 // NewTournament ranks raw cells into a tournament. Every policy must carry
@@ -68,8 +31,8 @@ func (t *Tournament) Winner() string {
 // and policy orders follow first appearance in cells; the returned entries
 // are sorted by ascending score, ties broken by policy name, so the
 // ranking is deterministic for deterministic inputs.
-func NewTournament(cells []TournamentCell) (Tournament, error) {
-	var t Tournament
+func NewTournament(cells []CellTime) (results.Tournament, error) {
+	var t results.Tournament
 	var pols []string
 	type cellKey struct{ bench, topo string }
 	seenBench := map[string]bool{}
@@ -92,17 +55,17 @@ func NewTournament(cells []TournamentCell) (Tournament, error) {
 		}
 		k := cellKey{c.Bench, c.Topology}
 		if _, dup := tp[c.Policy][k]; dup {
-			return Tournament{}, fmt.Errorf("metrics: tournament: policy %q measured cell (%s, %s) twice",
+			return results.Tournament{}, fmt.Errorf("metrics: tournament: policy %q measured cell (%s, %s) twice",
 				c.Policy, c.Bench, c.Topology)
 		}
 		if c.TP <= 0 {
-			return Tournament{}, fmt.Errorf("metrics: tournament: policy %q cell (%s, %s) has non-positive TP %d",
+			return results.Tournament{}, fmt.Errorf("metrics: tournament: policy %q cell (%s, %s) has non-positive TP %d",
 				c.Policy, c.Bench, c.Topology, c.TP)
 		}
 		tp[c.Policy][k] = c.TP
 	}
 	if len(pols) == 0 {
-		return Tournament{}, fmt.Errorf("metrics: tournament: no cells")
+		return results.Tournament{}, fmt.Errorf("metrics: tournament: no cells")
 	}
 	// The cell's best time across policies is the normalization base.
 	best := map[cellKey]int64{}
@@ -112,7 +75,7 @@ func NewTournament(cells []TournamentCell) (Tournament, error) {
 				k := cellKey{b, topo}
 				v, ok := tp[pol][k]
 				if !ok {
-					return Tournament{}, fmt.Errorf("metrics: tournament: policy %q is missing cell (%s, %s)",
+					return results.Tournament{}, fmt.Errorf("metrics: tournament: policy %q is missing cell (%s, %s)",
 						pol, b, topo)
 				}
 				if cur, ok := best[k]; !ok || v < cur {
@@ -122,14 +85,14 @@ func NewTournament(cells []TournamentCell) (Tournament, error) {
 		}
 	}
 	for _, pol := range pols {
-		e := TournamentEntry{Policy: pol}
+		e := results.TournamentEntry{Policy: pol}
 		logSum := 0.0
 		for _, b := range t.Benches {
 			for _, topo := range t.Topologies {
 				k := cellKey{b, topo}
 				norm := float64(tp[pol][k]) / float64(best[k])
 				logSum += math.Log(norm)
-				e.Cells = append(e.Cells, TournamentResult{
+				e.Cells = append(e.Cells, results.TournamentCell{
 					Bench: b, Topology: topo, TP: tp[pol][k], Norm: norm,
 				})
 			}
@@ -150,42 +113,6 @@ func NewTournament(cells []TournamentCell) (Tournament, error) {
 	return t, nil
 }
 
-// TournamentTable renders the ranked tournament: a one-line summary (the
-// line CI smoke checks grep for), the ranking, then one TP table per
-// topology so cells measured on the same machine shape line up.
-func TournamentTable(t *Tournament) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "Tournament: %d policies x %d benchmark(s) x %d topology(s); winner %s (score %.4f)\n",
-		len(t.Entries), len(t.Benches), len(t.Topologies), t.Winner(), t.bestScore())
-	b.WriteString("score = geomean over cells of TP / cell-best TP; 1.0000 means the policy won every cell\n\n")
-	fmt.Fprintf(&b, "%4s  %-14s %8s\n", "rank", "policy", "score")
-	for _, e := range t.Entries {
-		fmt.Fprintf(&b, "%4d  %-14s %8.4f\n", e.Rank, e.Policy, e.Score)
-	}
-	for _, topo := range t.Topologies {
-		fmt.Fprintf(&b, "\n-- %s: TP by benchmark (x cell best) --\n", topo)
-		fmt.Fprintf(&b, "%-14s", "policy")
-		for _, bench := range t.Benches {
-			fmt.Fprintf(&b, " %22s", bench)
-		}
-		b.WriteByte('\n')
-		for _, e := range t.Entries {
-			fmt.Fprintf(&b, "%-14s", e.Policy)
-			for _, c := range e.Cells {
-				if c.Topology != topo {
-					continue
-				}
-				fmt.Fprintf(&b, " %22s", fmt.Sprintf("%d (%.3fx)", c.TP, c.Norm))
-			}
-			b.WriteByte('\n')
-		}
-	}
-	return b.String()
-}
-
-func (t *Tournament) bestScore() float64 {
-	if len(t.Entries) == 0 {
-		return 0
-	}
-	return t.Entries[0].Score
-}
+// TournamentTable renders the ranked tournament; it forwards to
+// results.Tournament.Table for the benchmark driver (bench/grid.go).
+func TournamentTable(t *results.Tournament) string { return t.Table() }

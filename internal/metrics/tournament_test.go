@@ -8,14 +8,16 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+
+	"repro/pkg/numaws/results"
 )
 
 // fourCells is a 2-policy x 2-bench x 1-topology tournament with known
 // arithmetic: "a" wins fib (100 vs 200) and loses heat (300 vs 150), "b"
 // the reverse, so both score geomean(1, 2) = sqrt(2) and the tie breaks
 // on the policy name.
-func fourCells() []TournamentCell {
-	return []TournamentCell{
+func fourCells() []CellTime {
+	return []CellTime{
 		{Policy: "a", Bench: "fib", Topology: "2x4", TP: 100},
 		{Policy: "a", Bench: "heat", Topology: "2x4", TP: 300},
 		{Policy: "b", Bench: "fib", Topology: "2x4", TP: 200},
@@ -24,7 +26,7 @@ func fourCells() []TournamentCell {
 }
 
 func TestNewTournamentScoresAndRanks(t *testing.T) {
-	tour, err := NewTournament([]TournamentCell{
+	tour, err := NewTournament([]CellTime{
 		{Policy: "slow", Bench: "fib", Topology: "2x4", TP: 220},
 		{Policy: "fast", Bench: "fib", Topology: "2x4", TP: 100},
 		{Policy: "slow", Bench: "fib", Topology: "4x8", TP: 90},
@@ -72,14 +74,14 @@ func TestNewTournamentTieBreaksByName(t *testing.T) {
 func TestNewTournamentRejectsBadGrids(t *testing.T) {
 	cases := []struct {
 		name  string
-		cells []TournamentCell
+		cells []CellTime
 		want  string
 	}{
 		{"empty", nil, "no cells"},
 		{"duplicate cell", append(fourCells(),
-			TournamentCell{Policy: "a", Bench: "fib", Topology: "2x4", TP: 1}), "twice"},
+			CellTime{Policy: "a", Bench: "fib", Topology: "2x4", TP: 1}), "twice"},
 		{"missing cell", fourCells()[:3], "missing cell"},
-		{"non-positive time", []TournamentCell{
+		{"non-positive time", []CellTime{
 			{Policy: "a", Bench: "fib", Topology: "2x4", TP: 0}}, "non-positive TP"},
 	}
 	for _, tc := range cases {
@@ -115,7 +117,7 @@ func TestTournamentExportRoundTrips(t *testing.T) {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if err := WriteExport(&buf, Export{Tournament: &tour}); err != nil {
+	if err := WriteExport(&buf, results.Export{Tournament: &tour}); err != nil {
 		t.Fatal(err)
 	}
 	var doc struct {
@@ -147,7 +149,7 @@ func TestTournamentExportRoundTrips(t *testing.T) {
 
 	// And the export omits the section when absent.
 	buf.Reset()
-	if err := WriteExport(&buf, Export{}); err != nil {
+	if err := WriteExport(&buf, results.Export{}); err != nil {
 		t.Fatal(err)
 	}
 	if strings.Contains(buf.String(), "tournament") {

@@ -200,10 +200,10 @@ func rank(rows []*wire.GridRow, sum wire.GridSummary) (*wire.TournamentSummary, 
 		a.n++
 		agg[k] = a
 	}
-	cells := make([]metrics.TournamentCell, len(order))
+	cells := make([]metrics.CellTime, len(order))
 	for i, k := range order {
 		a := agg[k]
-		cells[i] = metrics.TournamentCell{
+		cells[i] = metrics.CellTime{
 			Policy: k.pol, Bench: k.bench, Topology: k.topo, TP: a.total / a.n,
 		}
 	}

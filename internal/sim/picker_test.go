@@ -66,7 +66,7 @@ func TestPickerMatchesLinearPick(t *testing.T) {
 
 // TestPickerMatchesLinearPickRandomWeights extends the cross-check to
 // randomly generated weight vectors: integer-valued (where floating-point
-// subtraction and prefix summation are both exact) and arbitrary floats.
+// prefix sums are exact) and arbitrary floats.
 func TestPickerMatchesLinearPickRandomWeights(t *testing.T) {
 	gen := rand.New(rand.NewSource(99))
 	for trial := 0; trial < 200; trial++ {
@@ -182,9 +182,9 @@ func TestPickUniformExceptPanics(t *testing.T) {
 }
 
 // TestPickerQuickProperty drives random dyadic weights through quick.Check:
-// dyadic rationals with a bounded exponent range keep every prefix sum and
-// every subtraction exact, so the linear scan and the binary search must
-// agree index-for-index, not just almost always.
+// dyadic rationals with a bounded exponent range keep every prefix sum
+// exact, so the linear scan and the binary search must agree
+// index-for-index, not just almost always.
 func TestPickerQuickProperty(t *testing.T) {
 	f := func(raw []uint8, seed int64) bool {
 		if len(raw) == 0 {
@@ -204,4 +204,101 @@ func TestPickerQuickProperty(t *testing.T) {
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
 	}
+}
+
+// firstDrawSource yields first as its first Int63 and then continues with
+// a seeded source, so a test can place one draw exactly on a boundary.
+type firstDrawSource struct {
+	first int64
+	used  bool
+	rest  rand.Source
+}
+
+func (s *firstDrawSource) Int63() int64 {
+	if !s.used {
+		s.used = true
+		return s.first
+	}
+	return s.rest.Int63()
+}
+
+func (s *firstDrawSource) Seed(seed int64) { s.rest.Seed(seed); s.used = false }
+
+// boundaryRNG returns an RNG whose first raw draw is seed (made
+// non-negative) and whose later draws follow rand.NewSource(seed).
+func boundaryRNG(seed int64) *RNG {
+	return &RNG{r: rand.New(&firstDrawSource{first: seed & math.MaxInt64, rest: rand.NewSource(seed)})}
+}
+
+// TestPickerMatchesLinearPickAtBoundary pins a draw on which repeated
+// subtraction (x-w0-w1 < 0) and a cumulative sum (fl(w0+w1) > x) round
+// differently: over {1, 0.2, 7} the Float64 1318126720205999/2^53 scales
+// to x = 1.2 and lands between the two. Both picks must take the
+// cumulative reading, which is index 2.
+func TestPickerMatchesLinearPickAtBoundary(t *testing.T) {
+	const raw = 1318126720205999 << 10 // Float64 = raw / 2^63
+	w := []float64{1, 0.2, 7}
+	linear, binary := boundaryRNG(raw).Pick(w), NewPicker(w).Pick(boundaryRNG(raw))
+	if linear != binary || linear != 2 {
+		t.Errorf("Pick = %d, Picker = %d, want both 2", linear, binary)
+	}
+}
+
+// pickerWeights decodes fuzz bytes into a weight vector, three bytes per
+// weight: (class, num, den). class%8 == 0 is a zero weight, class%8 == 1 an
+// invalid one (negative, NaN, +Inf or -Inf by num%4), and anything else the
+// finite num/(den+1) * 2^(class/8-16), so magnitudes span 2^-16 to 2^23
+// and small weights can vanish into large sums.
+func pickerWeights(data []byte) []float64 {
+	w := make([]float64, 0, len(data)/3)
+	for i := 0; i+2 < len(data) && len(w) < 64; i += 3 {
+		class, num, den := data[i], data[i+1], data[i+2]
+		switch class % 8 {
+		case 0:
+			w = append(w, 0)
+		case 1:
+			w = append(w, []float64{-float64(num) - 1, math.NaN(), math.Inf(1), math.Inf(-1)}[num%4])
+		default:
+			w = append(w, math.Ldexp(float64(num)/float64(den+1), int(class/8)-16))
+		}
+	}
+	return w
+}
+
+// recovered runs f and returns the value it panicked with, if any.
+func recovered(f func()) (v any) {
+	defer func() { v = recover() }()
+	f()
+	return nil
+}
+
+// FuzzPicker checks the Picker against the linear Pick on fuzzed weights
+// (see pickerWeights) and a seed whose value is also the first raw draw,
+// so the corpus can pin exact rounding boundaries. Valid weights (finite,
+// non-negative, positive sum) must give the same index on every draw;
+// invalid ones must make NewPicker and Pick panic with the same message.
+func FuzzPicker(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte, seed int64) {
+		w := pickerWeights(data)
+		valid, sum := true, 0.0
+		for _, x := range w {
+			valid = valid && x >= 0 && !math.IsInf(x, 1)
+			sum += x
+		}
+		valid = valid && sum > 0
+		pickerPanic := recovered(func() { NewPicker(w) })
+		pickPanic := recovered(func() { NewRNG(seed).Pick(w) })
+		if pickerPanic != pickPanic || (pickerPanic == nil) != valid {
+			t.Fatalf("weights %v (valid %t): NewPicker panic %v, Pick panic %v", w, valid, pickerPanic, pickPanic)
+		}
+		if !valid {
+			return
+		}
+		p, linear, binary := NewPicker(w), boundaryRNG(seed), boundaryRNG(seed)
+		for i := 0; i < 64; i++ {
+			if got, want := p.Pick(binary), linear.Pick(w); got != want {
+				t.Fatalf("weights %v seed %d draw %d: Picker = %d, linear Pick = %d", w, seed, i, got, want)
+			}
+		}
+	})
 }

@@ -227,10 +227,11 @@ func checkWeight(w float64, i int) {
 // a positive sum. This implements the locality-biased victim distribution.
 //
 // Pick re-validates and re-scans the weights on every call; hot paths that
-// draw from a fixed distribution should build a Picker once instead. Picker
-// reproduces Pick draw-for-draw (TestPickerMatchesLinearPick pins that), so
-// this linear form is kept as the executable specification and for one-off
-// draws.
+// draw from a fixed distribution should build a Picker once instead. Pick
+// scans the same left-to-right cumulative sums a Picker searches, so the
+// two agree draw for draw (TestPickerMatchesLinearPick and FuzzPicker pin
+// that); this linear form is kept as the executable specification and for
+// one-off draws.
 func (g *RNG) Pick(weights []float64) int {
 	var sum float64
 	for i, w := range weights {
@@ -241,9 +242,10 @@ func (g *RNG) Pick(weights []float64) int {
 		panic("sim: weights sum to zero")
 	}
 	x := g.r.Float64() * sum
+	var acc float64
 	for i, w := range weights {
-		x -= w
-		if x < 0 {
+		acc += w
+		if acc > x {
 			return i
 		}
 	}
@@ -257,7 +259,7 @@ func (g *RNG) Pick(weights []float64) int {
 // single Float64 the linear Pick would, returning the same index.
 type Picker struct {
 	// prefix[i] is weights[0] + ... + weights[i-1], accumulated left to
-	// right in the same order Pick's subtraction scan consumes them.
+	// right exactly as Pick's cumulative scan accumulates them.
 	prefix []float64
 }
 

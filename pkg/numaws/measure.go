@@ -25,7 +25,7 @@ import (
 func facadeErr(err error) error {
 	var re *harness.RunError
 	if errors.As(err, &re) {
-		return failureFromMetrics(re.RowError())
+		return re.RowError()
 	}
 	return err
 }
@@ -98,7 +98,7 @@ func (s *Session) Measure(ctx context.Context, bench string) (Row, error) {
 	if err != nil {
 		return Row{}, err
 	}
-	return rowFromMetrics(row), nil
+	return row, nil
 }
 
 // MeasureAll runs the comparison protocol for every benchmark of the
@@ -110,11 +110,7 @@ func (s *Session) MeasureAll(ctx context.Context, benches ...string) ([]Row, err
 	if err != nil {
 		return nil, err
 	}
-	rows, err := harness.MeasureAll(ctx, specs, s.options())
-	if err != nil {
-		return nil, err
-	}
-	return rowsFromMetrics(rows), nil
+	return harness.MeasureAll(ctx, specs, s.options())
 }
 
 // Each is the streaming MeasureAll: onRun receives every completed
@@ -136,11 +132,7 @@ func (s *Session) Each(ctx context.Context, onRun func(Run), benches ...string) 
 		onRun(Run{Bench: m.Bench, Policy: m.Policy, P: m.P, Seed: m.Seed,
 			Serial: m.Serial, Baseline: m.Baseline, Replayed: m.Replayed, Time: m.Time})
 	}
-	rows, err := harness.MeasureAll(ctx, specs, opt)
-	if err != nil {
-		return nil, err
-	}
-	return rowsFromMetrics(rows), nil
+	return harness.MeasureAll(ctx, specs, opt)
 }
 
 // Scalability measures the paper's Fig. 9 protocol under the session's
@@ -167,7 +159,7 @@ func (s *Session) Scalability(ctx context.Context, points []int, benches ...stri
 	if err != nil {
 		return nil, facadeErr(err)
 	}
-	return seriesSliceFromMetrics(series), nil
+	return series, nil
 }
 
 // Sweep runs the scalability protocol across a grid of machine topologies
@@ -188,7 +180,7 @@ func (s *Session) Sweep(ctx context.Context, topologies []string, points []int, 
 	if err != nil {
 		return nil, facadeErr(err)
 	}
-	return sweepsFromMetrics(sweeps), nil
+	return sweeps, nil
 }
 
 // DAGs measures each benchmark's computation dag — work, span and

@@ -11,56 +11,20 @@ import (
 	"context"
 
 	"repro/internal/harness"
-	"repro/internal/metrics"
+	"repro/pkg/numaws/results"
 )
 
-// TournamentCell is one cell of a ranked tournament entry: the policy's
-// completion time for one (benchmark, topology), averaged over the
-// session's seeds, and its ratio to the cell's best time across all
-// policies (1.0 = this policy won the cell).
-type TournamentCell struct {
-	Bench    string
-	Topology string
-	TP       int64
-	Norm     float64
-}
+// TournamentCell is one cell of a ranked tournament entry: one
+// (benchmark, topology) completion time and its ratio to the cell's best
+// (see results.TournamentCell).
+type TournamentCell = results.TournamentCell
 
 // TournamentEntry is one policy's ranked tournament outcome.
-type TournamentEntry struct {
-	Rank   int
-	Policy string
-	// Score is the geometric mean of Norm over the cells; lower is better,
-	// and 1.0 means the policy had the best time in every cell.
-	Score float64
-	// Cells holds one result per (bench, topology), bench-major, in the
-	// tournament's axis order.
-	Cells []TournamentCell
-}
+type TournamentEntry = results.TournamentEntry
 
 // Tournament is a complete ranked policy tournament: the grid axes and one
-// entry per registered policy, best score first. The ranking is
-// deterministic: same session configuration, same table.
-type Tournament struct {
-	Benches    []string
-	Topologies []string
-	Entries    []TournamentEntry
-}
-
-// Winner reports the top-ranked policy name ("" for an empty tournament).
-func (t Tournament) Winner() string {
-	if len(t.Entries) == 0 {
-		return ""
-	}
-	return t.Entries[0].Policy
-}
-
-// Table renders the tournament as the CLI's fixed-width ranking table: a
-// one-line summary, the ranked scores, then one completion-time table per
-// topology.
-func (t Tournament) Table() string {
-	m := tournamentToMetrics(t)
-	return metrics.TournamentTable(&m)
-}
+// entry per registered policy, best score first (see results.Tournament).
+type Tournament = results.Tournament
 
 // Tournament runs every registered scheduling policy over the benchmark x
 // topology grid and ranks them. benches empty means the session's whole
@@ -85,33 +49,5 @@ func (s *Session) Tournament(ctx context.Context, topologies []string, benches .
 	if err != nil {
 		return Tournament{}, facadeErr(err)
 	}
-	return tournamentFromMetrics(t), nil
-}
-
-func tournamentFromMetrics(m metrics.Tournament) Tournament {
-	t := Tournament{Benches: m.Benches, Topologies: m.Topologies}
-	for _, e := range m.Entries {
-		fe := TournamentEntry{Rank: e.Rank, Policy: e.Policy, Score: e.Score}
-		for _, c := range e.Cells {
-			fe.Cells = append(fe.Cells, TournamentCell{
-				Bench: c.Bench, Topology: c.Topology, TP: c.TP, Norm: c.Norm,
-			})
-		}
-		t.Entries = append(t.Entries, fe)
-	}
-	return t
-}
-
-func tournamentToMetrics(t Tournament) metrics.Tournament {
-	m := metrics.Tournament{Benches: t.Benches, Topologies: t.Topologies}
-	for _, e := range t.Entries {
-		me := metrics.TournamentEntry{Rank: e.Rank, Policy: e.Policy, Score: e.Score}
-		for _, c := range e.Cells {
-			me.Cells = append(me.Cells, metrics.TournamentResult{
-				Bench: c.Bench, Topology: c.Topology, TP: c.TP, Norm: c.Norm,
-			})
-		}
-		m.Entries = append(m.Entries, me)
-	}
-	return m
+	return t, nil
 }

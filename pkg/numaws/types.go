@@ -1,135 +1,44 @@
 package numaws
 
-// The facade's result types. They mirror the engine's internal metrics
-// types field for field, but belong to this package: the public API must
-// not name internal types in exported signatures (the layering contract in
-// DESIGN.md, enforced by the facadepurity analyzer in numaws-vet and the
-// CI facade job), so measurements cross the boundary by value conversion.
+// The facade's result types. The measurement schema — rows, curves,
+// failures, tournaments and the export bundle — is declared once, in
+// pkg/numaws/results, which the harness builds and the renderers read;
+// the facade re-exports it under its public names as aliases. The types
+// below describe single runs and are built here from engine reports: the
+// public API must not name internal types in exported signatures (the
+// layering contract in DESIGN.md, enforced by the facadepurity analyzer in
+// numaws-vet and the CI facade job).
 
 import (
-	"fmt"
-
 	"repro/internal/cache"
 	"repro/internal/core"
-	"repro/internal/metrics"
+	"repro/pkg/numaws/results"
 )
 
-// PlatformResult is one platform's measurements for one benchmark: the
-// one-worker time, the P-worker time, and the P-worker work/scheduling/idle
-// breakdown summed over workers.
-type PlatformResult struct {
-	T1 int64 // one-worker time, cycles
-	TP int64 // P-worker time, cycles
-	WP int64 // summed work time at P workers
-	SP int64 // summed scheduling time at P workers
-	IP int64 // summed idle time at P workers
-	W1 int64 // work time at one worker (= T1)
-}
+// PlatformResult is one platform's measurements for one benchmark: T1,
+// TP and the P-worker work/scheduling/idle breakdown (see
+// results.PlatformResult).
+type PlatformResult = results.PlatformResult
 
-// SpawnOverhead is T1/TS: the cost of expressing the parallelism.
-func (r PlatformResult) SpawnOverhead(ts int64) float64 {
-	m := metrics.PlatformResult(r)
-	return m.SpawnOverhead(ts)
-}
+// RunFailure describes why a benchmark's measurement failed: the run that
+// died and its failure kind (see results.RunFailure).
+type RunFailure = results.RunFailure
 
-// Scalability is T1/TP: the parallel speedup over the platform's own
-// one-worker run.
-func (r PlatformResult) Scalability() float64 {
-	m := metrics.PlatformResult(r)
-	return m.Scalability()
-}
+// Row is one benchmark's full measurement: TS and both platforms' results
+// (see results.Row).
+type Row = results.Row
 
-// WorkInflation is WP/T1: how much the total useful-work time grew going
-// parallel — the quantity the paper's NUMA-WS scheduler exists to shrink.
-func (r PlatformResult) WorkInflation() float64 {
-	m := metrics.PlatformResult(r)
-	return m.WorkInflation()
-}
-
-// RunFailure describes why a benchmark's measurement failed: the identity
-// of the run that died plus the harness's failure classification. It is
-// containment's public face — a session-level measurement call returns an
-// error only for grid-level problems (cancellation, journal I/O), while a
-// single benchmark's panic, deadline or verification mismatch becomes its
-// row's Err with every other row intact.
-type RunFailure struct {
-	Bench  string
-	Policy string // "" for serial-reference failures
-	P      int
-	Seed   int64
-	// Kind classifies the failure: "panic", "verify", "timeout" or
-	// "cancel". Timeouts are transient (WithRetry re-runs them); the
-	// others are deterministic properties of the run.
-	Kind    string
-	Message string
-}
-
-// Error implements error.
-func (f *RunFailure) Error() string {
-	mode := f.Policy
-	if mode == "" {
-		mode = "serial"
-	}
-	return fmt.Sprintf("%s [%s P=%d seed=%d]: %s: %s", f.Bench, mode, f.P, f.Seed, f.Kind, f.Message)
-}
-
-// Row is one benchmark's full measurement: the serial elision TS and both
-// platforms' results — Cilk, the classic work-stealing baseline, and
-// NUMAWS, the session's policy (the paper's scheduler unless WithPolicy
-// said otherwise).
-type Row struct {
-	Name   string
-	Input  string // "input size / base case" description
-	TS     int64
-	Cilk   PlatformResult
-	NUMAWS PlatformResult
-	P      int // worker count of the TP/WP/SP/IP columns
-	// Err, when non-nil, marks this row as failed: one of the benchmark's
-	// runs died and containment produced an error row (measurement fields
-	// zero) instead of losing the whole grid. Renderers print a diagnostic
-	// line for it; the exporters carry it alongside the identity fields.
-	Err *RunFailure
-}
-
-// Series is one benchmark's scalability curve (the paper's Fig. 9): TP[i]
-// is the completion time at P[i] workers.
-type Series struct {
-	Name string
-	P    []int
-	TP   []int64
-}
-
-// Speedup reports T1/TP per point (P[0] must be 1).
-func (s Series) Speedup() []float64 {
-	m := seriesToMetrics(s)
-	return m.Speedup()
-}
+// Series is one benchmark's scalability curve, the paper's Fig. 9 (see
+// results.Series).
+type Series = results.Series
 
 // SweepCurve is one (benchmark, machine) scalability curve of a topology
-// sweep.
-type SweepCurve struct {
-	Bench    string
-	Topology string // the topology spec the curve ran on
-	Sockets  int
-	Cores    int
-	P        []int
-	TP       []int64
-}
-
-// Speedup reports T1/TP per point (P[0] must be 1).
-func (s SweepCurve) Speedup() []float64 {
-	m := sweepToMetrics(s)
-	return m.Speedup()
-}
+// sweep (see results.SweepCurve).
+type SweepCurve = results.SweepCurve
 
 // Export bundles every measurement kind for the machine-readable writers;
 // any field may be empty.
-type Export struct {
-	Rows       []Row
-	Series     []Series
-	Sweeps     []SweepCurve
-	Tournament *Tournament
-}
+type Export = results.Export
 
 // Run identifies one completed simulation of a streaming measurement (see
 // Session.Each): which benchmark, under which policy ("serial" for the TS
@@ -205,108 +114,6 @@ type Timeline struct {
 	P      int
 	Time   int64  // completion time in virtual cycles
 	Chart  string // fixed-width rendering, one row per worker
-}
-
-// Conversions between the facade types and the internal metrics types.
-
-func failureFromMetrics(e *metrics.RowError) *RunFailure {
-	if e == nil {
-		return nil
-	}
-	return &RunFailure{Bench: e.Bench, Policy: e.Policy, P: e.P, Seed: e.Seed,
-		Kind: e.Kind, Message: e.Msg}
-}
-
-func failureToMetrics(f *RunFailure) *metrics.RowError {
-	if f == nil {
-		return nil
-	}
-	return &metrics.RowError{Bench: f.Bench, Policy: f.Policy, P: f.P, Seed: f.Seed,
-		Kind: f.Kind, Msg: f.Message}
-}
-
-func rowFromMetrics(m metrics.Row) Row {
-	return Row{
-		Name: m.Name, Input: m.Input, TS: m.TS, P: m.P,
-		Cilk:   PlatformResult(m.Cilk),
-		NUMAWS: PlatformResult(m.NUMAWS),
-		Err:    failureFromMetrics(m.Err),
-	}
-}
-
-func rowToMetrics(r Row) metrics.Row {
-	return metrics.Row{
-		Name: r.Name, Input: r.Input, TS: r.TS, P: r.P,
-		Cilk:   metrics.PlatformResult(r.Cilk),
-		NUMAWS: metrics.PlatformResult(r.NUMAWS),
-		Err:    failureToMetrics(r.Err),
-	}
-}
-
-func rowsFromMetrics(ms []metrics.Row) []Row {
-	out := make([]Row, len(ms))
-	for i, m := range ms {
-		out[i] = rowFromMetrics(m)
-	}
-	return out
-}
-
-func rowsToMetrics(rs []Row) []metrics.Row {
-	out := make([]metrics.Row, len(rs))
-	for i, r := range rs {
-		out[i] = rowToMetrics(r)
-	}
-	return out
-}
-
-func seriesFromMetrics(m metrics.Series) Series {
-	return Series{Name: m.Name, P: m.P, TP: m.TP}
-}
-
-func seriesToMetrics(s Series) metrics.Series {
-	return metrics.Series{Name: s.Name, P: s.P, TP: s.TP}
-}
-
-func seriesSliceFromMetrics(ms []metrics.Series) []Series {
-	out := make([]Series, len(ms))
-	for i, m := range ms {
-		out[i] = seriesFromMetrics(m)
-	}
-	return out
-}
-
-func seriesSliceToMetrics(ss []Series) []metrics.Series {
-	out := make([]metrics.Series, len(ss))
-	for i, s := range ss {
-		out[i] = seriesToMetrics(s)
-	}
-	return out
-}
-
-func sweepFromMetrics(m metrics.Sweep) SweepCurve {
-	return SweepCurve{Bench: m.Bench, Topology: m.Topology, Sockets: m.Sockets,
-		Cores: m.Cores, P: m.P, TP: m.TP}
-}
-
-func sweepToMetrics(s SweepCurve) metrics.Sweep {
-	return metrics.Sweep{Bench: s.Bench, Topology: s.Topology, Sockets: s.Sockets,
-		Cores: s.Cores, P: s.P, TP: s.TP}
-}
-
-func sweepsFromMetrics(ms []metrics.Sweep) []SweepCurve {
-	out := make([]SweepCurve, len(ms))
-	for i, m := range ms {
-		out[i] = sweepFromMetrics(m)
-	}
-	return out
-}
-
-func sweepsToMetrics(ss []SweepCurve) []metrics.Sweep {
-	out := make([]metrics.Sweep, len(ss))
-	for i, s := range ss {
-		out[i] = sweepToMetrics(s)
-	}
-	return out
 }
 
 // reportFrom flattens a core run report into the facade's RunReport.
