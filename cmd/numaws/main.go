@@ -77,11 +77,13 @@
 //	         panics and verification failures are deterministic and never
 //	         retried (default 0)
 //	-journal append every completed run to this crash-safe JSONL file as
-//	         it finishes, so a killed grid can be resumed
+//	         it finishes, so a killed grid can be resumed; the file is a
+//	         result store (the serve -store format), one line per run key
 //	-resume  replay completed runs from the -journal file instead of
 //	         re-simulating them; only the missing runs simulate, and the
-//	         rows are identical to an uninterrupted grid's (requires
-//	         -journal)
+//	         rows are identical to an uninterrupted grid's. A torn or
+//	         corrupt tail is dropped from the file before anything is
+//	         appended and reported as skipped lines (requires -journal)
 //
 // Interrupting a run (Ctrl-C) cancels the measurement context: simulations
 // not yet started are skipped, in-flight ones finish, and the command

@@ -20,9 +20,9 @@ import (
 	"time"
 
 	"repro/internal/faultinject"
-	"repro/internal/journal"
 	"repro/internal/metrics"
 	"repro/internal/sched"
+	"repro/internal/store"
 	"repro/internal/workloads"
 	"repro/pkg/numaws/results"
 )
@@ -173,6 +173,44 @@ func TestPanicIsNeverRetried(t *testing.T) {
 	}
 }
 
+// TestRunTracedContainsInjectedPanic pins RunTraced's contract: a panic
+// inside the traced run comes back as a *RunError of KindPanic with the
+// run's workload instance quarantined, and is never retried — the fault
+// trips once and the budget allows three retries, so a retry would have
+// succeeded.
+func TestRunTracedContainsInjectedPanic(t *testing.T) {
+	spec := specByName(t, "heat")
+	opt := Options{P: 4, Verify: true, Retries: 3}
+	workloads.ResetPoolCounters()
+	faultinject.Arm(faultinject.Plan{
+		Target: faultinject.Target{Bench: spec.Name, Mode: faultinject.ParallelOnly},
+		Kind:   faultinject.PanicAtTask,
+		N:      0,
+		Trips:  1,
+	})
+	defer faultinject.Disarm()
+	rep, tl, err := RunTraced(t.Context(), spec, sched.NUMAWS, opt)
+	var re *RunError
+	if !errors.As(err, &re) {
+		t.Fatalf("err = %v, want *RunError", err)
+	}
+	if re.Kind != KindPanic || !strings.Contains(re.Error(), "injected panic") {
+		t.Errorf("RunError = %v, want kind panic mentioning the injection", re)
+	}
+	if rep != nil || tl != nil {
+		t.Errorf("failed traced run returned a report (%v) or a timeline (%v)", rep, tl)
+	}
+	if _, _, _, quarantined := workloads.PoolCounters(); quarantined != 1 {
+		t.Errorf("quarantined %d workload instances, want 1", quarantined)
+	}
+
+	// The trip budget is spent: the same call now traces normally.
+	rep, tl, err = RunTraced(t.Context(), spec, sched.NUMAWS, opt)
+	if err != nil || rep == nil || tl == nil {
+		t.Fatalf("traced run after the fault: rep %v, timeline %v, err %v", rep, tl, err)
+	}
+}
+
 // TestRunTimeoutClassifiesHangAsTransient: a wedged-but-live run (endless
 // spawn loop) is interrupted by the per-run deadline and classified as the
 // retryable failure it is.
@@ -294,10 +332,10 @@ func TestRefCacheNotPoisonedByPanic(t *testing.T) {
 	}
 }
 
-// TestJournalResume is the crash/recover test: a journaled grid killed
-// mid-flight (via an injected grid cancellation) resumes into rows
-// deep-equal to an uninterrupted run's, re-simulating only the tuples the
-// journal is missing.
+// TestJournalResume is the crash/recover test: a grid journaled to a
+// store and killed mid-flight (via an injected grid cancellation) resumes
+// into rows deep-equal to an uninterrupted run's, re-simulating only the
+// tuples the store is missing.
 func TestJournalResume(t *testing.T) {
 	specs := Specs(ScaleSmall)[:3]
 	// Jobs: 1 makes run completion order deterministic, so the injected
@@ -313,7 +351,7 @@ func TestJournalResume(t *testing.T) {
 	}
 
 	path := filepath.Join(t.TempDir(), "grid.jsonl")
-	w, err := journal.Create(path)
+	st, err := store.Open(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -330,31 +368,26 @@ func TestJournalResume(t *testing.T) {
 	})
 	defer faultinject.Disarm()
 	jopt := opt
-	jopt.Journal = w
+	jopt.Cache = st
 	_, err = MeasureAll(ctx, specs, jopt)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("killed grid: err = %v, want context.Canceled", err)
 	}
 	faultinject.Disarm()
-	if err := w.Close(); err != nil {
+	if err := st.Close(); err != nil {
 		t.Fatal(err)
 	}
 
-	resume, err := journal.Replay(path)
+	st2, err := store.Open(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(resume) == 0 || len(resume) >= total {
-		t.Fatalf("journal has %d records, want a proper non-empty subset of %d", len(resume), total)
-	}
-
-	w2, err := journal.Append(path)
-	if err != nil {
-		t.Fatal(err)
+	stored := st2.Len()
+	if stored == 0 || stored >= total {
+		t.Fatalf("journal has %d records, want a proper non-empty subset of %d", stored, total)
 	}
 	ropt := opt
-	ropt.Journal = w2
-	ropt.Resume = resume
+	ropt.Cache = st2
 	var mu sync.Mutex
 	var replayed, simulated int
 	ropt.OnRun = func(m RunMeta) {
@@ -370,31 +403,32 @@ func TestJournalResume(t *testing.T) {
 	if err != nil {
 		t.Fatalf("resumed grid: %v", err)
 	}
-	if err := w2.Close(); err != nil {
+	if err := st2.Close(); err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(rows, clean) {
 		t.Errorf("resumed grid differs from uninterrupted grid:\nclean:   %+v\nresumed: %+v", clean, rows)
 	}
-	if replayed != len(resume) {
-		t.Errorf("replayed %d runs, want %d (one per journaled record)", replayed, len(resume))
+	if replayed != stored {
+		t.Errorf("replayed %d runs, want %d (one per journaled record)", replayed, stored)
 	}
-	if simulated != total-len(resume) {
-		t.Errorf("simulated %d runs, want only the %d missing tuples", simulated, total-len(resume))
+	if simulated != total-stored {
+		t.Errorf("simulated %d runs, want only the %d missing tuples", simulated, total-stored)
 	}
 
 	// The resumed grid's appends completed the journal: a third run
 	// replays everything and simulates nothing.
-	complete, err := journal.Replay(path)
+	st3, err := store.Open(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(complete) != total {
-		t.Fatalf("completed journal has %d records, want %d", len(complete), total)
+	defer st3.Close()
+	if st3.Len() != total {
+		t.Fatalf("completed journal has %d records, want %d", st3.Len(), total)
 	}
 	replayed, simulated = 0, 0
 	fopt := opt
-	fopt.Resume = complete
+	fopt.Cache = st3
 	fopt.OnRun = ropt.OnRun
 	rows2, err := MeasureAll(t.Context(), specs, fopt)
 	if err != nil {

@@ -12,6 +12,7 @@ package harness
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"runtime"
 	"sync"
@@ -21,7 +22,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/exec"
 	"repro/internal/faultinject"
-	"repro/internal/journal"
 	"repro/internal/sched"
 	"repro/internal/topology"
 	"repro/internal/trace"
@@ -185,16 +185,15 @@ type Options struct {
 	// so a retried success is byte-identical to a first-try success.
 	// 0 means no retries.
 	Retries int
-	// Journal, if non-nil, receives one fsync'd record per completed
-	// (spec, policy, P, seed) run of Measure/MeasureAll — the crash-safe
-	// result log that -resume replays. Failed runs are never journaled.
-	Journal *journal.Writer
-	// Resume, if non-nil, replays previously journaled runs instead of
-	// re-simulating them: a run whose full key is present is filled from
-	// the journal (and emitted through OnRun with Replayed set), and only
-	// the missing tuples simulate. Determinism makes replay exact: the
-	// resumed grid's rows are deep-equal to an uninterrupted run's.
-	Resume map[journal.Key]journal.Result
+	// Cache, if non-nil, is the persistent result store the runs of
+	// Measure/MeasureAll execute through (see ExecuteThrough): a run whose
+	// KeyFor key it holds is filled from it (and emitted through OnRun with
+	// Replayed set), and every simulated run is durably recorded in it.
+	// Failed runs are never recorded. Determinism makes a hit exact: a grid
+	// resumed from a store holds rows deep-equal to an uninterrupted run's.
+	// Tournament takes its cache as an argument; MeasureTopologies ignores
+	// this field.
+	Cache ResultCache
 }
 
 // RunMeta identifies one completed simulation of a measurement grid, for
@@ -214,8 +213,8 @@ type RunMeta struct {
 	// P, Seed) alone would not distinguish their runs. False for serial
 	// and sweep runs, which have no baseline column.
 	Baseline bool
-	// Replayed marks a run that was filled from a resume journal instead
-	// of simulated; its Time is the journaled measurement.
+	// Replayed marks a run that was filled from the store (Options.Cache)
+	// instead of simulated; its Time is the stored measurement.
 	Replayed bool
 	Time     int64 // virtual cycles (TS for serial runs, TP otherwise)
 }
@@ -249,15 +248,16 @@ func (o Options) fill() Options {
 }
 
 // newRuntime builds a fresh platform. arena may be nil (serial runs never
-// touch the parallel engine's storage); interrupt may be nil (no run
-// deadline — see interruptFor).
-func newRuntime(top *topology.Topology, workers int, pol sched.Policy, seed int64, recordDAG bool, arena *core.Arena, interrupt func() bool) *core.Runtime {
+// touch the parallel engine's storage); tracer may be nil (no timeline);
+// interrupt may be nil (no run deadline — see interruptFor).
+func newRuntime(top *topology.Topology, workers int, pol sched.Policy, seed int64, recordDAG bool, tracer sched.Tracer, arena *core.Arena, interrupt func() bool) *core.Runtime {
 	return core.NewRuntime(core.Config{
 		Sched: sched.Config{
 			Topology:  top,
 			Workers:   workers,
 			Policy:    pol,
 			Seed:      seed,
+			Tracer:    tracer,
 			Interrupt: interrupt,
 		},
 		Geometry:  cache.DefaultGeometry(),
@@ -311,17 +311,26 @@ func RunOne(ctx context.Context, spec Spec, pol sched.Policy, opt Options) (*cor
 	opt = opt.fill()
 	key := runKey{bench: spec.Name, policy: pol.Name(), p: opt.P, seed: opt.Seed}
 	return attemptRun(ctx, key, opt, func(rctx context.Context) (*core.Report, error) {
-		return runParallelOnce(rctx, spec, pol, opt, key)
+		return runAttempt(rctx, spec, pol, opt, key, nil)
 	})
 }
 
-// runParallelOnce is one attempt of one parallel measurement: check out
-// the run's resources, simulate, verify, settle. The deferred settlement
-// is the quarantine mechanism — it runs on the panic unwind path too, so
-// by the time contain converts the panic into a RunError, the failed
-// attempt's arena and workload instance are already out of circulation.
-func runParallelOnce(rctx context.Context, spec Spec, pol sched.Policy, opt Options, key runKey) (*core.Report, error) {
-	plan := faultinject.ForRun(spec.Name, pol.Name(), opt.P, opt.Seed, false)
+// runAttempt is one attempt of one run — the serial elision when
+// key.serial (pol is then ignored), one parallel simulation otherwise —
+// with tracer (may be nil) receiving its timeline: check out the run's
+// resources, simulate, verify, settle. The deferred settlement is the
+// quarantine mechanism — it runs on the panic unwind path too, so by the
+// time contain converts the panic into a RunError, the failed attempt's
+// arena and workload instance are already out of circulation. The serial
+// elision polls the interrupt hook at its Spawn/Compute edges, so serial
+// runs honor RunTimeout too.
+func runAttempt(rctx context.Context, spec Spec, pol sched.Policy, opt Options, key runKey, tracer sched.Tracer) (*core.Report, error) {
+	plan := faultinject.ForRun(key.bench, key.policy, key.p, key.seed, key.serial)
+	workers, recordDAG, run := opt.P, opt.RecordDAG, (*core.Runtime).Run
+	if key.serial {
+		// The serial elision runs on one core with baseline placement.
+		pol, workers, recordDAG, tracer, run = sched.Cilk, 1, false, nil, (*core.Runtime).RunSerial
+	}
 	w, lease := workloads.Checkout(spec, numaAware(pol), opt.FreshInputs)
 	arena := getArena()
 	completed, verified := false, false
@@ -340,17 +349,17 @@ func runParallelOnce(rctx context.Context, spec Spec, pol sched.Policy, opt Opti
 			lease.Discard()
 		}
 	}()
-	rt := newRuntime(opt.Topology, opt.P, pol, opt.Seed, opt.RecordDAG, arena, interruptFor(rctx))
+	rt := newRuntime(opt.Topology, workers, pol, opt.Seed, recordDAG, tracer, arena, interruptFor(rctx))
 	w.Prepare(rt)
-	rep := rt.Run(faultinject.Instrument(plan, w.Root()))
+	rep := run(rt, faultinject.Instrument(plan, w.Root()))
 	completed = true
 	if opt.Verify {
 		if err := w.Verify(); err != nil {
-			return nil, verifyError(key, fmt.Errorf("harness: %s on %v at P=%d: %w", spec.Name, pol, opt.P, err))
+			return nil, verifyError(key, err)
 		}
 	}
 	if plan != nil && plan.Kind == faultinject.FailVerify {
-		return nil, verifyError(key, fmt.Errorf("harness: %s on %v at P=%d: injected verification failure", spec.Name, pol, opt.P))
+		return nil, verifyError(key, errors.New("injected verification failure"))
 	}
 	verified = true
 	return rep, nil
@@ -359,9 +368,13 @@ func runParallelOnce(rctx context.Context, spec Spec, pol sched.Policy, opt Opti
 // verifyError types a verification mismatch as the deterministic,
 // non-retryable failure it is.
 func verifyError(key runKey, err error) *RunError {
+	where := "serial"
+	if !key.serial {
+		where = fmt.Sprintf("on %s at P=%d", key.policy, key.p)
+	}
 	return &RunError{
 		Bench: key.bench, Policy: key.policy, P: key.p, Seed: key.seed, Serial: key.serial,
-		Kind: KindVerify, Err: err,
+		Kind: KindVerify, Err: fmt.Errorf("harness: %s %s: %w", key.bench, where, err),
 	}
 }
 
@@ -385,7 +398,7 @@ func RunSerial(ctx context.Context, spec Spec, opt Options) (*core.Report, error
 	// next caller recomputes (pinned by TestRefCacheNotPoisonedByPanic).
 	attempt := func() (*core.Report, error) {
 		return attemptRun(ctx, key, opt, func(rctx context.Context) (*core.Report, error) {
-			return runSerialOnce(rctx, spec, opt, key)
+			return runAttempt(rctx, spec, nil, opt, key, nil)
 		})
 	}
 	cache := workloads.SharedCache(spec)
@@ -402,41 +415,6 @@ func RunSerial(ctx context.Context, spec Spec, opt Options) (*core.Report, error
 		return nil, err
 	}
 	return v.(*core.Report), nil
-}
-
-// runSerialOnce is one attempt of one serial-elision reference run, with
-// the same deferred settlement discipline as runParallelOnce. The serial
-// elision polls the interrupt hook at its Spawn/Compute edges, so serial
-// runs honor RunTimeout too.
-func runSerialOnce(rctx context.Context, spec Spec, opt Options, key runKey) (*core.Report, error) {
-	plan := faultinject.ForRun(spec.Name, "", 1, opt.Seed, true)
-	w, lease := workloads.Checkout(spec, false, opt.FreshInputs)
-	arena := getArena()
-	completed, verified := false, false
-	defer func() {
-		if completed {
-			putArena(arena)
-		}
-		if verified {
-			lease.Release()
-		} else {
-			lease.Discard()
-		}
-	}()
-	rt := newRuntime(opt.Topology, 1, sched.Cilk, opt.Seed, false, arena, interruptFor(rctx))
-	w.Prepare(rt)
-	rep := rt.RunSerial(faultinject.Instrument(plan, w.Root()))
-	completed = true
-	if opt.Verify {
-		if err := w.Verify(); err != nil {
-			return nil, verifyError(key, fmt.Errorf("harness: %s serial: %w", spec.Name, err))
-		}
-	}
-	if plan != nil && plan.Kind == faultinject.FailVerify {
-		return nil, verifyError(key, fmt.Errorf("harness: %s serial: injected verification failure", spec.Name))
-	}
-	verified = true
-	return rep, nil
 }
 
 // Measure runs the full Fig. 7/Fig. 8 protocol for one spec: TS, then T1
@@ -463,18 +441,17 @@ func Measure(ctx context.Context, spec Spec, opt Options) (results.Row, error) {
 // retries, verification mismatch) yields an error row — identity fields
 // plus Row.Err, zero measurements — while every other spec's rows are
 // unaffected; MeasureAll itself returns an error only for grid-level
-// failures (cancellation, journal I/O). With opt.Journal set each
-// completed run is durably journaled as it finishes; with opt.Resume set
-// journaled runs replay instead of simulating.
+// failures (cancellation, cache I/O). With opt.Cache set each completed
+// run is durably recorded as it finishes, and runs the cache already holds
+// are filled from it instead of simulating.
 func MeasureAll(ctx context.Context, specs []Spec, opt Options) ([]results.Row, error) {
 	opt = opt.fill()
 	runs := make([]specRuns, len(specs))
 	pool := exec.NewPool(ctx, opt.Jobs)
 	em := newEmitter(opt.OnRun)
-	jr := newJournaler(opt)
 	idx := 0
 	for i := range specs {
-		runs[i].submit(ctx, pool, em, jr, &idx, specs[i], opt)
+		runs[i].submit(ctx, pool, em, &idx, specs[i], opt)
 	}
 	if err := pool.Wait(ctx); err != nil {
 		return nil, err
@@ -529,42 +506,7 @@ func RunTraced(ctx context.Context, spec Spec, pol sched.Policy, opt Options) (*
 	key := runKey{bench: spec.Name, policy: pol.Name(), p: opt.P, seed: opt.Seed}
 	tl := trace.New(opt.P)
 	rep, err := contain(ctx, key, func() (*core.Report, error) {
-		w, lease := workloads.Checkout(spec, numaAware(pol), opt.FreshInputs)
-		arena := getArena()
-		completed, verified := false, false
-		defer func() {
-			if completed {
-				putArena(arena)
-			}
-			if verified {
-				lease.Release()
-			} else {
-				lease.Discard()
-			}
-		}()
-		rt := core.NewRuntime(core.Config{
-			Sched: sched.Config{
-				Topology:  opt.Topology,
-				Workers:   opt.P,
-				Policy:    pol,
-				Seed:      opt.Seed,
-				Tracer:    tl,
-				Interrupt: interruptFor(ctx),
-			},
-			Geometry: cache.DefaultGeometry(),
-			Latency:  cache.DefaultLatency(),
-			Arena:    arena,
-		})
-		w.Prepare(rt)
-		rep := rt.Run(w.Root())
-		completed = true
-		if opt.Verify {
-			if err := w.Verify(); err != nil {
-				return nil, verifyError(key, fmt.Errorf("harness: %s traced on %v: %w", spec.Name, pol, err))
-			}
-		}
-		verified = true
-		return rep, nil
+		return runAttempt(ctx, spec, pol, opt, key, tl)
 	})
 	if err != nil {
 		return nil, nil, err

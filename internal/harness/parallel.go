@@ -13,7 +13,7 @@ package harness
 // back as a *RunError records the failure on its spec (lowest submission
 // index wins, so the reported failure is deterministic for a deterministic
 // fault) and returns nil to the pool — the grid proceeds, and the spec
-// folds into an error row. Only grid-level errors (cancellation, journal
+// folds into an error row. Only grid-level errors (cancellation, cache
 // I/O) propagate into the pool and abort the sweep.
 
 import (
@@ -21,60 +21,11 @@ import (
 	"errors"
 	"sync"
 
-	"repro/internal/core"
 	"repro/internal/exec"
 	"repro/internal/journal"
 	"repro/internal/sched"
 	"repro/pkg/numaws/results"
 )
-
-// resultOf reduces a run report to its measured totals: exactly what the
-// row fold consumes and what the journal persists, so a replayed run is
-// indistinguishable from a simulated one.
-func resultOf(rep *core.Report) journal.Result {
-	res := journal.Result{Time: rep.Time}
-	if rep.Sched != nil {
-		res.Work = rep.Sched.WorkTotal()
-		res.Sched = rep.Sched.SchedTotal()
-		res.Idle = rep.Sched.IdleTotal()
-	}
-	return res
-}
-
-// journaler adapts Options.Journal/Options.Resume for the submission loop.
-// A nil journaler (no journal, no resume) is valid and inert. Its records
-// are keyed by KeyFor, the same content address the sweep service's store
-// uses.
-type journaler struct {
-	w      *journal.Writer
-	resume map[journal.Key]journal.Result
-}
-
-func newJournaler(opt Options) *journaler {
-	if opt.Journal == nil && opt.Resume == nil {
-		return nil
-	}
-	return &journaler{w: opt.Journal, resume: opt.Resume}
-}
-
-// lookup reports the journaled result for a key, if resuming and present.
-func (j *journaler) lookup(k journal.Key) (journal.Result, bool) {
-	if j == nil {
-		return journal.Result{}, false
-	}
-	res, ok := j.resume[k]
-	return res, ok
-}
-
-// append durably journals one completed run. An I/O failure here is a
-// grid-level error: the journal's whole point is that recorded rows are
-// trustworthy, so a grid that cannot record stops.
-func (j *journaler) append(k journal.Key, res journal.Result) error {
-	if j == nil || j.w == nil {
-		return nil
-	}
-	return j.w.Write(k, res)
-}
 
 // platformRuns holds one platform's measured totals for one spec: the
 // one-worker run plus one P-worker run per scheduler seed.
@@ -108,51 +59,34 @@ func (r *specRuns) recordFailure(idx int, re *RunError) {
 
 // submit schedules the full Fig. 7/Fig. 8 protocol for one spec on the
 // pool: TS, then T1 and the per-seed TP runs on both platforms. idx
-// advances one slot per run (replayed or simulated) and orders failures
-// across specs in canonical order (TS first, then baseline T1, baseline
-// seeds, policy T1, policy seeds). Runs found in the resume journal fill
-// their slot immediately — emitted with RunMeta.Replayed set — and submit
-// no job.
-func (r *specRuns) submit(ctx context.Context, pool *exec.Pool, em *emitter, jr *journaler, idx *int, spec Spec, opt Options) {
+// advances one slot per run and orders failures across specs in canonical
+// order (TS first, then baseline T1, baseline seeds, policy T1, policy
+// seeds). Every run executes through opt.Cache: a run the cache already
+// holds fills its slot without simulating and is emitted with
+// RunMeta.Replayed set.
+func (r *specRuns) submit(ctx context.Context, pool *exec.Pool, em *emitter, idx *int, spec Spec, opt Options) {
 	// Each run is named by its key: KeyFor normalizes the serial axes, and
 	// the emitted RunMeta reads its identity back from the key. Baseline
 	// is deliberately absent from the key: the two columns of a
 	// cilk-vs-cilk comparison measure the identical simulation, and the
-	// journal dedups by content.
+	// cache dedups by content.
 	submit := func(slot *journal.Result, pol sched.Policy, o Options, serial, baseline bool) {
 		myIdx := *idx
 		*idx++
 		key := KeyFor(spec, pol, o, serial)
 		meta := RunMeta{Bench: spec.Name, Policy: key.Policy, P: key.P, Seed: key.Seed, Serial: serial, Baseline: baseline}
-		if res, ok := jr.lookup(key); ok {
-			*slot = res
-			meta.Replayed = true
-			meta.Time = res.Time
-			em.emit(meta)
-			return
-		}
 		pool.Submit(ctx, myIdx, func() error {
-			var rep *core.Report
-			var err error
-			if serial {
-				rep, err = RunSerial(ctx, spec, o)
-			} else {
-				rep, err = RunOne(ctx, spec, pol, o)
-			}
+			res, hit, err := ExecuteThrough(ctx, opt.Cache, spec, pol, o, serial)
 			if err != nil {
 				var re *RunError
 				if errors.As(err, &re) && ctx.Err() == nil {
 					r.recordFailure(myIdx, re)
 					return nil // contained: the grid proceeds, the spec reports an error row
 				}
-				return err // grid-level: cancellation (or a non-run error) aborts the sweep
-			}
-			res := resultOf(rep)
-			if err := jr.append(key, res); err != nil {
-				return err
+				return err // grid-level: cancellation or a cache write aborts the sweep
 			}
 			*slot = res
-			meta.Time = res.Time
+			meta.Replayed, meta.Time = hit, res.Time
 			em.emit(meta)
 			return nil
 		})

@@ -3,9 +3,9 @@ package harness
 // This file is the sweep service's execute-through-cache seam
 // (internal/server): single runs addressed by their full journal key,
 // simulated only when a persistent result cache does not already hold
-// them. KeyFor is also the grid journaler's key (parallel.go), so a
-// service store and a -journal file are mutually intelligible — a record
-// written by either is a hit for both.
+// them. The measurement grids run through the same seam (Options.Cache),
+// so a service store and a -journal file are one format — a record written
+// by either is a hit for both.
 
 import (
 	"context"
@@ -26,8 +26,8 @@ type ResultCache interface {
 }
 
 // KeyFor is the content address of one run, built from the run's spec,
-// policy and options; the grid journaler and the service store both key
-// their records with it. Serial runs pin Policy "serial" and P 1 — the serial elision
+// policy and options; every ResultCache record is keyed with it. Serial
+// runs pin Policy "serial" and P 1 — the serial elision
 // has no scheduler, so those axes are normalized, not echoed; pol is
 // ignored for them and may be nil.
 func KeyFor(spec Spec, pol sched.Policy, opt Options, serial bool) journal.Key {
@@ -42,6 +42,19 @@ func KeyFor(spec Spec, pol sched.Policy, opt Options, serial bool) journal.Key {
 		Policy: policy, P: p, Seed: opt.Seed,
 		Serial: serial, Verify: opt.Verify,
 	}
+}
+
+// resultOf reduces a run report to its measured totals: exactly what the
+// row fold consumes and what the store persists, so a stored run is
+// indistinguishable from a simulated one.
+func resultOf(rep *core.Report) journal.Result {
+	res := journal.Result{Time: rep.Time}
+	if rep.Sched != nil {
+		res.Work = rep.Sched.WorkTotal()
+		res.Sched = rep.Sched.SchedTotal()
+		res.Idle = rep.Sched.IdleTotal()
+	}
+	return res
 }
 
 // Execute measures one run — the serial elision when serial, one parallel

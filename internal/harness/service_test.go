@@ -7,24 +7,26 @@ import (
 
 	"repro/internal/journal"
 	"repro/internal/sched"
+	"repro/internal/store"
 	"repro/internal/topology"
 )
 
-// TestKeyForMatchesJournalerKey pins the seam the sweep service depends
-// on: every record the grid journaler writes is keyed by KeyFor of its
-// run, so a service store and a -journal file are mutually intelligible.
-func TestKeyForMatchesJournalerKey(t *testing.T) {
+// TestKeyForMatchesGridStoreKey pins the seam the sweep service depends
+// on: every record a measurement grid writes to its store is keyed by
+// KeyFor of its run, so a service store and a -journal file are mutually
+// intelligible.
+func TestKeyForMatchesGridStoreKey(t *testing.T) {
 	spec := specByName(t, "fib")
 	path := filepath.Join(t.TempDir(), "grid.jsonl")
-	w, err := journal.Create(path)
+	st, err := store.Open(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	opt := Options{Topology: topology.TwoSocket(4), P: 4, Seed: 3, Verify: true, Policy: sched.NUMAWS, Journal: w}
+	opt := Options{Topology: topology.TwoSocket(4), P: 4, Seed: 3, Verify: true, Policy: sched.NUMAWS, Cache: st}
 	if _, err := MeasureAll(t.Context(), []Spec{spec}, opt); err != nil {
 		t.Fatal(err)
 	}
-	if err := w.Close(); err != nil {
+	if err := st.Close(); err != nil {
 		t.Fatal(err)
 	}
 	got, err := journal.Replay(path)
@@ -41,11 +43,11 @@ func TestKeyForMatchesJournalerKey(t *testing.T) {
 		KeyFor(spec, sched.NUMAWS, o1, false), KeyFor(spec, sched.NUMAWS, opt, false),
 	}
 	if len(got) != len(want) {
-		t.Errorf("journal holds %d keys, want %d: %+v", len(got), len(want), got)
+		t.Errorf("store holds %d keys, want %d: %+v", len(got), len(want), got)
 	}
 	for _, k := range want {
 		if _, ok := got[k]; !ok {
-			t.Errorf("journal lacks KeyFor's key %+v", k)
+			t.Errorf("store lacks KeyFor's key %+v", k)
 		}
 	}
 }

@@ -12,8 +12,9 @@
 // The checksum guards the only corruption append-only files suffer in
 // practice: a torn final line from a crash mid-write. Replay stops at the
 // first record that fails to parse or checksum, or that lacks its
-// newline, and returns what preceded it; the writer appends from there,
-// so the torn tail is simply re-measured.
+// newline, and returns what preceded it. internal/store, the one writer,
+// truncates the file to that prefix before it appends, so the torn tail
+// is dropped once and re-measured.
 //
 // Keys carry the full run tuple plus the workload-registry generation:
 // a journal written under one registry population never replays into a
@@ -80,20 +81,10 @@ type Writer struct {
 	f  *os.File
 }
 
-// Create truncates (or creates) path and returns a writer for a fresh
-// journal.
-func Create(path string) (*Writer, error) {
-	return open(path, os.O_CREATE|os.O_TRUNC|os.O_WRONLY)
-}
-
-// Append opens (or creates) path for appending, the resume path: replayed
-// rows stay, new completions extend the file.
+// Append opens (or creates) path for appending: replayed records stay,
+// new completions extend the file.
 func Append(path string) (*Writer, error) {
-	return open(path, os.O_CREATE|os.O_APPEND|os.O_WRONLY)
-}
-
-func open(path string, flag int) (*Writer, error) {
-	f, err := os.OpenFile(path, flag, 0o644)
+	f, err := os.OpenFile(path, os.O_CREATE|os.O_APPEND|os.O_WRONLY, 0o644)
 	if err != nil {
 		return nil, fmt.Errorf("journal: %w", err)
 	}

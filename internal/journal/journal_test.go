@@ -1,7 +1,6 @@
 package journal
 
 import (
-	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -23,7 +22,7 @@ func result(i int) Result {
 
 func TestRoundTrip(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "runs.jsonl")
-	w, err := Create(path)
+	w, err := Append(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,7 +58,7 @@ func TestReplayMissingFileIsEmpty(t *testing.T) {
 
 func TestReplayToleratesTornTail(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "runs.jsonl")
-	w, err := Create(path)
+	w, err := Append(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,7 +107,7 @@ func TestReplayToleratesTornTail(t *testing.T) {
 
 func TestReplayStopsAtChecksumMismatch(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "runs.jsonl")
-	w, err := Create(path)
+	w, err := Append(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,7 +147,7 @@ func TestReplayStopsAtChecksumMismatch(t *testing.T) {
 
 func TestAppendExtendsExistingJournal(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "runs.jsonl")
-	w, err := Create(path)
+	w, err := Append(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,7 +193,7 @@ func TestCloseNilAndDouble(t *testing.T) {
 		t.Errorf("nil Close: %v", err)
 	}
 	path := filepath.Join(t.TempDir(), "runs.jsonl")
-	w2, err := Create(path)
+	w2, err := Append(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -228,7 +227,7 @@ func TestDistinctKeysStayDistinct(t *testing.T) {
 	mut(func(k *Key) { k.Verify = false })
 
 	path := filepath.Join(t.TempDir(), "runs.jsonl")
-	w, err := Create(path)
+	w, err := Append(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -254,30 +253,9 @@ func TestDistinctKeysStayDistinct(t *testing.T) {
 	}
 }
 
-func TestCreateTruncates(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "runs.jsonl")
-	if err := os.WriteFile(path, []byte(fmt.Sprintf("%s\n", "garbage")), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	w, err := Create(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
-	got, err := Replay(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 0 {
-		t.Errorf("Create did not truncate: %v", got)
-	}
-}
-
 func TestReplayWithStatsCountsCorruption(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "runs.jsonl")
-	w, err := Create(path)
+	w, err := Append(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -326,7 +304,7 @@ func TestReplayWithStatsCountsCorruption(t *testing.T) {
 
 func TestReplayWithStatsCleanJournal(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "runs.jsonl")
-	w, err := Create(path)
+	w, err := Append(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -356,7 +334,7 @@ func TestReplayWithStatsCleanJournal(t *testing.T) {
 
 func TestReplayWithStatsTornTail(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "runs.jsonl")
-	w, err := Create(path)
+	w, err := Append(path)
 	if err != nil {
 		t.Fatal(err)
 	}

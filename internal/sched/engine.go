@@ -1024,10 +1024,14 @@ func (e *Engine) adaptTick() {
 	if !e.adaptive.Adapt(obs, e.adWeights) {
 		return
 	}
+	// A weight above MaxFloat64/Workers is finite, but a thief's draw
+	// sums up to Workers-1 of them: the total would overflow to +Inf and
+	// the draw would land on the thief itself, blaming the victim hook.
+	limit := math.MaxFloat64 / float64(e.cfg.Workers)
 	for h, wt := range e.adWeights {
-		if !(wt > 0) || math.IsInf(wt, 1) {
-			panic(fmt.Sprintf("sched: policy %q: Adapt set weight %g for hop class %d; every weight must stay finite and positive",
-				e.cfg.Policy.Name(), wt, h))
+		if !(wt > 0) || wt > limit {
+			panic(fmt.Sprintf("sched: policy %q: Adapt set weight %g for hop class %d; every weight must stay positive and at most %g",
+				e.cfg.Policy.Name(), wt, h, limit))
 		}
 	}
 	if e.pickScratch == nil {

@@ -129,7 +129,8 @@ type Observation struct {
 // replays byte-for-byte from the seed) with a counter snapshot and the
 // current per-hop-class bias weights. Adapt may rewrite the weights in
 // place — every weight must stay strictly positive, the positivity Lemma 1
-// requires — and reports whether it changed them, in which case the engine
+// requires, and at most math.MaxFloat64/Workers, so a thief's total stays
+// finite — and reports whether it changed them, in which case the engine
 // rebuilds the per-thief victim pickers. The hook is only consulted when
 // the policy is Biased and bias was not ablated away; AdaptEvery() <= 0
 // disables it. Policies stay stateless: Adapt must be a pure function of

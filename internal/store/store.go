@@ -1,5 +1,6 @@
-// Package store is the sweep service's persistent, content-addressed
-// result store: one fsync'd, CRC-checksummed record per completed run,
+// Package store is the persistent, content-addressed result store behind
+// the sweep service and the CLI's -journal/-resume grids: one fsync'd,
+// CRC-checksummed record per completed run,
 // in internal/journal's record format, indexed in memory for O(1)
 // lookups. The address is the full journal.Key — benchmark, input, scale,
 // registry generation, topology hash, policy, P, seed, serial, verify —

@@ -8,6 +8,8 @@ package numaws_test
 // WithResume into identical rows without re-simulating anything.
 
 import (
+	"bytes"
+	"os"
 	"reflect"
 	"strings"
 	"sync/atomic"
@@ -100,7 +102,8 @@ func TestMisbehavingBenchmarksYieldErrorRows(t *testing.T) {
 // TestSessionJournalResume exercises the crash-safety surface end to end
 // through the facade: a journaled session's rows, replayed by a second
 // WithResume session, are identical — with every run filled from the
-// journal rather than simulated.
+// journal rather than simulated — and a third session without WithResume
+// starts the journal afresh.
 func TestSessionJournalResume(t *testing.T) {
 	path := t.TempDir() + "/session.jsonl"
 	opts := func(extra ...numaws.Option) []numaws.Option {
@@ -146,8 +149,88 @@ func TestSessionJournalResume(t *testing.T) {
 		t.Errorf("resume simulated %d runs and replayed %d, want 0 simulated", simulated.Load(), replayed.Load())
 	}
 
+	// Without WithResume, New starts the journal afresh: the file is
+	// emptied before the session's store replays it.
+	s3, err := numaws.New(opts(numaws.WithJournal(path))...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s3.Close()
+	if fi, err := os.Stat(path); err != nil || fi.Size() != 0 {
+		t.Errorf("fresh journal session left the file non-empty: %v, %v", fi, err)
+	}
+	if replayed, skipped := s3.ReplayStats(); replayed != 0 || skipped != 0 {
+		t.Errorf("fresh journal session replayed %d and skipped %d records, want none", replayed, skipped)
+	}
+
 	// Resume without a journal is a configuration error, caught at New.
 	if _, err := numaws.New(opts(numaws.WithResume())...); err == nil || !strings.Contains(err.Error(), "WithJournal") {
 		t.Errorf("WithResume without WithJournal: err = %v, want configuration error", err)
+	}
+}
+
+// TestSessionJournalTornTailResume pins resume healing: a journal whose
+// final record was cut mid-line (a crash during the write) resumes once,
+// re-measuring the torn run, and the file it leaves behind is whole — a
+// second resume replays every record, skips nothing and simulates
+// nothing. Appending past the torn line instead would merge the next
+// record into it, and every later resume would re-simulate the same runs.
+func TestSessionJournalTornTailResume(t *testing.T) {
+	path := t.TempDir() + "/torn.jsonl"
+	opts := func(extra ...numaws.Option) []numaws.Option {
+		return append([]numaws.Option{
+			numaws.WithScale(numaws.ScaleSmall),
+			numaws.WithTopology("2x4"),
+			numaws.WithBenchmarks("cg", "heat"),
+			numaws.WithJobs(1),
+		}, extra...)
+	}
+	s, err := numaws.New(opts(numaws.WithJournal(path))...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := s.MeasureAll(t.Context())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	records := bytes.Count(data, []byte("\n"))
+	if err := os.Truncate(path, int64(len(data)-20)); err != nil {
+		t.Fatal(err)
+	}
+
+	for pass, wantSkipped := range []int{1, 0} {
+		s, err := numaws.New(opts(numaws.WithJournal(path), numaws.WithResume())...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var simulated atomic.Int64
+		rows, err := s.Each(t.Context(), func(r numaws.Run) {
+			if !r.Replayed {
+				simulated.Add(1)
+			}
+		})
+		if cerr := s.Close(); err == nil {
+			err = cerr
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		replayed, skipped := s.ReplayStats()
+		if skipped != wantSkipped || replayed != records-wantSkipped {
+			t.Errorf("resume %d: replayed %d, skipped %d; want %d and %d", pass+1, replayed, skipped, records-wantSkipped, wantSkipped)
+		}
+		if got := simulated.Load(); got != int64(wantSkipped) {
+			t.Errorf("resume %d simulated %d runs, want %d", pass+1, got, wantSkipped)
+		}
+		if !reflect.DeepEqual(rows, want) {
+			t.Errorf("resume %d: rows differ from the journaled run's:\nfirst:   %+v\nresumed: %+v", pass+1, want, rows)
+		}
 	}
 }

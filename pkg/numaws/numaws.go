@@ -30,13 +30,14 @@ package numaws
 
 import (
 	"fmt"
+	"os"
 	"strings"
 	"time"
 
 	"repro/internal/exec"
 	"repro/internal/harness"
-	"repro/internal/journal"
 	"repro/internal/sched"
+	"repro/internal/store"
 	"repro/internal/topology"
 )
 
@@ -269,9 +270,14 @@ func WithRetry(n int) Option {
 // WithJournal makes the session's grid measurements crash-safe: every
 // completed (benchmark, policy, P, seed) simulation of Measure, MeasureAll
 // and Each is durably appended to the JSONL journal at path as it
-// finishes. Combine with WithResume to replay a journal written by an
-// earlier (killed) process; without it, New truncates path and starts
-// fresh. Sessions holding a journal should be Closed.
+// finishes. The journal is a result store in the format of NewServer's
+// store file: a run whose key it already holds, such as the second
+// column of a "cilk" session's comparison, is filled from the store
+// instead of simulated, so the file holds one line per key (two
+// concurrent first runs of one key may both append; replay keeps one).
+// Combine with WithResume to replay a journal written by an earlier
+// (killed) process; without it, New truncates path and starts fresh.
+// Sessions holding a journal should be Closed.
 func WithJournal(path string) Option {
 	return option(func(c *config) error {
 		if path == "" {
@@ -283,12 +289,14 @@ func WithJournal(path string) Option {
 }
 
 // WithResume replays the WithJournal file's completed runs instead of
-// re-simulating them: runs whose full key is journaled fill from the
-// journal (streamed through Each with Run.Replayed set), only the missing
-// tuples simulate, and new completions extend the same file. Because every
-// simulation is deterministic, a resumed grid's rows are identical to an
-// uninterrupted run's. Requires WithJournal; a missing journal file is an
-// empty journal, not an error.
+// re-simulating them: runs whose full key is journaled are filled from
+// the store (streamed through Each with Run.Replayed set), only the
+// missing tuples simulate, and new completions extend the same file. A
+// torn or corrupt tail is truncated from the file before the first
+// append and counted by ReplayStats. Because every simulation is
+// deterministic, a resumed grid's rows are identical to an uninterrupted
+// run's. Requires WithJournal; a missing journal file is an empty
+// journal, not an error.
 func WithResume() Option {
 	return option(func(c *config) error {
 		c.resume = true
@@ -308,9 +316,7 @@ type Session struct {
 	policy sched.Policy
 	specs  []harness.Spec
 	cfg    config
-	jw     *journal.Writer
-	replay map[journal.Key]journal.Result
-	rstats journal.ReplayStats
+	store  *store.Store // the WithJournal file; nil without one
 }
 
 // New builds a Session from the given options, validating them as a set:
@@ -362,15 +368,12 @@ func New(opts ...Option) (*Session, error) {
 		return nil, fmt.Errorf("numaws: WithResume requires WithJournal")
 	}
 	if c.journal != "" {
-		if c.resume {
-			if s.replay, s.rstats, err = journal.ReplayWithStats(c.journal); err != nil {
+		if !c.resume {
+			if err := os.WriteFile(c.journal, nil, 0o644); err != nil {
 				return nil, fmt.Errorf("numaws: %w", err)
 			}
-			s.jw, err = journal.Append(c.journal)
-		} else {
-			s.jw, err = journal.Create(c.journal)
 		}
-		if err != nil {
+		if s.store, err = store.Open(c.journal); err != nil {
 			return nil, fmt.Errorf("numaws: %w", err)
 		}
 	}
@@ -379,16 +382,26 @@ func New(opts ...Option) (*Session, error) {
 
 // Close releases the session's journal file, if any. Safe to call on
 // sessions built without WithJournal and safe to call twice; measurements
-// after Close fail on their first journal append.
-func (s *Session) Close() error { return s.jw.Close() }
+// after Close fail on their first run the journal does not hold.
+func (s *Session) Close() error {
+	if s.store == nil {
+		return nil
+	}
+	return s.store.Close()
+}
 
 // ReplayStats reports what WithResume found in the journal: how many
 // completed runs it replayed, and how many trailing lines it discarded as
-// torn or corrupt (everything from the first unreadable record on — a
-// resume silently re-measures that tail, so callers surface the count).
-// Both are zero for sessions built without WithResume.
+// torn or corrupt (everything from the first unreadable record on — New
+// truncates that tail from the file and a resume re-measures it, so
+// callers surface the count). Both are zero for sessions built without
+// WithResume.
 func (s *Session) ReplayStats() (replayed, skipped int) {
-	return s.rstats.Records, s.rstats.Skipped
+	if s.store == nil {
+		return 0, 0
+	}
+	c := s.store.Counters()
+	return c.Records, c.Skipped
 }
 
 // selectSpecs resolves benchmark names against the suite, preserving the
@@ -418,7 +431,7 @@ func selectSpecs(all []harness.Spec, names []string) ([]harness.Spec, error) {
 
 // options assembles the harness options for one measurement call.
 func (s *Session) options() harness.Options {
-	return harness.Options{
+	opt := harness.Options{
 		Topology:    s.top,
 		P:           s.cfg.workers,
 		Seed:        s.cfg.seed,
@@ -429,9 +442,13 @@ func (s *Session) options() harness.Options {
 		FreshInputs: s.cfg.fresh,
 		RunTimeout:  s.cfg.timeout,
 		Retries:     s.cfg.retries,
-		Journal:     s.jw,
-		Resume:      s.replay,
 	}
+	if s.store != nil {
+		// Never a nil *store.Store in the interface: the harness tests
+		// Cache against nil.
+		opt.Cache = s.store
+	}
+	return opt
 }
 
 // Machine describes the session's simulated machine.

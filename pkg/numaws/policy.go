@@ -126,8 +126,10 @@ type PolicyDef struct {
 	// AdaptEvery simulation events. Setting it requires Adapt.
 	AdaptEvery int64
 	// Adapt, if non-nil, may rewrite the run's per-hop-class bias weights
-	// in place at each epoch (every weight must stay strictly positive)
-	// and reports whether it changed them. It must be a pure function of
+	// in place at each epoch (every weight must stay strictly positive
+	// and at most math.MaxFloat64 divided by the run's worker count) and
+	// reports whether it changed them; a weight outside that range fails
+	// the run with an error naming Adapt. It must be a pure function of
 	// its arguments. Setting it requires a positive AdaptEvery, and it is
 	// only consulted on Biased policies when bias is not ablated away.
 	Adapt func(obs PolicyObservation, weights []float64) bool
