@@ -188,7 +188,6 @@ func ForEach(ctx context.Context, workers, n int, fn func(i int) error) error {
 	}
 	p := NewPool(ctx, workers)
 	for i := 0; i < n; i++ {
-		i := i
 		p.Submit(ctx, i, func() error { return fn(i) })
 	}
 	return p.Wait(ctx)

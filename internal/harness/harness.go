@@ -15,13 +15,14 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 	"time"
 
 	"repro/internal/cache"
 	"repro/internal/core"
-	"repro/internal/exec"
 	"repro/internal/faultinject"
+	"repro/internal/journal"
 	"repro/internal/sched"
 	"repro/internal/topology"
 	"repro/internal/trace"
@@ -145,12 +146,12 @@ type Options struct {
 	// RecordDAG captures the computation dag of parallel runs (see
 	// core.Config.RecordDAG).
 	RecordDAG bool
-	// Jobs bounds how many independent simulations Measure, MeasureAll
-	// and MeasureScalability execute concurrently on host goroutines
-	// (see internal/exec); it does not affect the simulated platform or
-	// any measured quantity — results are aggregated in canonical order
-	// and are identical for every Jobs value. 0 means 1 (serial);
-	// exec.DefaultJobs() is the whole-machine setting.
+	// Jobs bounds how many independent simulations a grid protocol
+	// executes concurrently on host goroutines (see internal/exec); it
+	// does not affect the simulated platform or any measured quantity —
+	// results are aggregated in canonical order and are identical for
+	// every Jobs value. 0 means 1 (serial); exec.DefaultJobs() is the
+	// whole-machine setting.
 	Jobs int
 	// Policy is the NUMA-aware platform of the comparison protocols (the
 	// NUMA-WS column of the tables) and the scheduler of the
@@ -165,12 +166,12 @@ type Options struct {
 	// are bit-identical to fresh ones and references depend only on the
 	// input data (pinned by TestGridAmortizationByteIdentical).
 	FreshInputs bool
-	// OnRun, if non-nil, receives every completed simulation of
-	// Measure, MeasureAll, MeasureScalability and MeasureTopologies as it
-	// finishes — in completion order, not canonical order; calls are
-	// serialized. Streaming observes the sweep; it never changes the
-	// returned rows, which are still aggregated canonically after the
-	// pool drains.
+	// OnRun, if non-nil, receives every completed simulation of every
+	// grid protocol (Measure, MeasureAll, MeasureScalability,
+	// MeasureTopologies, Tournament) as it finishes — in completion order,
+	// not canonical order; calls are serialized. Streaming observes the
+	// grid; it never changes the returned results, which are still folded
+	// canonically after the pool drains.
 	OnRun func(RunMeta)
 	// RunTimeout bounds each individual simulation: a run that exceeds it
 	// is interrupted (the engine polls a per-run deadline context) and
@@ -213,8 +214,9 @@ type RunMeta struct {
 	// P, Seed) alone would not distinguish their runs. False for serial
 	// and sweep runs, which have no baseline column.
 	Baseline bool
-	// Replayed marks a run that was filled from the store (Options.Cache)
-	// instead of simulated; its Time is the stored measurement.
+	// Replayed marks a run that a ResultCache answered instead of a
+	// simulation (Options.Cache, or Tournament's cache argument); its Time
+	// is the stored measurement.
 	Replayed bool
 	Time     int64 // virtual cycles (TS for serial runs, TP otherwise)
 }
@@ -273,28 +275,6 @@ func newRuntime(top *topology.Topology, workers int, pol sched.Policy, seed int6
 // paper's NUMA-WS protocol, while the classic baseline runs unhinted with
 // serial-first-touch placement.
 func numaAware(pol sched.Policy) bool { return pol.Biased() || pol.Pushes() }
-
-// emitter serializes Options.OnRun callbacks across pool workers.
-type emitter struct {
-	mu sync.Mutex
-	fn func(RunMeta)
-}
-
-func newEmitter(fn func(RunMeta)) *emitter {
-	if fn == nil {
-		return nil
-	}
-	return &emitter{fn: fn}
-}
-
-func (e *emitter) emit(m RunMeta) {
-	if e == nil {
-		return
-	}
-	e.mu.Lock()
-	e.fn(m)
-	e.mu.Unlock()
-}
 
 // RunOne executes one (spec, policy, P) measurement and returns the run
 // report. aware follows the platform: locality-exploiting policies get the
@@ -431,11 +411,11 @@ func Measure(ctx context.Context, spec Spec, opt Options) (results.Row, error) {
 }
 
 // MeasureAll measures every spec. Every (spec, policy, P, seed) run across
-// all specs is an independent job executed on an opt.Jobs-worker pool (see
-// internal/exec); results are aggregated in spec/platform/seed order, so
-// the rows are identical for every Jobs value. Cancelling ctx skips every
-// simulation not yet started and returns the context's error; completed
-// runs already streamed through opt.OnRun remain valid.
+// all specs is one entry of the grid executor (execute); results are
+// folded in spec/platform/seed order, so the rows are identical for every
+// Jobs value. Cancelling ctx skips every simulation not yet started and
+// returns the context's error; completed runs already streamed through
+// opt.OnRun remain valid.
 //
 // Failure containment: a spec with a failed run (panic, deadline after
 // retries, verification mismatch) yields an error row — identity fields
@@ -446,19 +426,45 @@ func Measure(ctx context.Context, spec Spec, opt Options) (results.Row, error) {
 // are filled from it instead of simulating.
 func MeasureAll(ctx context.Context, specs []Spec, opt Options) ([]results.Row, error) {
 	opt = opt.fill()
-	runs := make([]specRuns, len(specs))
-	pool := exec.NewPool(ctx, opt.Jobs)
-	em := newEmitter(opt.OnRun)
-	idx := 0
-	for i := range specs {
-		runs[i].submit(ctx, pool, em, &idx, specs[i], opt)
+	// Per spec: TS, then T1 and one TP run per seed on the baseline column
+	// and on the policy column.
+	per := 3 + 2*opt.Seeds
+	runs := make([]run, 0, len(specs)*per)
+	for _, spec := range specs {
+		runs = append(runs, run{spec: spec, opt: opt})
+		// Column position, not policy identity: with Policy: sched.Cilk the
+		// comparison degenerates to cilk-vs-cilk, and both columns must
+		// still be populated.
+		for col, pol := range []sched.Policy{sched.Cilk, opt.Policy} {
+			o := opt
+			o.P = 1
+			runs = append(runs, run{spec, pol, o, col == 0})
+			for s := 0; s < opt.Seeds; s++ {
+				o := opt
+				o.Seed = opt.Seed + int64(s)
+				runs = append(runs, run{spec, pol, o, col == 0})
+			}
+		}
 	}
-	if err := pool.Wait(ctx); err != nil {
+	res, fails, err := execute(ctx, opt, opt.Cache, runs, true)
+	if err != nil {
 		return nil, err
 	}
+	column := func(rs []journal.Result) results.PlatformResult {
+		tp := mean(rs[1:])
+		return results.PlatformResult{T1: rs[0].Time, W1: rs[0].Work, TP: tp.Time, WP: tp.Work, SP: tp.Sched, IP: tp.Idle}
+	}
 	rows := make([]results.Row, len(specs))
-	for i := range specs {
-		rows[i] = runs[i].row(specs[i], opt)
+	for i, spec := range specs {
+		rows[i] = results.Row{Name: spec.Name, Input: spec.Input, P: opt.P}
+		k := i * per
+		if j := slices.IndexFunc(fails[k:k+per], func(re *RunError) bool { return re != nil }); j >= 0 {
+			rows[i].Err = fails[k+j].RowError()
+			continue
+		}
+		rows[i].TS = res[k].Time
+		rows[i].Cilk = column(res[k+1 : k+2+opt.Seeds])
+		rows[i].NUMAWS = column(res[k+2+opt.Seeds : k+per])
 	}
 	return rows, nil
 }

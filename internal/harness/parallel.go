@@ -1,20 +1,22 @@
 package harness
 
-// This file decomposes the measurement protocols into independent jobs for
-// the internal/exec worker pool. Each job is one full simulation with its
-// own workload and runtime; jobs write their measured totals into
-// pre-allocated slots, and the slots are folded into rows in canonical
-// spec/platform/seed order after the pool drains, so the aggregate is
-// byte-identical for every Jobs value. Completed jobs are additionally
-// streamed through the emitter (Options.OnRun) in completion order, which
-// is what Session.Each builds on.
+// This file is the harness's one grid executor. Every measurement protocol
+// (MeasureAll, MeasureTopologies, Tournament) lists its runs in canonical
+// order and hands the list to execute, which fans them out over the
+// internal/exec pool. Each run is one full simulation with its own workload
+// and runtime, and writes its measured totals into the slot with its own
+// index; the protocol folds the slots after the pool drains, so the
+// aggregate is byte-identical for every Jobs value. Completed runs are also
+// streamed through Options.OnRun in completion order, which is what
+// Session.Each builds on.
 //
-// Failure containment happens at this layer's seam: a job whose run comes
-// back as a *RunError records the failure on its spec (lowest submission
-// index wins, so the reported failure is deterministic for a deterministic
-// fault) and returns nil to the pool — the grid proceeds, and the spec
-// folds into an error row. Only grid-level errors (cancellation, cache
-// I/O) propagate into the pool and abort the sweep.
+// Failure containment happens at this seam. With contained set, a run that
+// comes back as a *RunError stores it in the run's own failure slot and
+// returns nil to the pool: the grid proceeds, and the protocol folds the
+// failure into an error row (the lowest run index wins, so the reported
+// failure is deterministic for a deterministic fault). Grid-level errors
+// (cancellation, cache I/O), and every error of an uncontained grid,
+// propagate into the pool and abort the grid.
 
 import (
 	"context"
@@ -24,131 +26,76 @@ import (
 	"repro/internal/exec"
 	"repro/internal/journal"
 	"repro/internal/sched"
-	"repro/pkg/numaws/results"
 )
 
-// platformRuns holds one platform's measured totals for one spec: the
-// one-worker run plus one P-worker run per scheduler seed.
-type platformRuns struct {
-	t1    journal.Result
-	seeds []journal.Result
+// run is one simulation of a grid: spec under pol with opt, or the serial
+// elision of spec when pol is nil. baseline marks the runs of the
+// comparison protocol's baseline column (RunMeta.Baseline).
+type run struct {
+	spec     Spec
+	pol      sched.Policy
+	opt      Options
+	baseline bool
 }
 
-// specRuns holds every slot needed to assemble one results.Row, plus the
-// spec's recorded failure (if any run of the spec failed).
-type specRuns struct {
-	ts       journal.Result
-	baseline platformRuns // sched.Cilk, the classic work-stealing column
-	policy   platformRuns // opt.Policy, the NUMA-aware column
-
-	mu      sync.Mutex
-	fail    *RunError
-	failIdx int
-}
-
-// recordFailure keeps the contained failure with the lowest submission
-// index — the first in canonical order — so the error row reports
-// deterministically no matter how pool workers raced.
-func (r *specRuns) recordFailure(idx int, re *RunError) {
-	r.mu.Lock()
-	if r.fail == nil || idx < r.failIdx {
-		r.fail, r.failIdx = re, idx
+// execute runs every entry of runs through cache (nil: every run
+// simulates) on an opt.Jobs-worker pool and returns their totals by index.
+// With contained, a run's *RunError lands in its slot of the returned
+// failures and its result stays zero; otherwise the failures are nil and
+// any run's error aborts the grid. Each completed run is emitted through
+// opt.OnRun, named by its KeyFor key and marked Replayed when the cache
+// answered it. Baseline is deliberately absent from the key: the two
+// columns of a cilk-vs-cilk comparison measure the identical simulation,
+// and the cache dedups by content.
+func execute(ctx context.Context, opt Options, cache ResultCache, runs []run, contained bool) ([]journal.Result, []*RunError, error) {
+	res := make([]journal.Result, len(runs))
+	var fails []*RunError
+	if contained {
+		fails = make([]*RunError, len(runs))
 	}
-	r.mu.Unlock()
-}
-
-// submit schedules the full Fig. 7/Fig. 8 protocol for one spec on the
-// pool: TS, then T1 and the per-seed TP runs on both platforms. idx
-// advances one slot per run and orders failures across specs in canonical
-// order (TS first, then baseline T1, baseline seeds, policy T1, policy
-// seeds). Every run executes through opt.Cache: a run the cache already
-// holds fills its slot without simulating and is emitted with
-// RunMeta.Replayed set.
-func (r *specRuns) submit(ctx context.Context, pool *exec.Pool, em *emitter, idx *int, spec Spec, opt Options) {
-	// Each run is named by its key: KeyFor normalizes the serial axes, and
-	// the emitted RunMeta reads its identity back from the key. Baseline
-	// is deliberately absent from the key: the two columns of a
-	// cilk-vs-cilk comparison measure the identical simulation, and the
-	// cache dedups by content.
-	submit := func(slot *journal.Result, pol sched.Policy, o Options, serial, baseline bool) {
-		myIdx := *idx
-		*idx++
-		key := KeyFor(spec, pol, o, serial)
-		meta := RunMeta{Bench: spec.Name, Policy: key.Policy, P: key.P, Seed: key.Seed, Serial: serial, Baseline: baseline}
-		pool.Submit(ctx, myIdx, func() error {
-			res, hit, err := ExecuteThrough(ctx, opt.Cache, spec, pol, o, serial)
-			if err != nil {
-				var re *RunError
-				if errors.As(err, &re) && ctx.Err() == nil {
-					r.recordFailure(myIdx, re)
-					return nil // contained: the grid proceeds, the spec reports an error row
-				}
-				return err // grid-level: cancellation or a cache write aborts the sweep
+	var mu sync.Mutex
+	err := exec.ForEach(ctx, opt.Jobs, len(runs), func(i int) error {
+		r := runs[i]
+		serial := r.pol == nil
+		out, hit, err := ExecuteThrough(ctx, cache, r.spec, r.pol, r.opt, serial)
+		if err != nil {
+			var re *RunError
+			if contained && errors.As(err, &re) && ctx.Err() == nil {
+				fails[i] = re
+				return nil // contained: the grid proceeds, the protocol reports an error row
 			}
-			*slot = res
-			meta.Replayed, meta.Time = hit, res.Time
-			em.emit(meta)
-			return nil
-		})
-	}
-
-	submit(&r.ts, nil, opt, true, false)
-	for pi, pol := range []sched.Policy{sched.Cilk, opt.Policy} {
-		// Column position, not policy identity: with Policy: sched.Cilk the
-		// comparison degenerates to cilk-vs-cilk, and both columns must
-		// still be populated.
-		pr := &r.baseline
-		if pi == 1 {
-			pr = &r.policy
+			return err
 		}
-		pr.seeds = make([]journal.Result, opt.Seeds)
-		o1 := opt
-		o1.P = 1
-		submit(&pr.t1, pol, o1, false, pi == 0)
-		for s := 0; s < opt.Seeds; s++ {
-			o := opt
-			o.Seed = opt.Seed + int64(s)
-			submit(&pr.seeds[s], pol, o, false, pi == 0)
+		res[i] = out
+		if opt.OnRun != nil {
+			key := KeyFor(r.spec, r.pol, r.opt, serial)
+			mu.Lock()
+			opt.OnRun(RunMeta{Bench: key.Bench, Policy: key.Policy, P: key.P, Seed: key.Seed,
+				Serial: serial, Baseline: r.baseline, Replayed: hit, Time: out.Time})
+			mu.Unlock()
 		}
+		return nil
+	})
+	if err != nil {
+		return nil, nil, err
 	}
+	return res, fails, nil
 }
 
-// result folds one platform's totals into the averaged PlatformResult.
-func (p *platformRuns) result(seeds int) results.PlatformResult {
-	var pr results.PlatformResult
-	pr.T1 = p.t1.Time
-	pr.W1 = p.t1.Work
-	for _, rp := range p.seeds {
-		pr.TP += rp.Time
-		pr.WP += rp.Work
-		pr.SP += rp.Sched
-		pr.IP += rp.Idle
+// mean averages runs' totals field by field: the paper's "each data point
+// is the average of N runs", over scheduler seeds.
+func mean(rs []journal.Result) journal.Result {
+	var m journal.Result
+	for _, r := range rs {
+		m.Time += r.Time
+		m.Work += r.Work
+		m.Sched += r.Sched
+		m.Idle += r.Idle
 	}
-	n := int64(seeds)
-	pr.TP /= n
-	pr.WP /= n
-	pr.SP /= n
-	pr.IP /= n
-	return pr
-}
-
-// row assembles the spec's row once every job has completed: the folded
-// measurements, or an error row when any of the spec's runs failed.
-func (r *specRuns) row(spec Spec, opt Options) results.Row {
-	if r.fail != nil {
-		return results.Row{
-			Name:  spec.Name,
-			Input: spec.Input,
-			P:     opt.P,
-			Err:   r.fail.RowError(),
-		}
-	}
-	return results.Row{
-		Name:   spec.Name,
-		Input:  spec.Input,
-		P:      opt.P,
-		TS:     r.ts.Time,
-		Cilk:   r.baseline.result(opt.Seeds),
-		NUMAWS: r.policy.result(opt.Seeds),
-	}
+	n := int64(len(rs))
+	m.Time /= n
+	m.Work /= n
+	m.Sched /= n
+	m.Idle /= n
+	return m
 }

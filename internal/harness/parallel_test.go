@@ -2,7 +2,9 @@ package harness
 
 import (
 	"errors"
+	"fmt"
 	"reflect"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -236,66 +238,100 @@ func TestMeasureAllParallelSpeedup(t *testing.T) {
 	}
 }
 
-// TestMeasureAllStreamsEveryRun pins the streaming contract: OnRun receives
-// exactly one RunMeta per simulation of the grid — TS plus (T1 and Seeds
-// TP runs) per platform, for every spec — with valid times, and streaming
-// does not perturb the returned rows.
-func TestMeasureAllStreamsEveryRun(t *testing.T) {
+// TestGridsStreamEveryRun pins the streaming contract of every grid
+// protocol: OnRun receives exactly one RunMeta per simulation of the grid,
+// named by the run's policy, P, seed, serial and baseline flags, with a
+// valid time, and streaming does not perturb the returned results. A
+// tournament re-run on a warm cache streams every run as Replayed.
+func TestGridsStreamEveryRun(t *testing.T) {
 	var specs []Spec
 	for _, s := range Specs(ScaleSmall) {
 		if s.Name == "cilksort" || s.Name == "heat" {
 			specs = append(specs, s)
 		}
 	}
+	machines, err := Machines([]string{"2x4"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pols := []sched.Policy{sched.Cilk, sched.NUMAWS}
 	opt := Options{P: 8, Seeds: 2, Jobs: exec.DefaultJobs()}
-	var mu sync.Mutex
-	var metas []RunMeta
-	streamOpt := opt
-	streamOpt.OnRun = func(m RunMeta) {
-		mu.Lock()
-		metas = append(metas, m)
-		mu.Unlock()
+	warm := newMemCache()
+	tournament := func(c ResultCache) func(Options) (any, error) {
+		return func(o Options) (any, error) { return Tournament(t.Context(), specs, machines, pols, c, o) }
 	}
-	rows, err := MeasureAll(t.Context(), specs, streamOpt)
-	if err != nil {
+	if _, err := tournament(warm)(opt); err != nil {
 		t.Fatal(err)
 	}
-	perSpec := 1 + 2*(1+opt.Seeds) // TS + per-platform T1 and seed runs
-	if want := len(specs) * perSpec; len(metas) != want {
-		t.Fatalf("streamed %d runs, want %d", len(metas), want)
-	}
-	serial, t1s, tps := 0, 0, 0
-	for _, m := range metas {
-		if m.Time <= 0 {
-			t.Errorf("streamed run %+v has non-positive time", m)
-		}
-		switch {
-		case m.Serial:
-			serial++
-			if m.Policy != "serial" || m.P != 1 {
-				t.Errorf("serial run meta wrong: %+v", m)
+
+	// want lists the expected runs, Time and Replayed aside.
+	var all, sweep, tour []RunMeta
+	for _, s := range specs {
+		all = append(all, RunMeta{Bench: s.Name, Policy: "serial", P: 1, Seed: 1, Serial: true})
+		for _, pol := range pols {
+			baseline := pol == sched.Cilk
+			all = append(all, RunMeta{Bench: s.Name, Policy: pol.Name(), P: 1, Seed: 1, Baseline: baseline})
+			for seed := int64(1); seed <= 2; seed++ {
+				all = append(all, RunMeta{Bench: s.Name, Policy: pol.Name(), P: 8, Seed: seed, Baseline: baseline})
+				tour = append(tour, RunMeta{Bench: s.Name, Policy: pol.Name(), P: 8, Seed: seed})
 			}
-		case m.P == 1:
-			t1s++
-		case m.P == opt.P:
-			tps++
-		default:
-			t.Errorf("streamed run at unexpected P: %+v", m)
 		}
-		if !m.Serial && m.Policy != "cilk" && m.Policy != "numaws" {
-			t.Errorf("streamed run under unexpected policy: %+v", m)
+		for _, p := range []int{1, 4} {
+			for seed := int64(1); seed <= 2; seed++ {
+				sweep = append(sweep, RunMeta{Bench: s.Name, Policy: "numaws", P: p, Seed: seed})
+			}
 		}
 	}
-	if serial != len(specs) || t1s != 2*len(specs) || tps != 2*opt.Seeds*len(specs) {
-		t.Errorf("streamed run mix serial=%d t1=%d tp=%d, want %d/%d/%d",
-			serial, t1s, tps, len(specs), 2*len(specs), 2*opt.Seeds*len(specs))
+	cases := []struct {
+		name     string
+		run      func(Options) (any, error)
+		want     []RunMeta
+		replayed bool
+	}{
+		{"MeasureAll", func(o Options) (any, error) { return MeasureAll(t.Context(), specs, o) }, all, false},
+		{"MeasureTopologies", func(o Options) (any, error) {
+			return MeasureTopologies(t.Context(), specs, machines, o, []int{4})
+		}, sweep, false},
+		{"Tournament", tournament(nil), tour, false},
+		{"Tournament-warm", tournament(warm), tour, true},
 	}
-	// Identical rows with and without streaming.
-	plain, err := MeasureAll(t.Context(), specs, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(rows, plain) {
-		t.Errorf("streaming changed the measured rows:\n%+v\n%+v", rows, plain)
+	key := func(m RunMeta) string { return fmt.Sprintf("%+v", m) }
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			var mu sync.Mutex
+			var got []RunMeta
+			streamOpt := opt
+			streamOpt.OnRun = func(m RunMeta) {
+				mu.Lock()
+				got = append(got, m)
+				mu.Unlock()
+			}
+			streamed, err := tc.run(streamOpt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, m := range got {
+				if m.Time <= 0 {
+					t.Errorf("streamed run %+v has non-positive time", m)
+				}
+				if m.Replayed != tc.replayed {
+					t.Errorf("streamed run %+v: Replayed = %t, want %t", m, m.Replayed, tc.replayed)
+				}
+				got[i].Time, got[i].Replayed = 0, false
+			}
+			want := slices.Clone(tc.want)
+			slices.SortFunc(got, func(a, b RunMeta) int { return strings.Compare(key(a), key(b)) })
+			slices.SortFunc(want, func(a, b RunMeta) int { return strings.Compare(key(a), key(b)) })
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("streamed %d runs, want %d:\n got  %+v\n want %+v", len(got), len(want), got, want)
+			}
+			plain, err := tc.run(opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(streamed, plain) {
+				t.Errorf("streaming changed the results:\n%+v\n%+v", streamed, plain)
+			}
+		})
 	}
 }

@@ -3,6 +3,7 @@ package harness
 import (
 	"errors"
 	"path/filepath"
+	"sync"
 	"testing"
 
 	"repro/internal/journal"
@@ -52,8 +53,10 @@ func TestKeyForMatchesGridStoreKey(t *testing.T) {
 	}
 }
 
-// memCache is an in-memory ResultCache recording its traffic.
+// memCache is an in-memory ResultCache recording its traffic. It is safe
+// for the concurrent runs of a Jobs > 1 grid.
 type memCache struct {
+	mu   sync.Mutex
 	m    map[journal.Key]journal.Result
 	puts int
 	fail error
@@ -62,11 +65,15 @@ type memCache struct {
 func newMemCache() *memCache { return &memCache{m: map[journal.Key]journal.Result{}} }
 
 func (c *memCache) Get(k journal.Key) (journal.Result, bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
 	r, ok := c.m[k]
 	return r, ok
 }
 
 func (c *memCache) Put(k journal.Key, r journal.Result) error {
+	c.mu.Lock()
+	defer c.mu.Unlock()
 	if c.fail != nil {
 		return c.fail
 	}

@@ -2,16 +2,15 @@ package harness
 
 // The topology-sweep experiment surface: the Fig. 9 scalability protocol
 // run across a grid of machine shapes instead of only the paper's 4x8
-// machine. Every (machine, spec, point, seed) run is an independent
-// simulation fanned out over the internal/exec pool, aggregated in
-// canonical order so output is byte-identical for every Jobs value.
+// machine. Every (machine, spec, point, seed) run is one entry of the
+// grid executor (execute), folded in canonical order so output is
+// byte-identical for every Jobs value.
 
 import (
 	"context"
 	"fmt"
 	"sort"
 
-	"repro/internal/exec"
 	"repro/internal/topology"
 	"repro/pkg/numaws/results"
 )
@@ -112,44 +111,28 @@ func MeasureTopologies(ctx context.Context, specs []Spec, machines []Machine, op
 		}
 		axes[m] = axis
 	}
-	// times[m][i][j][k]: machine m, spec i, point j, seed k.
-	times := make([][][][]int64, len(machines))
-	pool := exec.NewPool(ctx, opt.Jobs)
-	em := newEmitter(opt.OnRun)
-	idx := 0
+	var runs []run
 	for m, mach := range machines {
-		times[m] = make([][][]int64, len(specs))
-		for i, spec := range specs {
-			times[m][i] = make([][]int64, len(axes[m]))
-			for j, p := range axes[m] {
-				times[m][i][j] = make([]int64, opt.Seeds)
+		for _, spec := range specs {
+			for _, p := range axes[m] {
 				for sd := 0; sd < opt.Seeds; sd++ {
-					spec, slot := spec, &times[m][i][j][sd]
 					o := opt
 					o.Topology = mach.Top
 					o.P = p
 					o.Seed = opt.Seed + int64(sd)
-					pool.Submit(ctx, idx, func() error {
-						rep, err := RunOne(ctx, spec, o.Policy, o)
-						if err != nil {
-							return err
-						}
-						*slot = rep.Time
-						em.emit(RunMeta{Bench: spec.Name, Policy: o.Policy.Name(),
-							P: o.P, Seed: o.Seed, Time: rep.Time})
-						return nil
-					})
-					idx++
+					runs = append(runs, run{spec: spec, pol: opt.Policy, opt: o})
 				}
 			}
 		}
 	}
-	if err := pool.Wait(ctx); err != nil {
+	res, _, err := execute(ctx, opt, nil, runs, false)
+	if err != nil {
 		return nil, err
 	}
 	out := make([]results.SweepCurve, 0, len(machines)*len(specs))
+	k := 0
 	for m, mach := range machines {
-		for i, spec := range specs {
+		for _, spec := range specs {
 			s := results.SweepCurve{
 				Bench:    spec.Name,
 				Topology: mach.Name,
@@ -157,12 +140,9 @@ func MeasureTopologies(ctx context.Context, specs []Spec, machines []Machine, op
 				Cores:    mach.Top.Cores(),
 				P:        axes[m],
 			}
-			for j := range axes[m] {
-				var total int64
-				for _, t := range times[m][i][j] {
-					total += t
-				}
-				s.TP = append(s.TP, total/int64(opt.Seeds))
+			for range axes[m] {
+				s.TP = append(s.TP, mean(res[k:k+opt.Seeds]).Time)
+				k += opt.Seeds
 			}
 			out = append(out, s)
 		}

@@ -14,7 +14,6 @@ import (
 	"context"
 	"fmt"
 
-	"repro/internal/exec"
 	"repro/internal/metrics"
 	"repro/internal/sched"
 	"repro/pkg/numaws/results"
@@ -43,52 +42,32 @@ func Tournament(ctx context.Context, specs []Spec, machines []Machine, pols []sc
 		}
 		seen[pol.Name()] = true
 	}
-	// times[k][sd]: cell k = ((pol * specs) + spec) * machines + machine.
-	cellOf := func(pi, si, mi int) int { return (pi*len(specs)+si)*len(machines) + mi }
-	times := make([][]int64, len(pols)*len(specs)*len(machines))
-	pool := exec.NewPool(ctx, opt.Jobs)
-	em := newEmitter(opt.OnRun)
-	idx := 0
-	for pi, pol := range pols {
-		for si, spec := range specs {
-			for mi, mach := range machines {
-				cell := &times[cellOf(pi, si, mi)]
-				*cell = make([]int64, opt.Seeds)
+	var runs []run
+	for _, pol := range pols {
+		for _, spec := range specs {
+			for _, mach := range machines {
 				for sd := 0; sd < opt.Seeds; sd++ {
-					pol, spec, mach, slot := pol, spec, mach, &(*cell)[sd]
 					o := opt
 					o.Topology = mach.Top
 					o.P = mach.Top.Cores()
 					o.Seed = opt.Seed + int64(sd)
-					pool.Submit(ctx, idx, func() error {
-						res, _, err := ExecuteThrough(ctx, cache, spec, pol, o, false)
-						if err != nil {
-							return err
-						}
-						*slot = res.Time
-						em.emit(RunMeta{Bench: spec.Name, Policy: pol.Name(),
-							P: o.P, Seed: o.Seed, Time: res.Time})
-						return nil
-					})
-					idx++
+					runs = append(runs, run{spec: spec, pol: pol, opt: o})
 				}
 			}
 		}
 	}
-	if err := pool.Wait(ctx); err != nil {
+	res, _, err := execute(ctx, opt, cache, runs, false)
+	if err != nil {
 		return results.Tournament{}, err
 	}
-	cells := make([]metrics.CellTime, 0, len(times))
-	for pi, pol := range pols {
-		for si, spec := range specs {
-			for mi, mach := range machines {
-				var total int64
-				for _, t := range times[cellOf(pi, si, mi)] {
-					total += t
-				}
+	cells := make([]metrics.CellTime, 0, len(runs)/opt.Seeds)
+	for _, pol := range pols {
+		for _, spec := range specs {
+			for _, mach := range machines {
+				k := len(cells) * opt.Seeds
 				cells = append(cells, metrics.CellTime{
 					Policy: pol.Name(), Bench: spec.Name, Topology: mach.Name,
-					TP: total / int64(opt.Seeds),
+					TP: mean(res[k : k+opt.Seeds]).Time,
 				})
 			}
 		}

@@ -74,10 +74,6 @@ func (f *Frame) Suspended() bool { return f.suspended }
 // Children reports the number of outstanding spawned children.
 func (f *Frame) Children() int { return f.children }
 
-// PushCount reports how many failed PUSHBACK attempts the frame has
-// accumulated.
-func (f *Frame) PushCount() int { return f.pushCount }
-
 // promote turns a shadow frame into a full frame at steal time and marks it
 // stolen (so its next cilk_sync is nontrivial). In the real runtime this is
 // where the expensive full-frame bookkeeping is created; here the engine

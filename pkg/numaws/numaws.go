@@ -86,7 +86,6 @@ type config struct {
 	seeds    int
 	jobs     int
 	verify   bool
-	fresh    bool
 	benches  []string
 	timeout  time.Duration
 	retries  int
@@ -203,20 +202,6 @@ func WithJobs(n int) Option {
 func WithVerify(v bool) Option {
 	return option(func(c *config) error {
 		c.verify = v
-		return nil
-	})
-}
-
-// WithFreshInputs forces every simulation to construct its workload input
-// from scratch instead of drawing on the session-wide input pool and the
-// shared serial-reference cache (default false: pooled). Input data is a
-// pure function of benchmark, scale, and input seed, so pooling never
-// changes any measurement — this switch exists for callers that want to
-// bound peak memory or to cross-check the pooled path against an
-// unamortized run.
-func WithFreshInputs(fresh bool) Option {
-	return option(func(c *config) error {
-		c.fresh = fresh
 		return nil
 	})
 }
@@ -432,16 +417,15 @@ func selectSpecs(all []harness.Spec, names []string) ([]harness.Spec, error) {
 // options assembles the harness options for one measurement call.
 func (s *Session) options() harness.Options {
 	opt := harness.Options{
-		Topology:    s.top,
-		P:           s.cfg.workers,
-		Seed:        s.cfg.seed,
-		Seeds:       s.cfg.seeds,
-		Verify:      s.cfg.verify,
-		Jobs:        s.cfg.jobs,
-		Policy:      s.policy,
-		FreshInputs: s.cfg.fresh,
-		RunTimeout:  s.cfg.timeout,
-		Retries:     s.cfg.retries,
+		Topology:   s.top,
+		P:          s.cfg.workers,
+		Seed:       s.cfg.seed,
+		Seeds:      s.cfg.seeds,
+		Verify:     s.cfg.verify,
+		Jobs:       s.cfg.jobs,
+		Policy:     s.policy,
+		RunTimeout: s.cfg.timeout,
+		Retries:    s.cfg.retries,
 	}
 	if s.store != nil {
 		// Never a nil *store.Store in the interface: the harness tests
