@@ -471,6 +471,61 @@ func BenchmarkCacheAccess(b *testing.B) {
 	}
 }
 
+// BenchmarkCacheAccessRange drives the ranged entry points the runtime's
+// Read/Write use, with the paper pipeline's shape: strands of 32 calls, each
+// on one core, that mostly gather single elements from a small working set
+// (so about half the lines hit the private cache), with some multi-line
+// streams that cross pages and a few strided walks, over a first-touch, an
+// interleaved and a block-bound region on paper-4x8. One op
+// is one Reset plus a fixed 4096-call script of about 2.5 lines per call,
+// so range-cycles (the script's summed charge) is the same on every op and
+// benchgate gates it exactly.
+func BenchmarkCacheAccessRange(b *testing.B) {
+	b.ReportAllocs()
+	top := topology.XeonE5_4620()
+	h := cache.NewHierarchy(top, cache.DefaultGeometry(), cache.DefaultLatency())
+	alloc := memory.NewAllocator(top.Sockets())
+	const size = 1 << 20
+	regions := []*memory.Region{
+		alloc.Alloc("ft", size, memory.FirstTouch{}),
+		alloc.Alloc("il", size, memory.Interleave{}),
+		alloc.Alloc("bb", size, memory.Partition(top.Sockets())),
+	}
+	round := func() int64 {
+		h.Reset()
+		var total int64
+		var core int
+		var r *memory.Region
+		var window int64
+		rnd := uint64(1)
+		for call := 0; call < 4096; call++ {
+			rnd = rnd*6364136223846793005 + 1442695040888963407
+			if call%32 == 0 { // a new strand: another core and working set
+				core = int(rnd>>33) % top.Cores()
+				r = regions[(rnd>>60)%3]
+				window = int64(rnd>>24) % (size - 8*memory.PageSize)
+			}
+			write := rnd&3 == 0
+			switch n := int64(rnd>>8) % 16; {
+			case n < 11: // a one-element gather from the strand's 8 hot lines
+				total += h.AccessRange(total, core, r, window+int64(rnd>>40)%512, 8, write)
+			case n < 15: // a stream of 2 to 8 lines
+				off := window + int64(rnd>>40)%memory.PageSize
+				total += h.AccessRange(total, core, r, off, (n-10)*2*memory.LineSize, write)
+			default: // a column walk
+				total += h.AccessStrided(total, core, r, window, memory.PageSize/4, 8, 4, write)
+			}
+		}
+		return total
+	}
+	total := round() // grow the directory and slabs outside the timed loop
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		total = round()
+	}
+	b.ReportMetric(float64(total), "range-cycles")
+}
+
 func BenchmarkMortonIndex(b *testing.B) {
 	b.ReportAllocs()
 	var s int64

@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/memory"
@@ -129,5 +130,48 @@ func TestHotSocketInflatesConcurrentScans(t *testing.T) {
 	spread := run(func(i int) int { return i % 4 })
 	if hot <= spread*2 {
 		t.Errorf("hot-socket congestion %d not clearly above spread congestion %d", hot, spread)
+	}
+}
+
+// TestNewHierarchyRejectsBadParameters pins construction-time validation:
+// a cache with no ways, or a DRAM occupancy that rounds a controller's
+// per-epoch capacity to zero, panics naming the field instead of dividing
+// by zero later (at construction for the ways, on the first overloaded
+// epoch for the occupancy). The largest accepted occupancy leaves a
+// capacity of one fill per epoch and charges congestion normally.
+func TestNewHierarchyRejectsBadParameters(t *testing.T) {
+	top := topology.XeonE5_4620()
+	geo := func(f func(*Geometry)) Geometry { g := DefaultGeometry(); f(&g); return g }
+	lat := func(f func(*Latency)) Latency { l := DefaultLatency(); f(&l); return l }
+	for _, tc := range []struct {
+		name  string
+		geo   Geometry
+		lat   Latency
+		field string
+	}{
+		{"zero private ways", geo(func(g *Geometry) { g.PrivateWays = 0 }), DefaultLatency(), "Geometry.PrivateWays"},
+		{"negative private ways", geo(func(g *Geometry) { g.PrivateWays = -2 }), DefaultLatency(), "Geometry.PrivateWays"},
+		{"zero LLC ways", geo(func(g *Geometry) { g.LLCWays = 0 }), DefaultLatency(), "Geometry.LLCWays"},
+		{"occupancy past default channels", DefaultGeometry(),
+			lat(func(l *Latency) { l.DRAMChannels = 0; l.DRAMOccupancy = 4*epochLen + 1 }), "Latency.DRAMOccupancy"},
+		{"occupancy past two channels", DefaultGeometry(),
+			lat(func(l *Latency) { l.DRAMChannels = 2; l.DRAMOccupancy = 2*epochLen + 1 }), "Latency.DRAMOccupancy"},
+	} {
+		func() {
+			defer func() {
+				msg, _ := recover().(string)
+				if !strings.Contains(msg, tc.field) {
+					t.Errorf("%s: panic %q, want one naming %s", tc.name, msg, tc.field)
+				}
+			}()
+			NewHierarchy(top, tc.geo, tc.lat)
+		}()
+	}
+
+	edge := DefaultLatency()
+	edge.DRAMOccupancy = epochLen * int64(edge.DRAMChannels)
+	h := congested(t, edge)
+	if cost, _ := h.Access(epochLen+1, 0, 1, 0, false, false); cost <= edge.DRAMBase {
+		t.Errorf("access after an overloaded epoch at capacity 1 cost %d, want congestion above %d", cost, edge.DRAMBase)
 	}
 }

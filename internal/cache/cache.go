@@ -16,6 +16,7 @@ package cache
 
 import (
 	"fmt"
+	"math/bits"
 
 	"repro/internal/memory"
 	"repro/internal/topology"
@@ -173,14 +174,17 @@ func (s *Stats) Add(other *Stats) {
 }
 
 // setAssoc is a set-associative cache of line tags with LRU replacement,
-// implemented with flat arrays for speed (the simulator touches it for every
-// modelled cache line).
+// stored as one flat tag array (the simulator touches it for every modelled
+// cache line). Each set keeps its valid tags in recency order, most recent
+// first, with its invalid ways (-1) after them: a hit moves its tag to the
+// front, a fill takes the first invalid way or else evicts the last (least
+// recently used) tag, and an invalidation closes the gap it leaves. That
+// order is all an LRU clock would record, so no timestamps are kept.
 type setAssoc struct {
 	sets int
 	ways int
-	tag  []int64  // sets*ways entries; -1 = invalid
-	use  []uint64 // LRU timestamps, parallel to tag
-	tick uint64
+	mask int64   // sets-1 when sets is a power of two, else -1
+	tag  []int64 // sets*ways entries; -1 = invalid
 }
 
 func newSetAssoc(bytes, ways int) *setAssoc {
@@ -195,83 +199,88 @@ func newSetAssoc(bytes, ways int) *setAssoc {
 	c := &setAssoc{
 		sets: sets,
 		ways: ways,
+		mask: -1,
 		tag:  make([]int64, sets*ways),
-		use:  make([]uint64, sets*ways),
 	}
-	for i := range c.tag {
-		c.tag[i] = -1
+	if sets&(sets-1) == 0 {
+		c.mask = int64(sets - 1)
 	}
+	c.flush()
 	return c
 }
 
-// lookup reports whether line is present, refreshing its LRU position.
+// set returns the ways of line's set, in recency order.
+func (c *setAssoc) set(line int64) []int64 {
+	var s int
+	if c.mask >= 0 {
+		s = int(line & c.mask)
+	} else {
+		s = int(line % int64(c.sets))
+	}
+	base := s * c.ways
+	return c.tag[base : base+c.ways]
+}
+
+// lookup reports whether line is present, making it the most recent.
 func (c *setAssoc) lookup(line int64) bool {
-	base := int(line%int64(c.sets)) * c.ways
-	for w := 0; w < c.ways; w++ {
-		if c.tag[base+w] == line {
-			c.tick++
-			c.use[base+w] = c.tick
+	set := c.set(line)
+	for w, t := range set {
+		if t == line {
+			copy(set[1:w+1], set[:w])
+			set[0] = line
 			return true
+		}
+		if t < 0 {
+			break
 		}
 	}
 	return false
 }
 
-// insert places line in its set, evicting the LRU way if needed, and
-// returns the evicted line or -1.
+// insert places line in its set as the most recent, evicting the LRU way
+// if the set is full, and returns the evicted line or -1. Inserting a
+// present line only refreshes it.
 func (c *setAssoc) insert(line int64) (evicted int64) {
-	base := int(line%int64(c.sets)) * c.ways
-	victim := base
-	for w := 0; w < c.ways; w++ {
-		i := base + w
-		if c.tag[i] == line { // already present
-			c.tick++
-			c.use[i] = c.tick
-			return -1
-		}
-		if c.tag[i] == -1 {
-			victim = i
+	set := c.set(line)
+	w := 0
+	for ; w < len(set)-1; w++ {
+		if set[w] == line || set[w] < 0 {
 			break
 		}
-		if c.use[i] < c.use[victim] {
-			victim = i
-		}
 	}
-	evicted = c.tag[victim]
-	c.tag[victim] = line
-	c.tick++
-	c.use[victim] = c.tick
+	if set[w] == line {
+		evicted = -1
+	} else {
+		evicted = set[w]
+	}
+	copy(set[1:w+1], set[:w])
+	set[0] = line
 	return evicted
 }
 
 // invalidate removes line if present and reports whether it was.
 func (c *setAssoc) invalidate(line int64) bool {
-	base := int(line%int64(c.sets)) * c.ways
-	for w := 0; w < c.ways; w++ {
-		if c.tag[base+w] == line {
-			c.tag[base+w] = -1
+	set := c.set(line)
+	for w, t := range set {
+		if t == line {
+			copy(set[w:], set[w+1:])
+			set[len(set)-1] = -1
 			return true
+		}
+		if t < 0 {
+			break
 		}
 	}
 	return false
 }
 
-// flush invalidates every line. Used to model the cold cache a worker has
-// after migration in targeted experiments.
+// flush invalidates every line, returning the cache to its just-constructed
+// state. Used by Reset and to model the cold cache a worker has after
+// migration in targeted experiments.
 func (c *setAssoc) flush() {
 	for i := range c.tag {
 		c.tag[i] = -1
 	}
-}
-
-// reset returns the cache to its just-constructed state: every way invalid,
-// LRU clock at zero.
-func (c *setAssoc) reset() {
-	for i := range c.tag {
-		c.tag[i] = -1
-		c.use[i] = 0
-	}
-	c.tick = 0
 }
 
 // bitset is a fixed-width bitmask over entity ids (cores or sockets), sized
@@ -287,19 +296,6 @@ func (b bitset) clear(i int)    { b[i>>6] &^= 1 << uint(i&63) }
 // any reports whether any bit is set.
 func (b bitset) any() bool {
 	for _, w := range b {
-		if w != 0 {
-			return true
-		}
-	}
-	return false
-}
-
-// anyExcept reports whether any bit other than i is set.
-func (b bitset) anyExcept(i int) bool {
-	for wi, w := range b {
-		if wi == i>>6 {
-			w &^= 1 << uint(i&63)
-		}
 		if w != 0 {
 			return true
 		}
@@ -337,6 +333,9 @@ type Hierarchy struct {
 	lat  Latency
 	priv []*setAssoc // indexed by core
 	llc  []*setAssoc // indexed by socket
+	// sockOf maps a core to its socket, resolved once per call instead of
+	// dividing per line.
+	sockOf []int
 	// dir is the coherence directory, indexed by global line number: a
 	// run's allocator hands out addresses densely from 0, so a slice grown
 	// geometrically to the highest line touched replaces a hash map. live
@@ -373,20 +372,33 @@ const (
 
 // NewHierarchy builds the cache model for the given machine; any socket and
 // core count is accepted (the coherence directory sizes its bitmasks to the
-// topology).
+// topology). It panics, naming the field, on a geometry with no ways or a
+// DRAM occupancy that leaves a controller no capacity per epoch.
 func NewHierarchy(top *topology.Topology, geo Geometry, lat Latency) *Hierarchy {
+	if geo.PrivateWays <= 0 {
+		panic(fmt.Sprintf("cache: Geometry.PrivateWays must be positive, got %d", geo.PrivateWays))
+	}
+	if geo.LLCWays <= 0 {
+		panic(fmt.Sprintf("cache: Geometry.LLCWays must be positive, got %d", geo.LLCWays))
+	}
+	if ch := lat.channels(); lat.DRAMOccupancy > epochLen*ch {
+		panic(fmt.Sprintf("cache: Latency.DRAMOccupancy %d exceeds the %d cycles of service an epoch gives %d channels, leaving no capacity",
+			lat.DRAMOccupancy, epochLen*ch, ch))
+	}
 	h := &Hierarchy{
 		top:        top,
 		geo:        geo,
 		lat:        lat,
 		priv:       make([]*setAssoc, top.Cores()),
 		llc:        make([]*setAssoc, top.Sockets()),
+		sockOf:     make([]int, top.Cores()),
 		perCore:    make([]Stats, top.Cores()),
 		epochCount: make([][congestionRing]int64, top.Sockets()),
 		epochTag:   make([][congestionRing]int64, top.Sockets()),
 	}
 	for i := range h.priv {
 		h.priv[i] = newSetAssoc(geo.PrivateBytes, geo.PrivateWays)
+		h.sockOf[i] = top.SocketOf(i)
 	}
 	for i := range h.llc {
 		h.llc[i] = newSetAssoc(geo.LLCBytes, geo.LLCWays)
@@ -409,10 +421,10 @@ func (h *Hierarchy) Matches(top *topology.Topology, geo Geometry, lat Latency) b
 // NewHierarchy with the same arguments (pinned by tests).
 func (h *Hierarchy) Reset() {
 	for _, c := range h.priv {
-		c.reset()
+		c.flush()
 	}
 	for _, c := range h.llc {
-		c.reset()
+		c.flush()
 	}
 	clear(h.dir[:h.hi])
 	h.live, h.hi = 0, 0
@@ -512,61 +524,59 @@ func (h *Hierarchy) evictFromLLC(socket int, line int64) {
 }
 
 // nearestHolder returns the hop distance to the closest socket other than
-// from whose LLC or private caches hold the line, or -1 if none.
+// from whose LLC or private caches hold the line, or -1 if none. It visits
+// only the directory's set bits.
 func (h *Hierarchy) nearestHolder(from int, li *lineInfo) int {
 	best := -1
-	for s := 0; s < h.top.Sockets(); s++ {
-		if s == from {
-			continue
-		}
-		holds := li.llc.get(s)
-		if !holds && li.priv.any() {
-			lo, hi := h.top.CoreRange(s)
-			for c := lo; c < hi; c++ {
-				if li.priv.get(c) {
-					holds = true
-					break
-				}
-			}
-		}
-		if holds {
-			d := h.top.Distance(from, s)
-			if best == -1 || d < best {
+	closer := func(s int) {
+		if s != from {
+			if d := h.top.Distance(from, s); best == -1 || d < best {
 				best = d
 			}
+		}
+	}
+	for wi, w := range li.llc {
+		for ; w != 0; w &= w - 1 {
+			closer(wi<<6 + bits.TrailingZeros64(w))
+		}
+	}
+	for wi, w := range li.priv {
+		for ; w != 0; w &= w - 1 {
+			closer(h.sockOf[wi<<6+bits.TrailingZeros64(w)])
 		}
 	}
 	return best
 }
 
-// invalidateOthers removes the line from every cache except core's own
-// private cache and reports whether any copy existed elsewhere.
-func (h *Hierarchy) invalidateOthers(core int, line int64) bool {
+// invalidateOthers removes the line from every cache except the private
+// cache of core and the LLC of its socket, and reports whether any copy
+// existed elsewhere.
+func (h *Hierarchy) invalidateOthers(core, socket int, line int64) bool {
 	li := h.entry(line)
 	if li == nil {
 		return false
 	}
-	any := false
-	if li.priv.anyExcept(core) {
-		for c := 0; c < h.top.Cores(); c++ {
-			if c != core && li.priv.get(c) {
-				h.priv[c].invalidate(line)
-				any = true
-			}
-		}
-		li.priv.onlyKeep(core)
-	}
-	mySock := h.top.SocketOf(core)
-	if li.llc.anyExcept(mySock) {
-		for s := 0; s < h.top.Sockets(); s++ {
-			if s != mySock && li.llc.get(s) {
-				h.llc[s].invalidate(line)
-				any = true
-			}
-		}
-		li.llc.onlyKeep(mySock)
-	}
+	inPriv := invalidateHolders(h.priv, li.priv, core, line)
+	inLLC := invalidateHolders(h.llc, li.llc, socket, line)
 	h.dropIfEmpty(line, li)
+	return inPriv || inLLC
+}
+
+// invalidateHolders removes line from each cache whose bit is set in held,
+// except caches[keep], leaves held with only keep's bit, and reports
+// whether it removed any copy. It visits only the set bits.
+func invalidateHolders(caches []*setAssoc, held bitset, keep int, line int64) bool {
+	any := false
+	for wi, w := range held {
+		if wi == keep>>6 {
+			w &^= 1 << uint(keep&63)
+		}
+		for ; w != 0; w &= w - 1 {
+			caches[wi<<6+bits.TrailingZeros64(w)].invalidate(line)
+			any = true
+		}
+	}
+	held.onlyKeep(keep)
 	return any
 }
 
@@ -579,12 +589,14 @@ func (h *Hierarchy) invalidateOthers(core int, line int64) bool {
 // memory.Region.GlobalLine computes it; allocators hand those out densely
 // from 0, and the directory grows to the highest line accessed.
 func (h *Hierarchy) Access(now int64, core int, line int64, home int, write, streaming bool) (int64, Kind) {
-	socket := h.top.SocketOf(core)
+	return h.access(now, core, h.sockOf[core], line, home, write, streaming)
+}
+
+// access is Access with the core's socket already resolved.
+func (h *Hierarchy) access(now int64, core, socket int, line int64, home int, write, streaming bool) (int64, Kind) {
 	cost, kind := h.service(now, core, socket, line, home, streaming)
-	if write {
-		if h.invalidateOthers(core, line) {
-			cost += h.lat.WriteInvalidate
-		}
+	if write && h.invalidateOthers(core, socket, line) {
+		cost += h.lat.WriteInvalidate
 	}
 	st := &h.perCore[core]
 	st.Count[kind]++
@@ -649,11 +661,7 @@ func (h *Hierarchy) congest(now int64, bank int, dramCost int64) int64 {
 	if prev < 0 || h.epochTag[bank][pslot] != prev {
 		return 0
 	}
-	channels := int64(h.lat.DRAMChannels)
-	if channels <= 0 {
-		channels = 4
-	}
-	capacity := epochLen * channels / h.lat.DRAMOccupancy
+	capacity := epochLen * h.lat.channels() / h.lat.DRAMOccupancy
 	demand := h.epochCount[bank][pslot]
 	if demand <= capacity {
 		return 0
@@ -669,6 +677,14 @@ func (h *Hierarchy) congest(now int64, bank int, dramCost int64) int64 {
 	}
 	h.QueueCycles += extra
 	return extra
+}
+
+// channels is DRAMChannels with its zero-means-4 default applied.
+func (l Latency) channels() int64 {
+	if l.DRAMChannels <= 0 {
+		return 4
+	}
+	return int64(l.DRAMChannels)
 }
 
 // fill installs line in both the core's private cache and its socket's LLC.
@@ -693,21 +709,27 @@ func (h *Hierarchy) fillPrivate(core int, line int64) {
 // the OS policy. Lines after the first of each page-contiguous run are
 // marked streaming. It returns the total cycles charged.
 func (h *Hierarchy) AccessRange(now int64, core int, r *memory.Region, off, n int64, write bool) int64 {
+	return h.accessRange(now, core, h.sockOf[core], r, off, n, write)
+}
+
+// accessRange is AccessRange with the core's socket already resolved. A
+// page's home changes only when it is first touched, so it is resolved on
+// the run's first line and on the first line of each later page — exactly
+// the lines that are not streaming — and reused for the rest of the page.
+func (h *Hierarchy) accessRange(now int64, core, socket int, r *memory.Region, off, n int64, write bool) int64 {
 	if n <= 0 {
 		return 0
 	}
-	socket := h.top.SocketOf(core)
 	var total int64
+	home := memory.SocketUnbound
 	firstLine := r.GlobalLine(off)
 	lastLine := r.GlobalLine(off + n - 1)
 	for line := firstLine; line <= lastLine; line++ {
-		lineOff := line*memory.LineSize - r.Base()
-		if lineOff < 0 {
-			lineOff = 0
-		}
-		home := r.TouchFrom(lineOff, socket)
 		streaming := line != firstLine && line%(memory.PageSize/memory.LineSize) != 0
-		c, _ := h.Access(now+total, core, line, home, write, streaming)
+		if !streaming {
+			home = r.TouchFrom(max(line*memory.LineSize-r.Base(), 0), socket)
+		}
+		c, _ := h.access(now+total, core, socket, line, home, write, streaming)
 		total += c
 	}
 	return total
@@ -718,10 +740,11 @@ func (h *Hierarchy) AccessRange(now int64, core int, r *memory.Region, off, n in
 // row-major matrix column walk or strided gather. Strides other than elem
 // defeat streaming. It returns total cycles.
 func (h *Hierarchy) AccessStrided(now int64, core int, r *memory.Region, off, stride, elem int64, count int, write bool) int64 {
+	socket := h.sockOf[core]
 	var total int64
 	for i := 0; i < count; i++ {
 		o := off + int64(i)*stride
-		total += h.AccessRange(now+total, core, r, o, elem, write)
+		total += h.accessRange(now+total, core, socket, r, o, elem, write)
 	}
 	return total
 }

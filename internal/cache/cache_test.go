@@ -332,3 +332,108 @@ func TestKindString(t *testing.T) {
 		t.Error("unknown kind should still render")
 	}
 }
+
+// perLineRange is the reference for AccessRange: the same walk, but with
+// the page home resolved by TouchFrom and the socket by the public Access
+// on every line.
+func perLineRange(h *Hierarchy, now int64, core int, r *memory.Region, off, n int64, write bool) int64 {
+	if n <= 0 {
+		return 0
+	}
+	var total int64
+	first, last := r.GlobalLine(off), r.GlobalLine(off+n-1)
+	for line := first; line <= last; line++ {
+		home := r.TouchFrom(max(line*memory.LineSize-r.Base(), 0), h.top.SocketOf(core))
+		streaming := line != first && line%(memory.PageSize/memory.LineSize) != 0
+		c, _ := h.Access(now+total, core, line, home, write, streaming)
+		total += c
+	}
+	return total
+}
+
+// TestAccessRangeMatchesPerLine pins the per-call resolution in
+// AccessRange and AccessStrided — socket once per call, page home once per
+// page — against a per-line Access loop that touches every line's page:
+// random ranges and strided walks that cross pages, over first-touch,
+// interleaved and block-bound regions, on three machines, with and without
+// congestion, must charge the same cycles call for call and leave the same
+// stats, congestion cycles, directory and page homes.
+func TestAccessRangeMatchesPerLine(t *testing.T) {
+	congested := DefaultLatency()
+	congested.DRAMOccupancy = 4096
+	small, err := topology.Parse("2x4")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, m := range []struct {
+		spec string
+		top  *topology.Topology
+	}{
+		{"paper-4x8", topology.XeonE5_4620()},
+		{"2x4", small},
+		{"ring-96x2", topology.Ring(96, 2)},
+	} {
+		spec, top := m.spec, m.top
+		for _, lat := range []Latency{DefaultLatency(), congested} {
+			got, want := NewHierarchy(top, DefaultGeometry(), lat), NewHierarchy(top, DefaultGeometry(), lat)
+			var regions [2][]*memory.Region
+			for i := range regions {
+				a := memory.NewAllocator(top.Sockets())
+				regions[i] = []*memory.Region{
+					a.Alloc("ft", 64*memory.PageSize, memory.FirstTouch{}),
+					a.Alloc("il", 64*memory.PageSize+100, memory.Interleave{}),
+					a.Alloc("bb", 64*memory.PageSize, memory.Partition(top.Sockets())),
+				}
+			}
+			var now int64
+			rnd := uint64(len(spec))
+			for call := 0; call < 3000; call++ {
+				rnd = rnd*6364136223846793005 + 1442695040888963407
+				ri := int(rnd>>62) % 3
+				gr, wr := regions[0][ri], regions[1][ri]
+				core := int(rnd>>33) % top.Cores()
+				off := int64(rnd>>20) % gr.Size()
+				write := rnd&1 == 0
+				var g, w int64
+				if rnd&6 == 0 {
+					elem := int64(rnd>>8)%128 + 1
+					stride := int64(rnd>>12)%(2*memory.PageSize) + elem
+					count := int(rnd>>50)%8 + 1
+					count = min(count, int((gr.Size()-off-elem)/stride)+1)
+					if off+elem > gr.Size() {
+						continue
+					}
+					g = got.AccessStrided(now, core, gr, off, stride, elem, count, write)
+					for i := 0; i < count; i++ {
+						w += perLineRange(want, now+w, core, wr, off+int64(i)*stride, elem, write)
+					}
+				} else {
+					n := min(int64(rnd>>40)%(3*memory.PageSize), gr.Size()-off)
+					g = got.AccessRange(now, core, gr, off, n, write)
+					w = perLineRange(want, now, core, wr, off, n, write)
+				}
+				if g != w {
+					t.Fatalf("%s call %d: charged %d, per-line reference %d", spec, call, g, w)
+				}
+				now += g + int64(rnd>>56)
+			}
+			for c := 0; c < top.Cores(); c++ {
+				if *got.StatsOf(c) != *want.StatsOf(c) {
+					t.Fatalf("%s: core %d stats %+v, per-line reference %+v", spec, c, *got.StatsOf(c), *want.StatsOf(c))
+				}
+			}
+			if got.QueueCycles != want.QueueCycles || got.DirectorySize() != want.DirectorySize() {
+				t.Fatalf("%s: queue cycles %d, directory %d; per-line reference %d, %d", spec,
+					got.QueueCycles, got.DirectorySize(), want.QueueCycles, want.DirectorySize())
+			}
+			for ri := range regions[0] {
+				gr, wr := regions[0][ri], regions[1][ri]
+				for pg := 0; pg < gr.Pages(); pg++ {
+					if g, w := gr.HomeOf(int64(pg)*memory.PageSize), wr.HomeOf(int64(pg)*memory.PageSize); g != w {
+						t.Fatalf("%s region %s page %d: home %d, per-line reference %d", spec, gr.Name(), pg, g, w)
+					}
+				}
+			}
+		}
+	}
+}
