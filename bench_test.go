@@ -588,27 +588,6 @@ func BenchmarkSimQueue(b *testing.B) {
 	}
 }
 
-// BenchmarkDagSpan measures the longest-path pass over a recorded
-// computation dag (CSR form: one flat edge array, two transient
-// allocations per call).
-func BenchmarkDagSpan(b *testing.B) {
-	b.ReportAllocs()
-	w := workloads.NewHeat(128, 128, 8, 16, workloads.Config{Aware: true, Seed: 5})
-	cfg := core.DefaultConfig(32, sched.NUMAWS)
-	cfg.RecordDAG = true
-	rt := core.NewRuntime(cfg)
-	w.Prepare(rt)
-	rep := rt.Run(w.Root())
-	g := rep.DAG
-	b.ResetTimer()
-	var span int64
-	for i := 0; i < b.N; i++ {
-		span = g.Span()
-	}
-	b.ReportMetric(float64(g.Nodes()), "nodes")
-	b.ReportMetric(float64(span), "span-cycles")
-}
-
 // BenchmarkAblationBandwidth toggles the DRAM bandwidth model. With
 // occupancy on, the first-touch-on-socket-0 baseline pays queuing at the
 // hot controller — the "memory bandwidth issues" work-inflation component;

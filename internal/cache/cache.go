@@ -346,12 +346,16 @@ type Hierarchy struct {
 	hi   int
 	// Directory entries are carved out of block allocations: entries are
 	// the simulator's dominant allocation count, and handing them out from
-	// a block turns ~256 allocations into one. The blocks are kept and the
+	// a block turns ~256 allocations into one. An entry dropped when no
+	// cache holds its line any more goes to free, which info takes from
+	// first, so the blocks grow with the live entries (bounded by cache
+	// capacity), not with the run's misses. The blocks are kept and the
 	// cursor rewound on Reset, so a reused hierarchy re-hands the same
 	// memory instead of allocating fresh blocks every run.
 	slabs   [][]lineInfo
 	slabI   int // block the cursor is in
 	slabOff int // next free entry within that block
+	free    []*lineInfo
 	// perCore statistics, indexed by core.
 	perCore []Stats
 	// Congestion tracking: per socket, line-fill counts per virtual-time
@@ -429,6 +433,7 @@ func (h *Hierarchy) Reset() {
 	clear(h.dir[:h.hi])
 	h.live, h.hi = 0, 0
 	h.slabI, h.slabOff = 0, 0
+	h.free = h.free[:0]
 	clear(h.perCore)
 	for i := range h.epochCount {
 		h.epochCount[i] = [congestionRing]int64{}
@@ -469,7 +474,13 @@ func (h *Hierarchy) info(line int64) *lineInfo {
 		h.dir = grown
 	}
 	li := h.dir[line]
-	if li == nil {
+	if li != nil {
+		return li
+	}
+	if n := len(h.free); n > 0 {
+		// A dropped entry holds no bits and keeps its bitsets' backing.
+		li, h.free = h.free[n-1], h.free[:n-1]
+	} else {
 		// Entries come from the slab; use the inline backing when the
 		// machine fits, and carve both spilled bitsets out of one
 		// allocation when it does not.
@@ -491,10 +502,10 @@ func (h *Hierarchy) info(line int64) *lineInfo {
 			li.priv = words[:pw]
 			li.llc = words[pw:]
 		}
-		h.dir[line] = li
-		h.live++
-		h.hi = max(h.hi, int(line)+1)
 	}
+	h.dir[line] = li
+	h.live++
+	h.hi = max(h.hi, int(line)+1)
 	return li
 }
 
@@ -502,6 +513,7 @@ func (h *Hierarchy) dropIfEmpty(line int64, li *lineInfo) {
 	if !li.priv.any() && !li.llc.any() {
 		h.dir[line] = nil
 		h.live--
+		h.free = append(h.free, li)
 	}
 }
 

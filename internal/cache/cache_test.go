@@ -279,6 +279,15 @@ func TestDirectoryBounded(t *testing.T) {
 	if h.DirectorySize() > capacityLines {
 		t.Errorf("directory has %d lines, want <= capacity %d", h.DirectorySize(), capacityLines)
 	}
+	// Entries dropped on eviction are reused, so the slabs hand out no
+	// more entries than the caches hold lines, however long the stream.
+	handed := h.slabOff
+	for _, s := range h.slabs[:h.slabI] {
+		handed += len(s)
+	}
+	if handed > capacityLines {
+		t.Errorf("directory slabs handed out %d entries, want <= capacity %d", handed, capacityLines)
+	}
 }
 
 // Property: access cost is always positive and bounded by the worst case

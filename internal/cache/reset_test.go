@@ -50,6 +50,12 @@ func traceHash(obs []int64) uint64 {
 	return f.Sum64()
 }
 
+// tinyGeometry has set counts that are not powers of two (12 private, 48
+// LLC), and an LLC smaller than its socket's private caches, so lines live
+// on in private caches after their LLC dropped them, and short traces
+// evict and drop directory entries all the time.
+var tinyGeometry = Geometry{PrivateBytes: 3 << 10, PrivateWays: 4, LLCBytes: 12 << 10, LLCWays: 4}
+
 // TestAccessTraceMatchesParent pins the cache model's charges to numbers
 // recorded from the tick-LRU implementation the recency-ordered sets
 // replaced: every (cost, kind), the congestion cycles, per-core stats and
@@ -66,10 +72,6 @@ func TestAccessTraceMatchesParent(t *testing.T) {
 	congested.DRAMOccupancy = 4096 // 32 fills per epoch per controller
 	ringCongested := DefaultLatency()
 	ringCongested.DRAMOccupancy = 32768 // 4 fills per epoch per controller
-	// Set counts that are not powers of two (12 private, 48 LLC), and an
-	// LLC smaller than its socket's private caches together, so lines
-	// live on in private caches after their LLC dropped them.
-	tiny := Geometry{PrivateBytes: 3 << 10, PrivateWays: 4, LLCBytes: 12 << 10, LLCWays: 4}
 	for _, tc := range []struct {
 		name  string
 		top   *topology.Topology
@@ -84,8 +86,8 @@ func TestAccessTraceMatchesParent(t *testing.T) {
 		{"paper-4x8/reuse", topology.XeonE5_4620(), DefaultGeometry(), DefaultLatency(), 3, 1 << 11, 60000, 0x76970c6cfdbdb375},
 		{"paper-4x8/evict", topology.XeonE5_4620(), DefaultGeometry(), congested, 5, 1 << 16, 60000, 0x8b72753486605acf},
 		{"ring-96x2/reuse", topology.Ring(96, 2), DefaultGeometry(), DefaultLatency(), 11, 1 << 12, 60000, 0x1ec743a227379ee6},
-		{"paper-4x8/tiny", topology.XeonE5_4620(), tiny, DefaultLatency(), 17, 1 << 10, 60000, 0x177b0a44242f647c},
-		{"ring-96x2/tiny", topology.Ring(96, 2), tiny, DefaultLatency(), 19, 1 << 9, 60000, 0x3f97ac39f1aa4b7b},
+		{"paper-4x8/tiny", topology.XeonE5_4620(), tinyGeometry, DefaultLatency(), 17, 1 << 10, 60000, 0x177b0a44242f647c},
+		{"ring-96x2/tiny", topology.Ring(96, 2), tinyGeometry, DefaultLatency(), 19, 1 << 9, 60000, 0x3f97ac39f1aa4b7b},
 		{"ring-96x2/cold", topology.Ring(96, 2), DefaultGeometry(), ringCongested, 13, 1 << 18, 20000, 0x9fdab95645d0e32a},
 	} {
 		h := NewHierarchy(tc.top, tc.geo, tc.lat)
@@ -105,12 +107,22 @@ func TestAccessTraceMatchesParent(t *testing.T) {
 // and then a small one, and DirectorySize must read 0 after every Reset
 // (driveMixed's observations include it). Under a raised DRAM occupancy
 // the histories also congest the controllers, so Reset must forget the
-// congestion ring as well.
+// congestion ring as well. Under the tiny geometry the histories evict
+// constantly, so Reset must also forget the dropped directory entries
+// waiting for reuse.
 func TestResetEqualsFresh(t *testing.T) {
 	congested := DefaultLatency()
 	congested.DRAMOccupancy = 4096 // so the congestion ring must be forgotten too
-	for _, lat := range []Latency{DefaultLatency(), congested} {
-		used := NewHierarchy(topology.XeonE5_4620(), DefaultGeometry(), lat)
+	for _, tc := range []struct {
+		geo Geometry
+		lat Latency
+	}{
+		{DefaultGeometry(), DefaultLatency()},
+		{DefaultGeometry(), congested},
+		{tinyGeometry, DefaultLatency()},
+	} {
+		geo, lat := tc.geo, tc.lat
+		used := NewHierarchy(topology.XeonE5_4620(), geo, lat)
 		driveMixed(used, 13, 1<<18, 4000) // a different history to forget
 		for _, run := range []struct {
 			salt  uint64
@@ -125,7 +137,7 @@ func TestResetEqualsFresh(t *testing.T) {
 			if n := used.DirectorySize(); n != 0 {
 				t.Fatalf("DirectorySize() = %d after Reset, want 0", n)
 			}
-			fresh := NewHierarchy(topology.XeonE5_4620(), DefaultGeometry(), lat)
+			fresh := NewHierarchy(topology.XeonE5_4620(), geo, lat)
 			want := driveMixed(fresh, run.salt, run.lines, 4000)
 			got := driveMixed(used, run.salt, run.lines, 4000)
 			if len(got) != len(want) {

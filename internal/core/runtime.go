@@ -5,7 +5,6 @@ import (
 	"iter"
 
 	"repro/internal/cache"
-	"repro/internal/dag"
 	"repro/internal/memory"
 	"repro/internal/sched"
 	"repro/internal/topology"
@@ -22,10 +21,6 @@ type Config struct {
 	// Latency sets the access cost table; the zero value takes
 	// cache.DefaultLatency.
 	Latency cache.Latency
-	// RecordDAG captures the computation dag during Run, making measured
-	// work and span available in Report.DAG (at some memory cost per
-	// strand).
-	RecordDAG bool
 	// Arena, if non-nil, supplies reusable run-scoped storage (the
 	// scheduler's worker set, deques, victim pickers and frame pool, and
 	// the execution layer's task pool). A nil Arena gets a private one.
@@ -93,8 +88,28 @@ type Report struct {
 	Sched *sched.Stats
 	// Cache aggregates memory-hierarchy statistics over all cores.
 	Cache cache.Stats
-	// DAG is the recorded computation dag (only when Config.RecordDAG).
-	DAG *dag.Graph
+	// DAG is the work and span of the computation; zero for serial runs.
+	DAG DAG
+}
+
+// DAG holds the two quantities the paper's Section IV analysis is stated
+// in, measured on the run's computation dag: every strand is a node
+// weighted by its cycle cost, and spawn, call, sync and return are its
+// series-parallel edges. The edges are a property of the program, but a
+// strand's memory costs depend on where and when it runs, so only a
+// program that charges compute alone measures the same work and span
+// under every worker count, policy and seed.
+type DAG struct {
+	Work int64 // total strand cost, T1 of the dag (no scheduler bookkeeping)
+	Span int64 // cost of the longest path, T∞ of the dag
+}
+
+// Parallelism is Work/Span, the paper's T1/T∞ (0 for an empty dag).
+func (d DAG) Parallelism() float64 {
+	if d.Span == 0 {
+		return 0
+	}
+	return float64(d.Work) / float64(d.Span)
 }
 
 // Runtime is one instantiated platform: an allocator, a cache hierarchy and
@@ -111,6 +126,14 @@ type Runtime struct {
 	// reused by a later frame once its own returns; closeUnits stops them.
 	units     []*unit
 	freeUnits []*unit
+
+	// work and span accumulate Report.DAG as strands end.
+	work, span int64
+	// loopOnly sends every yield back to the engine's loop, bypassing
+	// Engine.Continue. Nothing outside tests sets it: the workloads
+	// package's TestFastPathMatchesEngineLoop turns it on to check the fast
+	// path is invisible in results.
+	loopOnly bool
 
 	used bool
 }
@@ -167,29 +190,20 @@ func (rt *Runtime) Places() int {
 // run report. A Runtime is single-use.
 func (rt *Runtime) Run(root Task) *Report {
 	rt.checkFresh()
-	var runner sched.Runner = (*simRunner)(rt)
-	var rec *dag.Recorder
-	if rt.cfg.RecordDAG {
-		rec = dag.Wrap(runner)
-		runner = rec
-	}
 	// Stop the coroutine pool even if the run panics, so suspended strands
 	// never outlive the Runtime.
 	defer rt.closeUnits()
-	rt.engine = sched.NewEngineIn(rt.arena.sched, rt.cfg.Sched, runner)
+	rt.engine = sched.NewEngineIn(rt.arena.sched, rt.cfg.Sched, (*simRunner)(rt))
 	rootFrame := rt.engine.NewRootFrame(PlaceAny)
 	rootFrame.Data = rt.newTask(rootFrame, root)
 	stats := rt.engine.Run(rootFrame)
-	rep := &Report{
+	return &Report{
 		Time:    stats.Makespan,
 		Workers: rt.cfg.Sched.Workers,
 		Sched:   stats,
 		Cache:   rt.caches.TotalStats(),
+		DAG:     DAG{Work: rt.work, Span: rt.span},
 	}
-	if rec != nil {
-		rep.DAG = rec.Graph()
-	}
-	return rep
 }
 
 // RunSerial executes root as the serial elision — "removing the parallel
@@ -389,6 +403,11 @@ func (rt *Runtime) putTask(c *simCtx) {
 // simCtx is the task record of one frame: the user's Task, the pooled unit
 // that runs it and suspends at every spawn/sync/return, and its Context on
 // the simulated platform.
+//
+// It also folds the frame's share of the computation dag's longest path.
+// A strand's predecessors always end before it does, so the path is
+// carried forward as strands end: into a spawned or called child when it
+// starts, back into the parent when the child returns.
 type simCtx struct {
 	rt      *Runtime
 	frame   *sched.Frame
@@ -398,6 +417,8 @@ type simCtx struct {
 	core    int
 	start   int64 // virtual time at which the current strand was resumed
 	cost    int64 // cycles accumulated in the current strand
+	path    int64 // longest dag path ending at the current strand
+	join    int64 // longest path of spawned children returned since the last sync
 	spawned bool  // whether anything was spawned since the last sync
 }
 
@@ -419,14 +440,19 @@ func (c *simCtx) checkPlace(p int) int {
 
 func (c *simCtx) spawnAt(place int, fn Task) {
 	child := c.rt.engine.NewFrame(c.frame, place)
-	child.Data = c.rt.newTask(child, fn)
+	task := c.rt.newTask(child, fn)
+	child.Data = task
 	c.spawned = true
-	c.yield(sched.YieldSpawn, child)
+	c.yield(sched.YieldSpawn, task)
 }
 
+// Sync joins the paths of the children spawned since the last sync: by the
+// time its yield comes back, every one of them has returned.
 func (c *simCtx) Sync() {
 	c.spawned = false
 	c.yield(sched.YieldSync, nil)
+	c.path = max(c.path, c.join)
+	c.join = 0
 }
 
 // Call runs t as a plain (non-spawn) Cilk function call: same worker, no
@@ -440,7 +466,7 @@ func (c *simCtx) Call(t Task) {
 	callee := c.rt.newTask(child, t)
 	callee.u = c.u
 	child.Data = callee
-	c.yield(sched.YieldCall, child)
+	c.yield(sched.YieldCall, callee)
 	callee.run()
 	callee.yield(sched.YieldReturn, nil)
 }
@@ -455,23 +481,37 @@ func (c *simCtx) run() {
 }
 
 // yield ends the current strand with a scheduling event carrying the
-// strand's cost. When the engine can run the worker's next strand on this
-// coroutine (Engine.Continue), yield returns at once with that strand
-// entered; otherwise it hands the event to the engine and suspends until
-// the engine resumes a frame on this coroutine. A false yield means
-// closeUnits stopped the unit: unwind.
+// strand's cost, which it adds to the run's work and to the frame's path.
+// A spawned or called child (the event's child) starts from that path; a
+// returning frame hands its path to its parent. When the engine can run the
+// worker's next strand on this coroutine (Engine.Continue), yield returns
+// at once with that strand entered; otherwise it hands the event to the
+// engine and suspends until the engine resumes a frame on this coroutine.
+// A false yield means closeUnits stopped the unit: unwind.
 //
-// A returning task record is pooled before anything else: whichever path
-// the return takes, nothing touches c again.
-func (c *simCtx) yield(k sched.YieldKind, child *sched.Frame) {
+// A returning task record is pooled before the event is handed on:
+// whichever path the return takes, nothing touches c again.
+func (c *simCtx) yield(k sched.YieldKind, child *simCtx) {
 	rt, u, w := c.rt, c.u, c.worker
-	y := sched.Yield{Kind: k, Cost: c.cost, Child: child}
+	y := sched.Yield{Kind: k, Cost: c.cost}
+	rt.work += c.cost
+	c.path += c.cost
 	c.cost = 0
-	if k == sched.YieldReturn {
+	switch k {
+	case sched.YieldSpawn, sched.YieldCall:
+		child.path = c.path
+		y.Child = child.frame
+	case sched.YieldReturn:
+		if f := c.frame; f.Parent == nil {
+			rt.span = c.path
+		} else if p := f.Parent.Data.(*simCtx); f.Called() {
+			p.path = c.path
+		} else {
+			p.join = max(p.join, c.path)
+		}
 		rt.putTask(c)
 	}
-	// A dag.Recorder must see every strand through Resume.
-	if !rt.cfg.RecordDAG {
+	if !rt.loopOnly {
 		if f := rt.engine.Continue(w, y); f != nil {
 			rt.enter(w, f)
 			return

@@ -143,9 +143,6 @@ type Options struct {
 	// handling.
 	Seeds  int
 	Verify bool // verify every run's result
-	// RecordDAG captures the computation dag of parallel runs (see
-	// core.Config.RecordDAG).
-	RecordDAG bool
 	// Jobs bounds how many independent simulations a grid protocol
 	// executes concurrently on host goroutines (see internal/exec); it
 	// does not affect the simulated platform or any measured quantity —
@@ -252,7 +249,7 @@ func (o Options) fill() Options {
 // newRuntime builds a fresh platform. arena may be nil (serial runs never
 // touch the parallel engine's storage); tracer may be nil (no timeline);
 // interrupt may be nil (no run deadline — see interruptFor).
-func newRuntime(top *topology.Topology, workers int, pol sched.Policy, seed int64, recordDAG bool, tracer sched.Tracer, arena *core.Arena, interrupt func() bool) *core.Runtime {
+func newRuntime(top *topology.Topology, workers int, pol sched.Policy, seed int64, tracer sched.Tracer, arena *core.Arena, interrupt func() bool) *core.Runtime {
 	return core.NewRuntime(core.Config{
 		Sched: sched.Config{
 			Topology:  top,
@@ -262,10 +259,9 @@ func newRuntime(top *topology.Topology, workers int, pol sched.Policy, seed int6
 			Tracer:    tracer,
 			Interrupt: interrupt,
 		},
-		Geometry:  cache.DefaultGeometry(),
-		Latency:   cache.DefaultLatency(),
-		RecordDAG: recordDAG,
-		Arena:     arena,
+		Geometry: cache.DefaultGeometry(),
+		Latency:  cache.DefaultLatency(),
+		Arena:    arena,
 	})
 }
 
@@ -306,10 +302,10 @@ func RunOne(ctx context.Context, spec Spec, pol sched.Policy, opt Options) (*cor
 // runs honor RunTimeout too.
 func runAttempt(rctx context.Context, spec Spec, pol sched.Policy, opt Options, key runKey, tracer sched.Tracer) (*core.Report, error) {
 	plan := faultinject.ForRun(key.bench, key.policy, key.p, key.seed, key.serial)
-	workers, recordDAG, run := opt.P, opt.RecordDAG, (*core.Runtime).Run
+	workers, run := opt.P, (*core.Runtime).Run
 	if key.serial {
 		// The serial elision runs on one core with baseline placement.
-		pol, workers, recordDAG, tracer, run = sched.Cilk, 1, false, nil, (*core.Runtime).RunSerial
+		pol, workers, tracer, run = sched.Cilk, 1, nil, (*core.Runtime).RunSerial
 	}
 	w, lease := workloads.Checkout(spec, numaAware(pol), opt.FreshInputs)
 	arena := getArena()
@@ -329,7 +325,7 @@ func runAttempt(rctx context.Context, spec Spec, pol sched.Policy, opt Options, 
 			lease.Discard()
 		}
 	}()
-	rt := newRuntime(opt.Topology, workers, pol, opt.Seed, recordDAG, tracer, arena, interruptFor(rctx))
+	rt := newRuntime(opt.Topology, workers, pol, opt.Seed, tracer, arena, interruptFor(rctx))
 	w.Prepare(rt)
 	rep := run(rt, faultinject.Instrument(plan, w.Root()))
 	completed = true

@@ -44,7 +44,7 @@ func TestOptionsZeroValuesMeanDefaults(t *testing.T) {
 	if f.Jobs != 1 {
 		t.Errorf("zero Jobs filled to %d, want 1 (serial)", f.Jobs)
 	}
-	if f.Verify || f.RecordDAG || f.FreshInputs {
+	if f.Verify || f.FreshInputs {
 		t.Error("zero booleans must stay false")
 	}
 
@@ -54,7 +54,7 @@ func TestOptionsZeroValuesMeanDefaults(t *testing.T) {
 
 	// Explicit non-zero values pass through untouched.
 	top := topology.TwoSocket(4)
-	o := Options{Topology: top, P: 8, Seed: 42, Seeds: 3, Jobs: 5, Verify: true, RecordDAG: true,
+	o := Options{Topology: top, P: 8, Seed: 42, Seeds: 3, Jobs: 5, Verify: true,
 		Policy: sched.Cilk}
 	if got := o.fill(); !reflect.DeepEqual(got, o) {
 		t.Errorf("fill altered explicit options: %+v -> %+v", o, got)

@@ -30,7 +30,7 @@ func TestKeyForMatchesGridStoreKey(t *testing.T) {
 	if err := st.Close(); err != nil {
 		t.Fatal(err)
 	}
-	got, err := journal.Replay(path)
+	got, _, err := journal.ReplayWithStats(path)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -132,17 +132,6 @@ func (w *Writer) Close() error {
 	return nil
 }
 
-// Replay reads every intact record from path. A missing file is an empty
-// journal (first run of a --resume grid), not an error. Reading stops at
-// the first torn or corrupt record — everything before it is trusted, the
-// tail is discarded for re-measurement. Later duplicates of a key win,
-// which makes replay idempotent when a resumed grid re-journals a row whose
-// original write raced the crash.
-func Replay(path string) (map[Key]Result, error) {
-	out, _, err := ReplayWithStats(path)
-	return out, err
-}
-
 // ReplayStats describes what a replay found: how many intact records it
 // trusted, how many lines it discarded from the first torn or corrupt
 // record onward, and where the trusted prefix ends. Skipped > 0 is the
@@ -161,9 +150,14 @@ type ReplayStats struct {
 	Tail int64
 }
 
-// ReplayWithStats is Replay plus an account of what the reader saw: unlike
-// Replay, it keeps scanning after the first torn or corrupt record — still
-// trusting nothing past it — so the caller learns how much was lost.
+// ReplayWithStats reads every intact record from path, and gives an
+// account of what the reader saw. A missing file is an empty journal (first
+// run of a --resume grid), not an error. Only records before the first
+// torn or corrupt one are trusted, the tail is discarded for
+// re-measurement; the reader keeps scanning past it so the caller learns
+// how much was lost. Later duplicates of a key win, which makes replay
+// idempotent when a resumed grid re-journals a row whose original write
+// raced the crash.
 func ReplayWithStats(path string) (map[Key]Result, ReplayStats, error) {
 	out := map[Key]Result{}
 	var st ReplayStats

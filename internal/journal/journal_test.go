@@ -37,7 +37,7 @@ func TestRoundTrip(t *testing.T) {
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
-	got, err := Replay(path)
+	got, _, err := ReplayWithStats(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,7 +47,7 @@ func TestRoundTrip(t *testing.T) {
 }
 
 func TestReplayMissingFileIsEmpty(t *testing.T) {
-	got, err := Replay(filepath.Join(t.TempDir(), "nope.jsonl"))
+	got, _, err := ReplayWithStats(filepath.Join(t.TempDir(), "nope.jsonl"))
 	if err != nil {
 		t.Fatalf("missing journal must be an empty journal, got error %v", err)
 	}
@@ -90,7 +90,7 @@ func TestReplayToleratesTornTail(t *testing.T) {
 		if err := os.WriteFile(tornPath, []byte(torn), 0o644); err != nil {
 			t.Fatal(err)
 		}
-		got, err := Replay(tornPath)
+		got, _, err := ReplayWithStats(tornPath)
 		if err != nil {
 			t.Fatalf("cut=%d: replay of torn journal errored: %v", cut, err)
 		}
@@ -136,7 +136,7 @@ func TestReplayStopsAtChecksumMismatch(t *testing.T) {
 	if err := os.WriteFile(mutPath, []byte(lines[0]+corrupt+lines[2]), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	got, err := Replay(mutPath)
+	got, _, err := ReplayWithStats(mutPath)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,7 +172,7 @@ func TestAppendExtendsExistingJournal(t *testing.T) {
 	if err := w2.Close(); err != nil {
 		t.Fatal(err)
 	}
-	got, err := Replay(path)
+	got, _, err := ReplayWithStats(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -239,7 +239,7 @@ func TestDistinctKeysStayDistinct(t *testing.T) {
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
-	got, err := Replay(path)
+	got, _, err := ReplayWithStats(path)
 	if err != nil {
 		t.Fatal(err)
 	}

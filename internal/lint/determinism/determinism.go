@@ -46,7 +46,6 @@ var scope = []string{
 	"repro/internal/sched",
 	"repro/internal/cache",
 	"repro/internal/core",
-	"repro/internal/dag",
 	"repro/internal/workloads",
 	"repro/internal/harness",
 	"repro/internal/metrics",

@@ -110,12 +110,6 @@ type document struct {
 	Tournament *tournamentJSON `json:"tournament,omitempty"`
 }
 
-// WriteJSON writes rows and/or series (either may be empty) as one
-// indented JSON document.
-func WriteJSON(w io.Writer, rows []results.Row, series []results.Series) error {
-	return WriteExport(w, results.Export{Rows: rows, Series: series})
-}
-
 // WriteExport writes every measurement kind in e (any may be empty) as one
 // indented JSON document.
 func WriteExport(w io.Writer, e results.Export) error {

@@ -32,7 +32,7 @@ func exportFixtures() ([]results.Row, []results.Series) {
 func TestWriteJSONRoundTrips(t *testing.T) {
 	rows, series := exportFixtures()
 	var buf bytes.Buffer
-	if err := WriteJSON(&buf, rows, series); err != nil {
+	if err := WriteExport(&buf, results.Export{Rows: rows, Series: series}); err != nil {
 		t.Fatal(err)
 	}
 	var doc struct {
@@ -84,7 +84,7 @@ func TestWriteJSONRoundTrips(t *testing.T) {
 func TestWriteJSONOmitsEmptySections(t *testing.T) {
 	rows, _ := exportFixtures()
 	var buf bytes.Buffer
-	if err := WriteJSON(&buf, rows, nil); err != nil {
+	if err := WriteExport(&buf, results.Export{Rows: rows}); err != nil {
 		t.Fatal(err)
 	}
 	if strings.Contains(buf.String(), "series") {

@@ -3,6 +3,7 @@ package workloads
 import (
 	"reflect"
 	"testing"
+	"unsafe"
 
 	"repro/internal/core"
 	"repro/internal/sched"
@@ -10,14 +11,22 @@ import (
 	"repro/internal/trace"
 )
 
+// setLoopOnly sets rt's unexported loopOnly switch, which makes every yield go
+// back to the engine's loop instead of continuing the strand on its
+// coroutine through sched.Engine.Continue. The switch has no exported
+// setter: only this test turns it on.
+func setLoopOnly(rt *core.Runtime) {
+	f := reflect.ValueOf(rt).Elem().FieldByName("loopOnly")
+	*(*bool)(unsafe.Pointer(f.UnsafeAddr())) = true
+}
+
 // TestFastPathMatchesEngineLoop pins the runtime's work-first fast path
 // (calls, trivial syncs and call returns continued on the strand's
 // coroutine through sched.Engine.Continue) as invisible in results. Every
 // registered benchmark runs under every registered policy on two machines
-// twice: plainly, and with RecordDAG, under which the dag recorder wraps
-// Resume and every yield goes back to the engine's loop. The two runs'
-// full scheduler statistics, completion time and traced timelines must be
-// equal.
+// twice: plainly, and with every yield sent back to the engine's loop. The
+// two runs' full scheduler statistics, completion time, work, span and
+// traced timelines must be equal.
 func TestFastPathMatchesEngineLoop(t *testing.T) {
 	for _, topo := range []string{"paper-4x8", "2x4"} {
 		top, err := topology.Parse(topo)
@@ -32,17 +41,19 @@ func TestFastPathMatchesEngineLoop(t *testing.T) {
 				}
 				t.Run(topo+"/"+sp.Name+"/"+name, func(t *testing.T) {
 					t.Parallel()
-					run := func(recordDAG bool) (*core.Report, *trace.Timeline) {
+					run := func(loopOnly bool) (*core.Report, *trace.Timeline) {
 						tl := trace.New(top.Cores())
 						cfg := core.DefaultConfigOn(top, top.Cores(), pol)
 						cfg.Sched.Tracer = tl
-						cfg.RecordDAG = recordDAG
 						rt := core.NewRuntime(cfg)
+						if loopOnly {
+							setLoopOnly(rt)
+						}
 						w := sp.Make(pol.Biased() || pol.Pushes())
 						w.Prepare(rt)
 						rep := rt.Run(w.Root())
 						if err := w.Verify(); err != nil {
-							t.Fatalf("RecordDAG=%v: %v", recordDAG, err)
+							t.Fatalf("loop only=%v: %v", loopOnly, err)
 						}
 						return rep, tl
 					}
@@ -50,6 +61,9 @@ func TestFastPathMatchesEngineLoop(t *testing.T) {
 					loop, loopTL := run(true)
 					if fast.Time != loop.Time {
 						t.Errorf("TP %d with the fast path, %d through the engine loop", fast.Time, loop.Time)
+					}
+					if fast.DAG != loop.DAG {
+						t.Errorf("dag %+v with the fast path, %+v through the engine loop", fast.DAG, loop.DAG)
 					}
 					if !reflect.DeepEqual(fast.Sched, loop.Sched) {
 						t.Errorf("scheduler stats differ:\nfast path   %+v\nengine loop %+v", fast.Sched, loop.Sched)

@@ -185,7 +185,7 @@ func (s *Session) Sweep(ctx context.Context, topologies []string, points []int, 
 
 // DAGs measures each benchmark's computation dag — work, span and
 // parallelism, the paper's Section IV quantities — by running it once
-// under the session's policy with dag recording on. Benchmarks run
+// under the session's policy; every run measures them. Benchmarks run
 // concurrently on the session's job pool; results come back in suite
 // order.
 func (s *Session) DAGs(ctx context.Context, benches ...string) ([]DAGReport, error) {
@@ -194,7 +194,6 @@ func (s *Session) DAGs(ctx context.Context, benches ...string) ([]DAGReport, err
 		return nil, err
 	}
 	opt := s.options()
-	opt.RecordDAG = true
 	out := make([]DAGReport, len(specs))
 	err = exec.ForEach(ctx, opt.Jobs, len(specs), func(i int) error {
 		rep, err := harness.RunOne(ctx, specs[i], s.policy, opt)
@@ -203,8 +202,8 @@ func (s *Session) DAGs(ctx context.Context, benches ...string) ([]DAGReport, err
 		}
 		out[i] = DAGReport{
 			Bench:       specs[i].Name,
-			Work:        rep.DAG.Work(),
-			Span:        rep.DAG.Span(),
+			Work:        rep.DAG.Work,
+			Span:        rep.DAG.Span,
 			Parallelism: rep.DAG.Parallelism(),
 		}
 		return nil
