@@ -97,6 +97,31 @@ func TestTournamentSmallMatchesPinnedOracle(t *testing.T) {
 	}
 }
 
+// sweepTopologies are the machines testdata/sweep-small.golden pins
+// beyond the paper's: partial sockets (2x4 at P=2 and P=6), the four-hop
+// 8x4 ring, the sub-NUMA snc-2x2x8 and the one-socket uniform machine.
+const sweepTopologies = "paper-4x8,2x4,8x4,snc-2x2x8,uniform"
+
+// TestSweepSmallMatchesPinnedOracle pins the topology sweep: heat, fib and
+// cilksort on five machines must reproduce testdata/sweep-small.golden
+// byte for byte — the speedup tables and the CSV with raw TP cycles.
+func TestSweepSmallMatchesPinnedOracle(t *testing.T) {
+	if testing.Short() {
+		t.Skip("small-scale topology sweep skipped in -short mode")
+	}
+	want, err := os.ReadFile("testdata/sweep-small.golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	code, out, errb := runCLI(t, "-scale", "small", "sweep", "-bench", "heat,fib,cilksort", "-topologies", sweepTopologies, "-csv", "-")
+	if code != 0 {
+		t.Fatalf("exit %d, stderr:\n%s", code, errb)
+	}
+	if out != string(want) {
+		t.Errorf("`numaws -scale small sweep -bench heat,fib,cilksort -topologies %s -csv -` diverged from the pinned oracle.\nIf the change is intentional, regenerate testdata/sweep-small.golden.\n--- got\n%s\n--- want\n%s", sweepTopologies, out, want)
+	}
+}
+
 // TestTournamentFlags pins the subcommand's own flag surface: list flags
 // after the name, rejection of positionals, and the export paths.
 func TestTournamentFlags(t *testing.T) {

@@ -13,8 +13,8 @@ import (
 // Config assembles a platform instance: machine shape, scheduler policy and
 // knobs, and the cache cost model.
 type Config struct {
-	// Sched configures the machine (Topology, Workers, Placement) and the
-	// scheduler (Policy, costs, ablation switches, Seed).
+	// Sched configures the machine (Topology, Workers) and the scheduler
+	// (Policy, ablation switches, Seed).
 	Sched sched.Config
 	// Geometry sizes the caches; the zero value takes cache.DefaultGeometry.
 	Geometry cache.Geometry
@@ -100,11 +100,12 @@ type Report struct {
 // program that charges compute alone measures the same work and span
 // under every worker count, policy and seed.
 type DAG struct {
-	Work int64 // total strand cost, T1 of the dag (no scheduler bookkeeping)
-	Span int64 // cost of the longest path, T∞ of the dag
+	Work int64 // total strand cost of this run (no scheduler bookkeeping)
+	Span int64 // cost of the longest path of this run
 }
 
-// Parallelism is Work/Span, the paper's T1/T∞ (0 for an empty dag).
+// Parallelism is Work/Span, the paper's T1/T∞ when measured at one
+// worker (0 for an empty dag).
 func (d DAG) Parallelism() float64 {
 	if d.Span == 0 {
 		return 0
@@ -178,13 +179,7 @@ func (rt *Runtime) Topology() *topology.Topology { return rt.cfg.Sched.Topology 
 // partition data, mirroring the paper's "the programmer needs to use the
 // runtime to query the number of sockets and perform the appropriate data
 // partitioning".
-func (rt *Runtime) Places() int {
-	pl := rt.cfg.Sched.Placement
-	if pl == nil {
-		pl = rt.cfg.Sched.Topology.Pack(rt.cfg.Sched.Workers)
-	}
-	return pl.Used
-}
+func (rt *Runtime) Places() int { return rt.cfg.Sched.Topology.SocketsUsed(rt.cfg.Sched.Workers) }
 
 // Run executes root under the configured parallel scheduler and returns the
 // run report. A Runtime is single-use.
@@ -312,11 +307,11 @@ func (r *simRunner) Resume(w int, f *sched.Frame) sched.Yield {
 }
 
 // enter binds frame f's task record to worker w for the strand about to
-// run: the core whose caches it charges and the virtual time it starts at.
+// run: the worker, whose core's caches it charges (worker w runs on core
+// w), and the virtual time it starts at.
 func (rt *Runtime) enter(w int, f *sched.Frame) *simCtx {
 	c := f.Data.(*simCtx)
 	c.worker = w
-	c.core = rt.engine.CoreOf(w)
 	c.start = rt.engine.ClockOf(w)
 	return c
 }
@@ -413,8 +408,7 @@ type simCtx struct {
 	frame   *sched.Frame
 	fn      Task
 	u       *unit
-	worker  int
-	core    int
+	worker  int   // also the core whose caches the strand charges
 	start   int64 // virtual time at which the current strand was resumed
 	cost    int64 // cycles accumulated in the current strand
 	path    int64 // longest dag path ending at the current strand
@@ -525,19 +519,19 @@ func (c *simCtx) yield(k sched.YieldKind, child *simCtx) {
 func (c *simCtx) Compute(n int64) { c.cost += n }
 
 func (c *simCtx) Read(r *memory.Region, off, n int64) {
-	c.cost += c.rt.caches.AccessRange(c.now(), c.core, r, off, n, false)
+	c.cost += c.rt.caches.AccessRange(c.now(), c.worker, r, off, n, false)
 }
 
 func (c *simCtx) Write(r *memory.Region, off, n int64) {
-	c.cost += c.rt.caches.AccessRange(c.now(), c.core, r, off, n, true)
+	c.cost += c.rt.caches.AccessRange(c.now(), c.worker, r, off, n, true)
 }
 
 func (c *simCtx) ReadStrided(r *memory.Region, off, stride, elem int64, count int) {
-	c.cost += c.rt.caches.AccessStrided(c.now(), c.core, r, off, stride, elem, count, false)
+	c.cost += c.rt.caches.AccessStrided(c.now(), c.worker, r, off, stride, elem, count, false)
 }
 
 func (c *simCtx) WriteStrided(r *memory.Region, off, stride, elem int64, count int) {
-	c.cost += c.rt.caches.AccessStrided(c.now(), c.core, r, off, stride, elem, count, true)
+	c.cost += c.rt.caches.AccessStrided(c.now(), c.worker, r, off, stride, elem, count, true)
 }
 
 func (c *simCtx) NumPlaces() int { return c.rt.engine.Places() }

@@ -67,7 +67,7 @@ func TestT1IncludesOnlySpawnOverhead(t *testing.T) {
 	// Work efficiency: T1/TS stays small even for spawn-heavy fib with no
 	// coarsening; with the default 8-cycle spawn cost and 1-cycle strands
 	// the ratio is large by construction, so check against the analytic
-	// overhead instead: T1 = TS + spawns*(SpawnCost+ReturnCost-ish).
+	// overhead instead: T1 = TS + spawns*(spawnCost+returnCost-ish).
 	if rep.Sched.Steals != 0 {
 		t.Errorf("P=1 run stole %d times", rep.Sched.Steals)
 	}

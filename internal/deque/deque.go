@@ -4,8 +4,8 @@
 // the oldest and, in the ABP potential argument, the "top-heavy" item).
 //
 // The paper keeps Cilk-5's THE protocol unchanged in NUMA-WS. Its cost is
-// modelled, not executed: the engine's cost model (sched.Config's
-// SpawnCost, ReturnCost and StealAttemptCost) charges the protocol's
+// modelled, not executed: the engine's cost model (package sched's
+// spawnCost, returnCost and stealAttemptCost) charges the protocol's
 // work-path and steal-path cycles, so no simulated cycle depends on a real
 // lock. A deque belongs to one simulated worker inside an arena that one
 // run owns at a time, and the engine serializes every owner and thief

@@ -5,16 +5,18 @@
 // measurement — is a fully independent simulation: it builds its own
 // workload, allocator and runtime, and shares no mutable state with any
 // other run. That makes the experiment sweep embarrassingly parallel, and
-// this package is the one place that exploits it. Callers pre-allocate a
-// result slot per job, submit one closure per job, and aggregate the slots
-// in canonical (serial) order after Wait, so parallel output is
-// byte-identical to serial output.
+// this package is the one place that exploits it. ForEach is its one
+// fan-out entry point: callers pre-allocate a result slot per index, fill
+// slot i from fn(i), and aggregate the slots in canonical (serial) order
+// after ForEach returns, so parallel output is byte-identical to serial
+// output.
 //
-// Pools are context-aware: once the pool's context is cancelled, jobs not
-// yet started are skipped (jobs already running finish — simulations do not
-// observe the context), the submission side drains without blocking, and
-// Wait reports the context's error. That is what makes a multi-hour sweep
-// interruptible at per-simulation granularity without leaking goroutines.
+// The pool behind ForEach is context-aware: once the context is cancelled,
+// jobs not yet started are skipped (jobs already running finish —
+// simulations do not observe the context), the submission side drains
+// without blocking, and ForEach reports the context's error. That is what
+// makes a multi-hour sweep interruptible at per-simulation granularity
+// without leaking goroutines.
 package exec
 
 import (
@@ -36,10 +38,10 @@ type job struct {
 	fn  func() error
 }
 
-// Pool executes submitted jobs on a fixed number of worker goroutines.
+// pool executes submitted jobs on a fixed number of worker goroutines.
 //
 // A pool with one worker degenerates to a serial loop: jobs run inline on
-// Submit, in submission order, and after the first failure (or once ctx is
+// submit, in submission order, and after the first failure (or once ctx is
 // done) subsequent jobs are skipped — exactly the control flow of the serial
 // code the pool replaces. With more workers, jobs already started run to
 // completion, but once a failure is recorded or the context is cancelled,
@@ -48,15 +50,15 @@ type job struct {
 // cycles.
 //
 // Multi-error contract: every failure that does run to completion is
-// retained. Wait returns a single failure unwrapped, and aggregates several
+// retained. wait returns a single failure unwrapped, and aggregates several
 // with errors.Join in ascending submission-index order — deterministic no
 // matter which workers observed the failures, and transparent to errors.Is/
-// errors.As callers either way. With no job failure, Wait returns the
+// errors.As callers either way. With no job failure, wait returns the
 // context's error. Note that skip-after-first-error makes "several failures"
 // a race-dependent set (jobs in flight when the first failure lands may
 // still fail); only the lowest-indexed failure is guaranteed present, which
 // is why callers that need one canonical error inspect Join's first operand.
-type Pool struct {
+type pool struct {
 	workers int
 	ch      chan job
 	wg      sync.WaitGroup
@@ -65,26 +67,26 @@ type Pool struct {
 	errs []indexedErr
 }
 
-// indexedErr pairs a job failure with the job's submission index, so Wait
+// indexedErr pairs a job failure with the job's submission index, so wait
 // can order aggregated failures canonically.
 type indexedErr struct {
 	idx int
 	err error
 }
 
-// NewPool starts a pool with the given number of workers; counts below one
+// newPool starts a pool with the given number of workers; counts below one
 // are treated as one. ctx bounds every job not yet started: cancelling it
 // makes the pool skip the rest of the sweep. The context is call-scoped —
 // handed to each worker goroutine, never stored — and the same context
-// must flow through Submit and Wait. A nil ctx means Background.
-func NewPool(ctx context.Context, workers int) *Pool {
+// must flow through submit and wait. A nil ctx means Background.
+func newPool(ctx context.Context, workers int) *pool {
 	if ctx == nil {
 		ctx = context.Background()
 	}
 	if workers < 1 {
 		workers = 1
 	}
-	p := &Pool{workers: workers}
+	p := &pool{workers: workers}
 	if workers > 1 {
 		// A small buffer keeps workers fed without letting the submitter
 		// race arbitrarily far ahead of execution.
@@ -97,7 +99,7 @@ func NewPool(ctx context.Context, workers int) *Pool {
 	return p
 }
 
-func (p *Pool) worker(ctx context.Context) {
+func (p *pool) worker(ctx context.Context) {
 	defer p.wg.Done()
 	for j := range p.ch {
 		if p.skip(ctx) {
@@ -111,7 +113,7 @@ func (p *Pool) worker(ctx context.Context) {
 
 // skip reports whether jobs not yet started should be dropped: a previous
 // job failed, or the context is done.
-func (p *Pool) skip(ctx context.Context) bool {
+func (p *pool) skip(ctx context.Context) bool {
 	if ctx.Err() != nil {
 		return true
 	}
@@ -120,21 +122,21 @@ func (p *Pool) skip(ctx context.Context) bool {
 	return len(p.errs) > 0
 }
 
-func (p *Pool) record(idx int, err error) {
+func (p *pool) record(idx int, err error) {
 	p.mu.Lock()
 	p.errs = append(p.errs, indexedErr{idx: idx, err: err})
 	p.mu.Unlock()
 }
 
-// Submit schedules one job. ctx is the same context the pool was started
+// submit schedules one job. ctx is the same context the pool was started
 // with (a serial pool consults it inline; a parallel pool's workers hold
 // their own reference). idx is the job's position in the caller's
-// canonical serial order; it orders the failures Wait aggregates when
-// several jobs fail. Submit blocks when all workers are busy and the
+// canonical serial order; it orders the failures wait aggregates when
+// several jobs fail. submit blocks when all workers are busy and the
 // buffer is full (backpressure; cancellation unblocks it, because workers
-// keep draining the channel); it must not be called after Wait, nor from
+// keep draining the channel); it must not be called after wait, nor from
 // inside a job.
-func (p *Pool) Submit(ctx context.Context, idx int, fn func() error) {
+func (p *pool) submit(ctx context.Context, idx int, fn func() error) {
 	if p.workers == 1 {
 		if ctx == nil {
 			ctx = context.Background()
@@ -150,14 +152,14 @@ func (p *Pool) Submit(ctx context.Context, idx int, fn func() error) {
 	p.ch <- job{idx: idx, fn: fn}
 }
 
-// Wait blocks until every submitted job has finished or been skipped and
+// wait blocks until every submitted job has finished or been skipped and
 // returns the pool's failures per the multi-error contract above: one
 // failure unwrapped, several joined in submission-index order, else the
 // context's error (so a cancelled sweep surfaces ctx.Err() to its caller).
-// The pool cannot be reused after Wait. Jobs already running when the
-// context is cancelled run to completion before Wait returns — the pool
+// The pool cannot be reused after wait. Jobs already running when the
+// context is cancelled run to completion before wait returns — the pool
 // never abandons a goroutine.
-func (p *Pool) Wait(ctx context.Context) error {
+func (p *pool) wait(ctx context.Context) error {
 	if p.workers > 1 {
 		close(p.ch)
 		p.wg.Wait()
@@ -181,14 +183,14 @@ func (p *Pool) Wait(ctx context.Context) error {
 }
 
 // ForEach runs fn(0) … fn(n-1) on a pool with the given worker count and
-// returns Wait's aggregate error (or ctx's error on cancellation).
+// returns wait's aggregate error (or ctx's error on cancellation).
 func ForEach(ctx context.Context, workers, n int, fn func(i int) error) error {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	p := NewPool(ctx, workers)
+	p := newPool(ctx, workers)
 	for i := 0; i < n; i++ {
-		p.Submit(ctx, i, func() error { return fn(i) })
+		p.submit(ctx, i, func() error { return fn(i) })
 	}
-	return p.Wait(ctx)
+	return p.wait(ctx)
 }

@@ -99,11 +99,11 @@ func TestWaitReportsErrors(t *testing.T) {
 func TestWaitJoinsMultipleErrorsInIndexOrder(t *testing.T) {
 	// Hold all four failing jobs at a barrier until each has started, so
 	// every one of them runs (none is skipped) no matter how the workers
-	// race — then Wait must retain all four, joined in ascending
+	// race — then wait must retain all four, joined in ascending
 	// submission-index order regardless of completion order.
 	const workers = 4
 	ctx := context.Background()
-	p := NewPool(ctx, workers)
+	p := newPool(ctx, workers)
 	var started sync.WaitGroup
 	started.Add(workers)
 	errAt := make(map[int]error, workers)
@@ -112,15 +112,15 @@ func TestWaitJoinsMultipleErrorsInIndexOrder(t *testing.T) {
 	}
 	for idx, e := range errAt {
 		idx, e := idx, e
-		p.Submit(ctx, idx, func() error {
+		p.submit(ctx, idx, func() error {
 			started.Done()
 			started.Wait()
 			return e
 		})
 	}
-	err := p.Wait(ctx)
+	err := p.wait(ctx)
 	if err == nil {
-		t.Fatal("Wait = nil, want joined errors")
+		t.Fatal("wait = nil, want joined errors")
 	}
 	for _, e := range errAt {
 		if !errors.Is(err, e) {
@@ -136,20 +136,20 @@ func TestWaitJoinsMultipleErrorsInIndexOrder(t *testing.T) {
 func TestSubmitAfterCancelSkipsJob(t *testing.T) {
 	// Submitting after the pool's context is cancelled must neither run
 	// the job nor wedge the submitter: workers keep draining the channel,
-	// and Wait reports the cancellation.
+	// and wait reports the cancellation.
 	for _, workers := range []int{1, 4} {
 		ctx, cancel := context.WithCancel(context.Background())
-		p := NewPool(ctx, workers)
+		p := newPool(ctx, workers)
 		var ran atomic.Int32
-		p.Submit(ctx, 0, func() error { ran.Add(1); return nil })
+		p.submit(ctx, 0, func() error { ran.Add(1); return nil })
 		cancel()
 		// Post-cancel submissions: enough of them to overflow the channel
 		// buffer if workers stopped draining.
 		for i := 1; i <= 64; i++ {
-			p.Submit(ctx, i, func() error { ran.Add(1); return nil })
+			p.submit(ctx, i, func() error { ran.Add(1); return nil })
 		}
-		if err := p.Wait(ctx); !errors.Is(err, context.Canceled) {
-			t.Errorf("workers=%d: Wait = %v, want context.Canceled", workers, err)
+		if err := p.wait(ctx); !errors.Is(err, context.Canceled) {
+			t.Errorf("workers=%d: wait = %v, want context.Canceled", workers, err)
 		}
 		// Job 0 may or may not have beaten the cancellation; the 64
 		// post-cancel jobs must all have been skipped.
@@ -161,11 +161,11 @@ func TestSubmitAfterCancelSkipsJob(t *testing.T) {
 
 func TestSerialPoolRunsInlineInOrderAndShortCircuits(t *testing.T) {
 	ctx := context.Background()
-	p := NewPool(ctx, 1)
+	p := newPool(ctx, 1)
 	var order []int
 	for i := 0; i < 10; i++ {
 		i := i
-		p.Submit(ctx, i, func() error {
+		p.submit(ctx, i, func() error {
 			order = append(order, i) // inline: no locking needed
 			if i == 4 {
 				return fmt.Errorf("boom at %d", i)
@@ -173,8 +173,8 @@ func TestSerialPoolRunsInlineInOrderAndShortCircuits(t *testing.T) {
 			return nil
 		})
 	}
-	if err := p.Wait(ctx); err == nil || err.Error() != "boom at 4" {
-		t.Fatalf("Wait = %v, want boom at 4", err)
+	if err := p.wait(ctx); err == nil || err.Error() != "boom at 4" {
+		t.Fatalf("wait = %v, want boom at 4", err)
 	}
 	want := []int{0, 1, 2, 3, 4}
 	if len(order) != len(want) {
@@ -190,9 +190,9 @@ func TestSerialPoolRunsInlineInOrderAndShortCircuits(t *testing.T) {
 func TestParallelPoolSkipsJobsAfterFailure(t *testing.T) {
 	const n = 256
 	ctx := context.Background()
-	p := NewPool(ctx, 4)
+	p := newPool(ctx, 4)
 	failed := make(chan struct{})
-	p.Submit(ctx, 0, func() error {
+	p.submit(ctx, 0, func() error {
 		close(failed)
 		return errors.New("early failure")
 	})
@@ -202,14 +202,14 @@ func TestParallelPoolSkipsJobsAfterFailure(t *testing.T) {
 	time.Sleep(20 * time.Millisecond)
 	var ran atomic.Int32
 	for i := 1; i < n; i++ {
-		p.Submit(ctx, i, func() error {
+		p.submit(ctx, i, func() error {
 			ran.Add(1)
 			time.Sleep(time.Millisecond)
 			return nil
 		})
 	}
-	if err := p.Wait(ctx); err == nil || err.Error() != "early failure" {
-		t.Fatalf("Wait = %v, want early failure", err)
+	if err := p.wait(ctx); err == nil || err.Error() != "early failure" {
+		t.Fatalf("wait = %v, want early failure", err)
 	}
 	// The skip is an optimization, not a hard contract, so allow a few
 	// stragglers that raced the error record — but running the whole
@@ -279,7 +279,7 @@ func TestMidRunCancellationStopsPromptlyWithoutLeaks(t *testing.T) {
 	if got := ran.Load(); got > n/2 {
 		t.Errorf("%d of %d jobs ran after mid-run cancellation", got, n)
 	}
-	// All pool goroutines must have exited by the time Wait returned.
+	// All pool goroutines must have exited by the time wait returned.
 	deadline := time.Now().Add(2 * time.Second)
 	for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
 		time.Sleep(5 * time.Millisecond)

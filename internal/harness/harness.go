@@ -19,7 +19,6 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/cache"
 	"repro/internal/core"
 	"repro/internal/faultinject"
 	"repro/internal/journal"
@@ -259,9 +258,7 @@ func newRuntime(top *topology.Topology, workers int, pol sched.Policy, seed int6
 			Tracer:    tracer,
 			Interrupt: interrupt,
 		},
-		Geometry: cache.DefaultGeometry(),
-		Latency:  cache.DefaultLatency(),
-		Arena:    arena,
+		Arena: arena,
 	})
 }
 

@@ -249,9 +249,6 @@ func (a *Allocator) Alloc(name string, size int64, pol Policy) *Region {
 	return r
 }
 
-// Regions returns all regions allocated so far, in allocation order.
-func (a *Allocator) Regions() []*Region { return a.regions }
-
 // String summarizes the allocator state for debugging.
 func (a *Allocator) String() string {
 	var b strings.Builder

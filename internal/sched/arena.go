@@ -28,11 +28,14 @@ type Arena struct {
 	workers  []*worker
 	onSocket [][]int // per-socket worker ids (push candidates)
 	key      arenaKey
-	// pickersDirty marks the cached pickers as diverged from the key's
+	// pickersDirty marks the cached pickers as diverged from the default
 	// weight table: an Adaptive policy rebuilt them mid-run. The next
-	// reuse reconstructs them from the base weights so a following run
+	// reuse reconstructs them from the default weights so a following run
 	// starts exactly where a fresh engine would.
 	pickersDirty bool
+	// pickScratch is the per-victim weight scratch every picker build
+	// reuses.
+	pickScratch []float64
 
 	// deques holds every deque this arena has built, indexed by worker id.
 	// A shape change reuses them, so a P sweep that shrinks and regrows the
@@ -51,55 +54,31 @@ type Arena struct {
 }
 
 // arenaKey captures every input of worker/picker/candidate construction.
-// Topology is compared by pointer: the harness resolves one *Topology per
-// measurement sweep, so identity matches within a sweep and a conservative
-// rebuild across sweeps costs one construction.
+// Workers are packed and the bias weights derive from the distance matrix,
+// so both are functions of the topology and the worker count. Topology is
+// compared by pointer: the harness resolves one *Topology per measurement
+// sweep, so identity matches within a sweep and a conservative rebuild
+// across sweeps costs one construction.
 type arenaKey struct {
 	top      *topology.Topology
 	workers  int
 	needBias bool
 	mailbox  int
-	// placement and bias weights are compared by content (they are
-	// re-derived per run, so pointer identity would never match).
-	sockets []int
-	cores   []int
-	weights []float64
 }
 
 // NewArena returns an empty arena.
 func NewArena() *Arena { return &Arena{} }
 
-func (k *arenaKey) matches(top *topology.Topology, c *Config, needBias bool) bool {
-	if k.top != top || k.workers != c.Workers || k.needBias != needBias ||
-		k.mailbox != c.MailboxCapacity {
-		return false
-	}
-	if len(k.sockets) != len(c.Placement.Socket) || len(k.weights) != len(c.BiasWeights) {
-		return false
-	}
-	for i, s := range c.Placement.Socket {
-		if k.sockets[i] != s || k.cores[i] != c.Placement.Core[i] {
-			return false
-		}
-	}
-	for i, w := range c.BiasWeights {
-		if k.weights[i] != w {
-			return false
-		}
-	}
-	return true
-}
-
 // workersFor returns the worker set for the defaulted config c, reusing the
 // cached set when the shape matches and rebuilding it otherwise.
 func (a *Arena) workersFor(c *Config, needBias bool) []*worker {
-	if a.key.matches(c.Topology, c, needBias) {
+	if a.key == (arenaKey{c.Topology, c.Workers, needBias, c.MailboxCapacity}) {
 		for _, w := range a.workers {
 			w.reset()
 		}
 		if a.pickersDirty {
 			if needBias {
-				a.buildPickers(c)
+				a.buildPickers(c.Topology, DefaultBiasWeights(c.Topology))
 			}
 			a.pickersDirty = false
 		}
@@ -116,11 +95,7 @@ func (a *Arena) build(c *Config, needBias bool) {
 	old := a.workers
 	a.workers = make([]*worker, c.Workers)
 	for i := range a.workers {
-		w := &worker{
-			id:     i,
-			core:   c.Placement.Core[i],
-			socket: c.Placement.Socket[i],
-		}
+		w := &worker{id: i, socket: c.Topology.SocketOf(i)}
 		if i == len(a.deques) {
 			a.deques = append(a.deques, deque.New[*Frame](0))
 		} else if !a.deques[i].Empty() {
@@ -135,39 +110,33 @@ func (a *Arena) build(c *Config, needBias bool) {
 		a.workers[i] = w
 	}
 	if needBias && c.Workers > 1 {
-		a.buildPickers(c)
+		a.buildPickers(c.Topology, DefaultBiasWeights(c.Topology))
 	}
 	a.pickersDirty = false
 	a.onSocket = make([][]int, c.Topology.Sockets())
-	for w, s := range c.Placement.Socket {
-		a.onSocket[s] = append(a.onSocket[s], w)
+	for _, w := range a.workers {
+		a.onSocket[w.socket] = append(a.onSocket[w.socket], w.id)
 	}
-	a.key = arenaKey{
-		top:      c.Topology,
-		workers:  c.Workers,
-		needBias: needBias,
-		mailbox:  c.MailboxCapacity,
-		sockets:  append([]int(nil), c.Placement.Socket...),
-		cores:    append([]int(nil), c.Placement.Core...),
-		weights:  append([]float64(nil), c.BiasWeights...),
-	}
+	a.key = arenaKey{c.Topology, c.Workers, needBias, c.MailboxCapacity}
 }
 
-// buildPickers constructs the per-thief biased pickers: thief t steals
-// victim v with weight BiasWeights[hop(t,v)] and weight 0 for itself. The
-// hop-class table is the only weight storage; each picker folds it into
-// prefix sums once, replacing the old per-worker weights/uweights pair
-// re-scanned on every steal. The uniform distribution needs no table at
-// all (sim.PickUniformExcept), and a single worker has no victims.
-func (a *Arena) buildPickers(c *Config) {
-	scratch := make([]float64, c.Workers)
+// buildPickers constructs the per-thief biased pickers from a per-hop-class
+// weight table: thief t steals victim v with weight weights[hop(t,v)] and
+// weight 0 for itself. The hop-class table is the only weight storage;
+// each picker folds it into prefix sums once. The uniform distribution
+// needs no table at all (sim.PickUniformExcept), and a single worker has
+// no victims.
+func (a *Arena) buildPickers(top *topology.Topology, weights []float64) {
+	if cap(a.pickScratch) < len(a.workers) {
+		a.pickScratch = make([]float64, len(a.workers))
+	}
+	scratch := a.pickScratch[:len(a.workers)]
 	for _, w := range a.workers {
-		for v := range a.workers {
+		for v, victim := range a.workers {
 			if v == w.id {
 				scratch[v] = 0 // a worker never steals from itself
 			} else {
-				hop := c.Topology.Distance(w.socket, a.workers[v].socket)
-				scratch[v] = c.BiasWeights[hop]
+				scratch[v] = weights[top.Distance(w.socket, victim.socket)]
 			}
 		}
 		w.picker = sim.NewPicker(scratch)

@@ -171,8 +171,8 @@ func TestContinueDeclines(t *testing.T) {
 		{name: "interrupt poll after", y: call, queue: later, setup: func(e *Engine, _ *Frame) { e.stats.Events = interruptPollInterval - 2 }},
 		{name: "adaptation epoch next", policy: "adaptive-bias", y: call, queue: later, setup: func(e *Engine, _ *Frame) { e.adaptNext = 11 }},
 		{name: "adaptation epoch after", policy: "adaptive-bias", y: call, queue: later, setup: func(e *Engine, _ *Frame) { e.adaptNext = 12 }},
-		{name: "MaxEvents next", y: call, queue: later, setup: func(e *Engine, _ *Frame) { e.cfg.MaxEvents = 10 }},
-		{name: "MaxEvents after", y: call, queue: later, setup: func(e *Engine, _ *Frame) { e.cfg.MaxEvents = 11 }},
+		{name: "MaxEvents next", y: call, queue: later, setup: func(e *Engine, _ *Frame) { e.maxEvents = 10 }},
+		{name: "MaxEvents after", y: call, queue: later, setup: func(e *Engine, _ *Frame) { e.maxEvents = 11 }},
 		{name: "spawn", y: func(run *Frame) Yield { return Yield{Kind: YieldSpawn, Cost: 10, Child: NewFrame(run, PlaceAny)} }, queue: later},
 		{name: "sync of a stolen frame", y: sync, queue: later, setup: func(_ *Engine, run *Frame) { run.stolen = true }},
 		{name: "sync with children out", y: sync, queue: later, setup: func(_ *Engine, run *Frame) { run.children = 1 }},
@@ -220,7 +220,7 @@ func TestContinueDeclines(t *testing.T) {
 			}
 			end := clock + y.Cost
 			if y.Kind == YieldReturn {
-				end += e.cfg.ReturnCost
+				end += returnCost
 			}
 			if w.clock != end || w.stats.Work != end-clock {
 				t.Errorf("clock %d work %d, want %d and %d", w.clock, w.stats.Work, end, end-clock)

@@ -34,48 +34,48 @@ var ErrInterrupted = errors.New("sched: run interrupted (deadline or cancellatio
 // overshoot to well under a millisecond of wall time per run.
 const interruptPollInterval = 1024
 
-// Config parameterizes a run.
+// Scheduling costs, in cycles. The work-path costs (spawn, return) are
+// charged to the work term; every other cost is a steal-path event,
+// charged to the scheduling term (or to idle time for a failed steal;
+// the EagerPush ablation charges its spawn-time pushes to work).
+const (
+	spawnCost        = 8   // work-path: push continuation at cilk_spawn
+	returnCost       = 4   // work-path: pop at spawned-child return
+	stealAttemptCost = 150 // steal-path: one steal attempt, before hop cost
+	stealHopCost     = 60  // added per hop of thief-victim socket distance
+	promoteCost      = 300 // steal-path: shadow-to-full frame promotion
+	syncCheckCost    = 80  // steal-path: nontrivial sync / CHECKPARENT
+	pushAttemptCost  = 120 // steal-path: one PUSHBACK attempt
+	mailboxPopCost   = 40  // steal-path: taking a frame out of a mailbox
+)
+
+// maxEvents aborts runaway simulations: a run that processes more events
+// than this panics as stuck.
+const maxEvents = 2_000_000_000
+
+// Config parameterizes a run. Workers are always packed onto the fewest
+// sockets, as in the paper's Fig. 9: worker w runs on core w, on socket
+// Topology.SocketOf(w).
 type Config struct {
 	Topology *topology.Topology
 	Workers  int
-	// Placement maps workers to cores; nil means Topology.Pack(Workers),
-	// the paper's tight packing.
-	Placement *topology.Placement
 	// Policy selects the scheduler driving the run (see the Policy
 	// interface and the name-keyed registry in policy.go); nil means Cilk,
 	// classic work stealing.
 	Policy Policy
 	Seed   int64
 
-	// Scheduling costs, in cycles. Zero values take defaults.
-	SpawnCost        int64 // work-path: push continuation at cilk_spawn
-	ReturnCost       int64 // work-path: pop at spawned-child return
-	StealAttemptCost int64 // steal-path: one steal attempt, before hop cost
-	StealHopCost     int64 // added per hop of thief-victim socket distance
-	PromoteCost      int64 // steal-path: shadow-to-full frame promotion
-	SyncCheckCost    int64 // steal-path: nontrivial sync / CHECKPARENT
-	PushAttemptCost  int64 // steal-path: one PUSHBACK attempt
-	MailboxPopCost   int64 // steal-path: taking a frame out of a mailbox
-
 	// PushThreshold is the paper's constant pushing threshold: once a
 	// frame accumulates more failed pushes than this, the pusher resumes
 	// it itself. Zero takes the default; negative means threshold 0
 	// (a single failed attempt already gives up).
 	PushThreshold int
-	// BiasWeights[h] is the steal weight for victims h hops away. Nil
-	// takes the default {4, 2, 1, ...}. Every weight must be positive so
-	// each deque keeps probability >= 1/(cP), which Lemma 1 requires.
-	BiasWeights []float64
 
 	// Ablation switches (all false/zero in the faithful configuration).
 	DisableCoinFlip bool // always check the mailbox before the deque
 	MailboxCapacity int  // mailbox entries; 0 means the paper's single entry
 	EagerPush       bool // push at spawn time (work-path pushing, the anti-pattern)
 	DisableBias     bool // uniform victims even under a biased policy
-	DisableMailbox  bool // biased steals only, no work pushing
-
-	// MaxEvents aborts runaway simulations; 0 means a large default.
-	MaxEvents int64
 
 	// Interrupt, if non-nil, is polled every interruptPollInterval events
 	// by the event loop; returning true aborts the run by panicking with
@@ -127,47 +127,26 @@ func (c *Config) withDefaults() Config {
 	if out.Policy == nil {
 		out.Policy = Cilk
 	}
-	if out.Placement == nil {
-		out.Placement = out.Topology.Pack(out.Workers)
-	}
-	def := func(v *int64, d int64) {
-		if *v == 0 {
-			*v = d
-		}
-	}
-	def(&out.SpawnCost, 8)
-	def(&out.ReturnCost, 4)
-	def(&out.StealAttemptCost, 150)
-	def(&out.StealHopCost, 60)
-	def(&out.PromoteCost, 300)
-	def(&out.SyncCheckCost, 80)
-	def(&out.PushAttemptCost, 120)
-	def(&out.MailboxPopCost, 40)
 	if out.PushThreshold == 0 {
 		out.PushThreshold = 4
 	}
 	if out.PushThreshold < 0 {
 		out.PushThreshold = 0
 	}
-	if out.BiasWeights == nil {
-		out.BiasWeights = DefaultBiasWeights(out.Topology)
-	}
 	if out.MailboxCapacity <= 0 {
 		out.MailboxCapacity = 1
-	}
-	if out.MaxEvents == 0 {
-		out.MaxEvents = 2_000_000_000
 	}
 	return out
 }
 
-// DefaultBiasWeights derives the steal-bias weights from the machine's
-// distance matrix: the weight halves with every hop, normalized so the
-// farthest victim has weight 1 — w[h] = 2^(maxDistance-h). On the paper's
-// two-hop machine this is exactly its {4, 2, 1} distribution; on a deeper
-// machine (e.g. an 8-socket ring with 4-hop diameters) the same rule keeps
-// every victim's weight positive, which Lemma 1 requires, while preserving
-// the 2:1 preference between adjacent hop classes. The exponent is capped
+// DefaultBiasWeights derives the steal-bias weights (w[h] is the steal
+// weight of a victim h hops away) from the machine's distance matrix: the
+// weight halves with every hop, normalized so the farthest victim has
+// weight 1 — w[h] = 2^(maxDistance-h). On the paper's two-hop machine
+// this is exactly its {4, 2, 1} distribution; on a deeper machine (e.g.
+// an 8-socket ring with 4-hop diameters) the same rule keeps every
+// victim's weight positive, which Lemma 1 requires, while preserving the
+// 2:1 preference between adjacent hop classes. The exponent is capped
 // at 512 so that on a pathologically deep machine (a 1000+-hop ring) the
 // nearest hop classes degrade to equal weights instead of a weight *sum*
 // that overflows to +Inf and breaks proportional victim selection: even
@@ -256,8 +235,7 @@ const (
 
 // worker is the engine-side state of one logical worker.
 type worker struct {
-	id     int
-	core   int
+	id     int // also the core the worker runs on
 	socket int
 	deque  *deque.Deque[*Frame]
 	// mailbox holds ready full frames deposited by work pushing. The
@@ -325,8 +303,10 @@ type Engine struct {
 	stats    Stats
 	done     bool
 	finish   int64
-	// pushes caches Policy.Pushes() && !DisableMailbox: whether the
-	// mailbox/PUSHBACK machinery is live this run.
+	// maxEvents is the runaway guard, the package constant; tests lower it.
+	maxEvents int64
+	// pushes caches Policy.Pushes(): whether the mailbox/PUSHBACK
+	// machinery is live this run.
 	pushes bool
 	// bulk caches the BulkStealer hook: successful steals transfer half
 	// the victim's deque instead of one frame.
@@ -334,13 +314,11 @@ type Engine struct {
 	// The Adaptive hook, armed only when the policy implements it with a
 	// positive epoch AND the run draws biased victims (pickers exist to
 	// rebuild). adWeights is the run's private, mutable copy of the
-	// per-hop-class bias weights; pickScratch is the per-victim weight
-	// scratch reused across picker rebuilds.
-	adaptive    Adaptive
-	adaptEvery  int64
-	adaptNext   int64
-	adWeights   []float64
-	pickScratch []float64
+	// per-hop-class bias weights.
+	adaptive   Adaptive
+	adaptEvery int64
+	adaptNext  int64
+	adWeights  []float64
 }
 
 // NewEngine builds an engine with a private arena. The configuration is
@@ -363,20 +341,20 @@ func NewEngineIn(a *Arena, cfg Config, r Runner) *Engine {
 	}
 	c := cfg.withDefaults()
 	needBias := c.Policy.Biased() && !c.DisableBias && c.Workers > 1
-	e := &Engine{cfg: c, runner: r, rng: sim.NewRNG(c.Seed), arena: a, q: &a.q}
-	e.pushes = c.Policy.Pushes() && !c.DisableMailbox
+	e := &Engine{cfg: c, runner: r, rng: sim.NewRNG(c.Seed), arena: a, q: &a.q, maxEvents: maxEvents}
+	e.pushes = c.Policy.Pushes()
 	if bs, ok := c.Policy.(BulkStealer); ok {
 		e.bulk = bs.StealsBulk()
 	}
 	e.q.Reset()
 	e.workers = a.workersFor(&c, needBias)
 	e.onSocket = a.onSocket
-	e.view = View{top: c.Topology, sockets: c.Placement.Socket, onSocket: a.onSocket}
+	e.view = View{top: c.Topology, workers: c.Workers, onSocket: a.onSocket}
 	if ad, ok := c.Policy.(Adaptive); ok && needBias && ad.AdaptEvery() > 0 {
 		e.adaptive = ad
 		e.adaptEvery = ad.AdaptEvery()
 		e.adaptNext = e.adaptEvery
-		e.adWeights = append([]float64(nil), c.BiasWeights...)
+		e.adWeights = DefaultBiasWeights(c.Topology)
 	}
 	return e
 }
@@ -413,16 +391,9 @@ func (e *Engine) recycle(f *Frame) {
 	}
 }
 
-// CoreOf reports the machine core that worker w is pinned to; the execution
-// layer uses it to charge memory accesses to the right cache.
-func (e *Engine) CoreOf(w int) int { return e.workers[w].core }
-
 // ClockOf reports worker w's current virtual time; the execution layer uses
 // it to timestamp a resumed strand's memory accesses.
 func (e *Engine) ClockOf(w int) int64 { return e.workers[w].clock }
-
-// SocketOf reports worker w's socket.
-func (e *Engine) SocketOf(w int) int { return e.workers[w].socket }
 
 // Workers reports the worker count.
 func (e *Engine) Workers() int { return e.cfg.Workers }
@@ -430,7 +401,7 @@ func (e *Engine) Workers() int { return e.cfg.Workers }
 // Places reports the number of virtual places: one per socket that hosts at
 // least one worker ("threads on a given socket [form] a single group; each
 // group forms a virtual place").
-func (e *Engine) Places() int { return e.cfg.Placement.Used }
+func (e *Engine) Places() int { return e.cfg.Topology.SocketsUsed(e.cfg.Workers) }
 
 // Run executes the computation rooted at root to completion and returns the
 // collected statistics. Worker 0 starts with the root, mirroring the
@@ -454,8 +425,8 @@ func (e *Engine) Run(root *Frame) *Stats {
 	at, id := e.q.Pop()
 	for {
 		e.stats.Events++
-		if e.stats.Events > e.cfg.MaxEvents {
-			panic(fmt.Sprintf("sched: exceeded %d events; computation appears stuck", e.cfg.MaxEvents))
+		if e.stats.Events > e.maxEvents {
+			panic(fmt.Sprintf("sched: exceeded %d events; computation appears stuck", e.maxEvents))
 		}
 		// Deadline poll, amortized so the hot loop pays one mask-and-branch
 		// per event. The panic unwinds to the harness containment boundary.
@@ -545,7 +516,7 @@ func (e *Engine) endStrand(w *worker, y Yield) {
 // check and then does what those two events do: the strand's epilogue,
 // apply, and the Events count, with the same stats and tracer spans. It
 // also declines when either event would run one of the loop's hooks (the
-// MaxEvents guard, the interrupt poll, an adaptation epoch), so those only
+// maxEvents guard, the interrupt poll, an adaptation epoch), so those only
 // ever run on the engine's own goroutine, between Resume calls.
 func (e *Engine) Continue(wid int, y Yield) *Frame {
 	w := e.workers[wid]
@@ -555,7 +526,7 @@ func (e *Engine) Continue(wid int, y Yield) *Frame {
 	case y.Kind == YieldCall:
 	case y.Kind == YieldSync && !f.stolen && f.children == 0:
 	case y.Kind == YieldReturn && f.called:
-		end += e.cfg.ReturnCost
+		end += returnCost
 	default:
 		return nil
 	}
@@ -571,10 +542,10 @@ func (e *Engine) Continue(wid int, y Yield) *Frame {
 }
 
 // hookFree reports whether Run's event number n runs none of the loop's
-// hooks: it stays within MaxEvents, is not an interrupt poll and is not an
+// hooks: it stays within maxEvents, is not an interrupt poll and is not an
 // adaptation epoch.
 func (e *Engine) hookFree(n int64) bool {
-	return n <= e.cfg.MaxEvents && n&(interruptPollInterval-1) != 0 &&
+	return n <= e.maxEvents && n&(interruptPollInterval-1) != 0 &&
 		(e.adaptive == nil || n != e.adaptNext)
 }
 
@@ -617,8 +588,8 @@ func (e *Engine) apply(w *worker, y Yield) {
 // which is exactly the overhead the work-first principle forbids.
 func (e *Engine) onSpawn(w *worker, parent, child *Frame) {
 	e.stats.Spawns++
-	w.clock += e.cfg.SpawnCost
-	w.stats.Work += e.cfg.SpawnCost
+	w.clock += spawnCost
+	w.stats.Work += spawnCost
 	parent.children++
 
 	if e.cfg.EagerPush && e.cfg.Policy.Pushes() &&
@@ -649,8 +620,8 @@ func (e *Engine) onSpawn(w *worker, parent, child *Frame) {
 // recycled into the arena here, which is what keeps the steady-state loop
 // allocation-free.
 func (e *Engine) onReturn(w *worker, f *Frame) {
-	w.clock += e.cfg.ReturnCost
-	w.stats.Work += e.cfg.ReturnCost
+	w.clock += returnCost
+	w.stats.Work += returnCost
 	if f.Root {
 		e.done = true
 		e.finish = w.clock
@@ -696,8 +667,8 @@ func (e *Engine) onSync(w *worker, f *Frame) {
 		w.run = f
 		return
 	}
-	w.clock += e.cfg.SyncCheckCost
-	w.stats.Sched += e.cfg.SyncCheckCost
+	w.clock += syncCheckCost
+	w.stats.Sched += syncCheckCost
 	e.stats.NontrivialSync++
 	if f.children == 0 {
 		// CHECKSYNC succeeded.
@@ -743,9 +714,8 @@ func (e *Engine) pushHomeIfForeign(w *worker, f *Frame) bool {
 // threshold the push gives up (the caller resumes F itself). Returns the
 // total cycle cost of the attempts and whether F was deposited.
 func (e *Engine) tryPush(f *Frame) (int64, bool) {
-	// A place outside the machine simply has no candidates, like the old
-	// Placement.WorkersOn scan (the socket then counts as hosting no
-	// workers and the push overflows below).
+	// A place outside the machine simply has no candidates (the socket
+	// then counts as hosting no workers and the push overflows below).
 	var candidates []int
 	if f.Place >= 0 && f.Place < len(e.onSocket) {
 		candidates = e.onSocket[f.Place]
@@ -760,7 +730,7 @@ func (e *Engine) tryPush(f *Frame) (int64, bool) {
 	}
 	for {
 		e.stats.PushAttempts++
-		cost += e.cfg.PushAttemptCost
+		cost += pushAttemptCost
 		r := e.workers[candidates[e.rng.Intn(len(candidates))]]
 		if !r.mailboxFull() {
 			r.mailbox = append(r.mailbox, f)
@@ -796,8 +766,8 @@ func (e *Engine) schedule(w *worker) {
 		parent := w.check
 		w.check = nil
 		w.next = actionSteal
-		w.clock += e.cfg.SyncCheckCost
-		w.stats.Sched += e.cfg.SyncCheckCost
+		w.clock += syncCheckCost
+		w.stats.Sched += syncCheckCost
 		if parent.suspended && parent.children == 0 {
 			parent.suspended = false
 			parent.stolen = false // the sync completes as the frame resumes
@@ -822,8 +792,8 @@ func (e *Engine) schedule(w *worker) {
 	// corrupt the pop-at-return pairing.
 	if frame == nil {
 		if popped, ok := w.deque.PopTail(); ok {
-			w.clock += e.cfg.SyncCheckCost
-			w.stats.Sched += e.cfg.SyncCheckCost
+			w.clock += syncCheckCost
+			w.stats.Sched += syncCheckCost
 			frame = popped
 		}
 	}
@@ -835,15 +805,15 @@ func (e *Engine) schedule(w *worker) {
 		frame = w.reserve[len(w.reserve)-1]
 		w.reserve[len(w.reserve)-1] = nil
 		w.reserve = w.reserve[:len(w.reserve)-1]
-		w.clock += e.cfg.MailboxPopCost
-		w.stats.Sched += e.cfg.MailboxPopCost
+		w.clock += mailboxPopCost
+		w.stats.Sched += mailboxPopCost
 	}
 
 	// Fig. 5 line 26: check our own mailbox before stealing.
 	if frame == nil && e.pushes && !w.mailboxEmpty() {
 		frame = e.popMailbox(w)
-		w.clock += e.cfg.MailboxPopCost
-		w.stats.Sched += e.cfg.MailboxPopCost
+		w.clock += mailboxPopCost
+		w.stats.Sched += mailboxPopCost
 		e.stats.MailboxSelf++
 	}
 
@@ -880,8 +850,8 @@ func (e *Engine) popMailbox(w *worker) *Frame {
 func (e *Engine) steal(w *worker) *Frame {
 	if e.cfg.Workers == 1 {
 		// No victims exist; spin (costed) until our own work appears.
-		w.clock += e.cfg.StealAttemptCost
-		w.stats.Idle += e.cfg.StealAttemptCost
+		w.clock += stealAttemptCost
+		w.stats.Idle += stealAttemptCost
 		return nil
 	}
 	e.stats.StealAttempts++
@@ -892,7 +862,7 @@ func (e *Engine) steal(w *worker) *Frame {
 	// event stream is byte-identical to the old enum-dispatched code.
 	victim := e.workers[e.cfg.Policy.Victim(e.rng, w.picker, &e.view, Steal{Self: w.id, Streak: w.streak})]
 	hop := e.cfg.Topology.Distance(w.socket, victim.socket)
-	attemptCost := e.cfg.StealAttemptCost + int64(hop)*e.cfg.StealHopCost
+	attemptCost := stealAttemptCost + int64(hop)*stealHopCost
 	w.clock += attemptCost
 
 	if !e.pushes {
@@ -916,8 +886,8 @@ func (e *Engine) steal(w *worker) *Frame {
 	f := e.popMailbox(victim)
 	if f.Place == PlaceAny || f.Place == w.socket {
 		// Outcome 2: earmarked for our socket; take it.
-		w.stats.Sched += attemptCost + e.cfg.MailboxPopCost
-		w.clock += e.cfg.MailboxPopCost
+		w.stats.Sched += attemptCost + mailboxPopCost
+		w.clock += mailboxPopCost
 		e.stats.MailboxSteals++
 		return f
 	}
@@ -952,8 +922,8 @@ func (e *Engine) stealDeque(w, victim *worker, attemptCost int64, hop int) *Fram
 		e.stats.Promotions++
 	}
 	f.promote()
-	w.clock += e.cfg.PromoteCost
-	w.stats.Sched += attemptCost + e.cfg.PromoteCost
+	w.clock += promoteCost
+	w.stats.Sched += attemptCost + promoteCost
 	e.stats.Steals++
 	e.stats.StealsByHop[hop]++
 	if e.pushHomeIfForeign(w, f) {
@@ -969,7 +939,7 @@ func (e *Engine) stealDeque(w, victim *worker, attemptCost int64, hop int) *Fram
 const bulkStealMax = 256
 
 // stealBulk is stealDeque's bulk variant (BulkStealer policies): take up
-// to half the victim's deque, promote every frame (PromoteCost each — the
+// to half the victim's deque, promote every frame (promoteCost each — the
 // amount stolen changes, the per-frame bookkeeping cost does not), run the
 // head frame and park the rest in the thief's reserve.
 func (e *Engine) stealBulk(w, victim *worker, attemptCost int64, hop int) *Frame {
@@ -999,7 +969,7 @@ func (e *Engine) stealBulk(w, victim *worker, attemptCost int64, hop int) *Frame
 			w.reserve = append(w.reserve, f)
 		}
 	}
-	cost := int64(n) * e.cfg.PromoteCost
+	cost := int64(n) * promoteCost
 	w.clock += cost
 	w.stats.Sched += attemptCost + cost
 	if e.pushHomeIfForeign(w, first) {
@@ -1034,21 +1004,8 @@ func (e *Engine) adaptTick() {
 				e.cfg.Policy.Name(), wt, h, limit))
 		}
 	}
-	if e.pickScratch == nil {
-		e.pickScratch = make([]float64, e.cfg.Workers)
-	}
-	for _, w := range e.workers {
-		for v := range e.workers {
-			if v == w.id {
-				e.pickScratch[v] = 0 // a worker never steals from itself
-			} else {
-				hop := e.cfg.Topology.Distance(w.socket, e.workers[v].socket)
-				e.pickScratch[v] = e.adWeights[hop]
-			}
-		}
-		w.picker = sim.NewPicker(e.pickScratch)
-	}
-	// The arena's cached pickers no longer match the shape key's weights;
+	e.arena.buildPickers(e.cfg.Topology, e.adWeights)
+	// The arena's cached pickers no longer match the default weights;
 	// force a rebuild on the next reuse.
 	e.arena.pickersDirty = true
 }

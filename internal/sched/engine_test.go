@@ -298,20 +298,6 @@ func TestEagerPushAblationChargesWorkTerm(t *testing.T) {
 	}
 }
 
-func TestDisableMailboxStillCompletes(t *testing.T) {
-	cfg := testConfig(32, NUMAWS)
-	cfg.DisableMailbox = true
-	r := &treeRunner{fanout: 4, depth: 6, leafCost: 1500, innerCost: 10,
-		placeOf: func(i int) int { return i % 4 }}
-	st := runTree(t, cfg, r)
-	if st.Pushes != 0 {
-		t.Errorf("mailbox disabled but %d pushes happened", st.Pushes)
-	}
-	if st.Makespan <= 0 {
-		t.Error("run did not complete")
-	}
-}
-
 func TestTimeBreakdownAccounting(t *testing.T) {
 	r := &treeRunner{fanout: 2, depth: 9, leafCost: 800, innerCost: 5}
 	p := 16

@@ -77,7 +77,7 @@ func (f *Frame) Children() int { return f.children }
 // promote turns a shadow frame into a full frame at steal time and marks it
 // stolen (so its next cilk_sync is nontrivial). In the real runtime this is
 // where the expensive full-frame bookkeeping is created; here the engine
-// models that cost via Config.PromoteCost.
+// models that cost via promoteCost.
 func (f *Frame) promote() {
 	f.full = true
 	f.stolen = true

@@ -14,7 +14,7 @@ import "repro/internal/sim"
 // (Deque.StealHalf) instead of one frame. The head frame runs immediately;
 // the rest wait in the thief's reserve. Fewer, fatter steals trade steal
 // traffic for promotion cost — each transferred frame still pays
-// PromoteCost, so the per-frame bookkeeping bill matches single-frame
+// promoteCost, so the per-frame bookkeeping bill matches single-frame
 // stealing exactly.
 type stealHalfPolicy struct{}
 

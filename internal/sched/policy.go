@@ -29,16 +29,17 @@ import (
 // as immutable.
 type View struct {
 	top      *topology.Topology
-	sockets  []int   // worker id -> socket
+	workers  int
 	onSocket [][]int // socket -> resident worker ids, ascending
 }
 
 // Workers reports the run's worker count (always at least 2 when the
 // engine calls Victim).
-func (v *View) Workers() int { return len(v.sockets) }
+func (v *View) Workers() int { return v.workers }
 
-// SocketOf reports the socket hosting worker w.
-func (v *View) SocketOf(w int) int { return v.sockets[w] }
+// SocketOf reports the socket hosting worker w. Workers are packed, so
+// worker w runs on core w.
+func (v *View) SocketOf(w int) int { return v.top.SocketOf(w) }
 
 // Sockets reports the machine's socket count.
 func (v *View) Sockets() int { return v.top.Sockets() }
@@ -52,7 +53,7 @@ func (v *View) MaxHops() int { return v.top.MaxDistance() }
 // SocketMates returns the ids of every worker on w's socket, including w
 // itself, in ascending order. The returned slice is the engine's own
 // candidate list: callers must not modify it.
-func (v *View) SocketMates(w int) []int { return v.onSocket[v.sockets[w]] }
+func (v *View) SocketMates(w int) []int { return v.onSocket[v.SocketOf(w)] }
 
 // Steal carries the per-attempt state of one steal: who is stealing and
 // how the search has been going. It is passed by value — extending it with
@@ -77,14 +78,14 @@ type Policy interface {
 	Name() string
 	// Biased reports whether thieves draw victims from the locality-biased
 	// distribution, in which case the engine builds a per-thief victim
-	// picker from the run's BiasWeights. Ablation (Config.DisableBias) can
+	// picker from DefaultBiasWeights. Ablation (Config.DisableBias) can
 	// still force uniform victims on a biased policy.
 	Biased() bool
 	// Pushes reports whether the policy performs lazy work pushing through
 	// mailboxes: PUSHBACK on stolen or synced foreign frames, the mailbox
 	// check in the scheduling loop, and the mailbox half of the steal coin
-	// flip. Ablation (Config.DisableMailbox) can switch the machinery off
-	// without changing the policy.
+	// flip. A policy that is Biased but does not push expresses "biased
+	// steals, no work pushing".
 	Pushes() bool
 	// Victim draws the victim worker id for one steal attempt. picker is
 	// the thief's biased picker (non-nil exactly when Biased() held and

@@ -22,12 +22,12 @@ func (fakePolicy) Victim(rng *sim.RNG, _ *sim.Picker, view *View, at Steal) int 
 // testView builds the machine view an engine would hand to Victim for
 // workers packed onto top.
 func testView(top *topology.Topology, workers int) *View {
-	pl := top.Pack(workers)
 	onSocket := make([][]int, top.Sockets())
-	for w, s := range pl.Socket {
+	for w := 0; w < workers; w++ {
+		s := top.SocketOf(w)
 		onSocket[s] = append(onSocket[s], w)
 	}
-	return &View{top: top, sockets: pl.Socket, onSocket: onSocket}
+	return &View{top: top, workers: workers, onSocket: onSocket}
 }
 
 func TestRegistryBuiltins(t *testing.T) {

@@ -1,10 +1,6 @@
 package sched
 
-import (
-	"testing"
-
-	"repro/internal/topology"
-)
+import "testing"
 
 // The tests in this file pin down the paper's Fig. 5 protocol decisions
 // one by one, using small scripted computations whose scheduling events are
@@ -122,39 +118,6 @@ func TestDisableCoinFlipStillCorrect(t *testing.T) {
 		placeOf: func(i int) int { return i % 4 }})
 	if st.WorkTotal() != ref.WorkTotal() {
 		t.Errorf("work differs with coin flip disabled: %d vs %d", st.WorkTotal(), ref.WorkTotal())
-	}
-}
-
-func TestBiasWeightsValidation(t *testing.T) {
-	cfg := testConfig(4, NUMAWS)
-	cfg.BiasWeights = []float64{1, 1, 1} // must cover max hop distance (2) — ok
-	r := &treeRunner{fanout: 2, depth: 3, leafCost: 100, innerCost: 5}
-	st := runTree(t, cfg, r)
-	if st.Makespan <= 0 {
-		t.Error("run with custom weights did not complete")
-	}
-}
-
-func TestCustomPlacementSpread(t *testing.T) {
-	top := topology.XeonE5_4620()
-	cfg := Config{
-		Topology:  top,
-		Workers:   8,
-		Placement: top.Spread(8), // two workers per socket: 4 places at P=8
-		Policy:    NUMAWS,
-		Seed:      1,
-	}
-	e := NewEngine(cfg, &treeRunner{fanout: 4, depth: 4, leafCost: 1000, innerCost: 10,
-		placeOf: func(i int) int { return i % 4 }})
-	if e.Places() != 4 {
-		t.Fatalf("spread placement has %d places, want 4", e.Places())
-	}
-	st := e.Run(NewRootFrame(PlaceAny))
-	if st.Makespan <= 0 {
-		t.Error("spread run did not complete")
-	}
-	if st.Pushes == 0 {
-		t.Error("spread run with 4 places and hints performed no pushes")
 	}
 }
 

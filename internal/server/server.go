@@ -237,10 +237,11 @@ func readRequest(w http.ResponseWriter, r *http.Request, what string, req any) b
 // streamRuns is the one execution path of every streaming endpoint: it
 // expands req (a 400 when invalid) and answers in two passes. The first
 // looks every tuple up in the store and writes each hit as a row event,
-// with one flush after the loop. The second fans the misses out on a
-// bounded pool and streams each simulated row as its own flushed event,
-// in completion order. The passes are separate because Submit blocks on
-// a full pool: a hit queued behind a miss would wait for a simulation.
+// with one flush after the loop. The second fans the misses out with
+// exec.ForEach and streams each simulated row as its own flushed event,
+// in completion order. The passes are separate because ForEach's pool
+// blocks when full: a hit queued behind a miss would wait for a
+// simulation.
 // Last comes the trailer that done builds from the rows (index-addressed
 // in expansion order, not stream order) and their counts. The handler's
 // context is the request's: client disconnect cancels the pool, skipping
@@ -283,30 +284,28 @@ func streamRuns[S any](s *Server, w http.ResponseWriter, r *http.Request, what s
 	}
 
 	var mu sync.Mutex
-	pool := exec.NewPool(ctx, s.jobs)
-	for _, i := range misses {
-		pool.Submit(ctx, i, func() error {
-			row, err := s.runOne(ctx, &runs[i])
-			if err != nil {
-				return err
-			}
-			mu.Lock()
-			rows[i] = row
-			sum.Rows++
-			switch {
-			case row.Err != nil:
-				sum.Failed++
-			case row.Cached:
-				sum.Cached++
-			default:
-				sum.Simulated++
-			}
-			mu.Unlock()
-			s.rows.Add(1)
-			return st.event(wire.Event[S]{Row: row})
-		})
-	}
-	if err := pool.Wait(ctx); err != nil {
+	err = exec.ForEach(ctx, s.jobs, len(misses), func(k int) error {
+		i := misses[k]
+		row, err := s.runOne(ctx, &runs[i])
+		if err != nil {
+			return err
+		}
+		mu.Lock()
+		rows[i] = row
+		sum.Rows++
+		switch {
+		case row.Err != nil:
+			sum.Failed++
+		case row.Cached:
+			sum.Cached++
+		default:
+			sum.Simulated++
+		}
+		mu.Unlock()
+		s.rows.Add(1)
+		return st.event(wire.Event[S]{Row: row})
+	})
+	if err != nil {
 		// The stream is committed to 200 by now; ending it without the
 		// done trailer is the in-band abort signal.
 		s.logf("numaws: %s aborted: %v", what, err)

@@ -122,26 +122,6 @@ func (t *Topology) SocketOf(core int) int {
 	return core / t.perSock
 }
 
-// CoresOn returns the core ids on the given socket, in increasing order.
-func (t *Topology) CoresOn(socket int) []int {
-	lo, hi := t.CoreRange(socket)
-	cores := make([]int, hi-lo)
-	for i := range cores {
-		cores[i] = lo + i
-	}
-	return cores
-}
-
-// CoreRange reports the socket's cores as the half-open id range [lo, hi):
-// core numbering is socket-major, so a socket's cores are contiguous. Hot
-// paths iterate this range instead of allocating the CoresOn slice.
-func (t *Topology) CoreRange(socket int) (lo, hi int) {
-	if socket < 0 || socket >= t.sockets {
-		panic(fmt.Sprintf("topology: socket %d out of range [0,%d)", socket, t.sockets))
-	}
-	return socket * t.perSock, (socket + 1) * t.perSock
-}
-
 // Distance reports the hop distance between two sockets (0 for the same
 // socket).
 func (t *Topology) Distance(a, b int) int {
@@ -183,78 +163,16 @@ func (t *Topology) MaxDistance() int {
 	return max
 }
 
-// Placement maps P workers onto cores. The paper packs workers tightly,
-// "using the smallest number of sockets" (Fig. 9): workers fill socket 0's
-// cores first, then socket 1's, and so on.
-type Placement struct {
-	Workers int
-	Core    []int // Core[w]: core id of worker w
-	Socket  []int // Socket[w]: socket id of worker w
-	Used    int   // number of sockets that host at least one worker
-}
-
-// Pack places p workers tightly onto the machine, smallest number of sockets
-// first, mirroring the paper's thread-pinning policy. It panics if p exceeds
-// the core count or is not positive.
-func (t *Topology) Pack(p int) *Placement {
+// SocketsUsed reports how many sockets p packed workers occupy. Workers
+// are packed tightly, "using the smallest number of sockets" (Fig. 9):
+// worker w runs on core w, so workers fill socket 0's cores first, then
+// socket 1's, and so on. It panics if p exceeds the core count or is not
+// positive.
+func (t *Topology) SocketsUsed(p int) int {
 	if p <= 0 || p > t.Cores() {
 		panic(fmt.Sprintf("topology: cannot place %d workers on %d cores", p, t.Cores()))
 	}
-	pl := &Placement{
-		Workers: p,
-		Core:    make([]int, p),
-		Socket:  make([]int, p),
-	}
-	for w := 0; w < p; w++ {
-		pl.Core[w] = w // socket-major core numbering packs tightly by construction
-		pl.Socket[w] = t.SocketOf(w)
-	}
-	pl.Used = (p + t.perSock - 1) / t.perSock
-	return pl
-}
-
-// Spread places p workers evenly across all sockets (round-robin), the
-// policy NUMA-WS uses at startup when the user asks for all sockets: "the
-// runtime spreads out the worker threads evenly across the sockets".
-func (t *Topology) Spread(p int) *Placement {
-	if p <= 0 || p > t.Cores() {
-		panic(fmt.Sprintf("topology: cannot place %d workers on %d cores", p, t.Cores()))
-	}
-	pl := &Placement{
-		Workers: p,
-		Core:    make([]int, p),
-		Socket:  make([]int, p),
-	}
-	next := make([]int, t.sockets) // next free core index within each socket
-	for w := 0; w < p; w++ {
-		s := w % t.sockets
-		for next[s] >= t.perSock { // socket full; spill to the next one
-			s = (s + 1) % t.sockets
-		}
-		pl.Core[w] = s*t.perSock + next[s]
-		pl.Socket[w] = s
-		next[s]++
-	}
-	used := 0
-	for _, n := range next {
-		if n > 0 {
-			used++
-		}
-	}
-	pl.Used = used
-	return pl
-}
-
-// WorkersOn returns the worker ids of a placement that live on the given
-// socket, in increasing order.
-func (pl *Placement) WorkersOn(socket int) []int {
-	var ws []int
-	for w, s := range pl.Socket {
-		if s == socket {
-			ws = append(ws, w)
-		}
-	}
-	return ws
+	return (p + t.perSock - 1) / t.perSock
 }
 
 // String renders the machine in the spirit of the paper's Fig. 1: one box

@@ -86,138 +86,33 @@ func TestSocketOfPanics(t *testing.T) {
 	XeonE5_4620().SocketOf(32)
 }
 
-func TestCoresOn(t *testing.T) {
-	top := XeonE5_4620()
-	got := top.CoresOn(2)
-	want := []int{16, 17, 18, 19, 20, 21, 22, 23}
-	if len(got) != len(want) {
-		t.Fatalf("CoresOn(2) = %v, want %v", got, want)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("CoresOn(2) = %v, want %v", got, want)
-		}
-	}
-}
-
 func TestPackTight(t *testing.T) {
 	top := XeonE5_4620()
 	// Fig. 9: "for 24 cores, 3 sockets are used."
-	pl := top.Pack(24)
-	if pl.Used != 3 {
-		t.Errorf("Pack(24).Used = %d, want 3", pl.Used)
-	}
-	pl = top.Pack(8)
-	if pl.Used != 1 {
-		t.Errorf("Pack(8).Used = %d, want 1", pl.Used)
-	}
-	pl = top.Pack(9)
-	if pl.Used != 2 {
-		t.Errorf("Pack(9).Used = %d, want 2", pl.Used)
-	}
-	// Worker 0 pins to the first core of the first socket (root worker rule).
-	if pl.Core[0] != 0 || pl.Socket[0] != 0 {
-		t.Errorf("Pack: worker 0 at core %d socket %d, want core 0 socket 0", pl.Core[0], pl.Socket[0])
-	}
-}
-
-func TestSpreadEven(t *testing.T) {
-	top := XeonE5_4620()
-	pl := top.Spread(32)
-	if pl.Used != 4 {
-		t.Errorf("Spread(32).Used = %d, want 4", pl.Used)
-	}
-	for s := 0; s < 4; s++ {
-		if got := len(pl.WorkersOn(s)); got != 8 {
-			t.Errorf("Spread(32): socket %d has %d workers, want 8", s, got)
+	for _, tc := range []struct{ p, used int }{{24, 3}, {8, 1}, {9, 2}, {1, 1}, {32, 4}} {
+		if got := top.SocketsUsed(tc.p); got != tc.used {
+			t.Errorf("SocketsUsed(%d) = %d, want %d", tc.p, got, tc.used)
 		}
-	}
-	pl = top.Spread(6)
-	for s := 0; s < 4; s++ {
-		n := len(pl.WorkersOn(s))
-		if n < 1 || n > 2 {
-			t.Errorf("Spread(6): socket %d has %d workers, want 1 or 2", s, n)
-		}
-	}
-}
-
-func TestSpreadSpillsWhenSocketFull(t *testing.T) {
-	top := TwoSocket(2) // 4 cores total
-	pl := top.Spread(4)
-	if got := len(pl.WorkersOn(0)); got != 2 {
-		t.Errorf("Spread(4) on 2x2: socket 0 has %d workers, want 2", got)
-	}
-	if got := len(pl.WorkersOn(1)); got != 2 {
-		t.Errorf("Spread(4) on 2x2: socket 1 has %d workers, want 2", got)
-	}
-	// All cores distinct.
-	seen := map[int]bool{}
-	for _, c := range pl.Core {
-		if seen[c] {
-			t.Errorf("Spread(4): core %d assigned twice", c)
-		}
-		seen[c] = true
 	}
 }
 
 func TestPackPanicsOnTooMany(t *testing.T) {
 	defer func() {
 		if recover() == nil {
-			t.Error("Pack(33) did not panic")
+			t.Error("SocketsUsed(33) did not panic")
 		}
 	}()
-	XeonE5_4620().Pack(33)
+	XeonE5_4620().SocketsUsed(33)
 }
 
-// Property: for any worker count, Pack assigns distinct cores, socket ids
-// consistent with SocketOf, and uses ceil(p/coresPerSocket) sockets.
+// Property: for any worker count, packed workers occupy exactly the
+// sockets up to the last worker's, ceil(p/coresPerSocket) of them.
 func TestPackProperties(t *testing.T) {
 	top := XeonE5_4620()
 	f := func(raw uint8) bool {
 		p := int(raw)%top.Cores() + 1
-		pl := top.Pack(p)
-		seen := map[int]bool{}
-		for w := 0; w < p; w++ {
-			if seen[pl.Core[w]] {
-				return false
-			}
-			seen[pl.Core[w]] = true
-			if top.SocketOf(pl.Core[w]) != pl.Socket[w] {
-				return false
-			}
-		}
 		want := (p + top.CoresPerSocket() - 1) / top.CoresPerSocket()
-		return pl.Used == want
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-// Property: Spread never assigns the same core twice and balances within 1.
-func TestSpreadProperties(t *testing.T) {
-	top := XeonE5_4620()
-	f := func(raw uint8) bool {
-		p := int(raw)%top.Cores() + 1
-		pl := top.Spread(p)
-		seen := map[int]bool{}
-		min, max := top.Cores(), 0
-		for s := 0; s < top.Sockets(); s++ {
-			n := len(pl.WorkersOn(s))
-			if n < min {
-				min = n
-			}
-			if n > max {
-				max = n
-			}
-		}
-		for _, c := range pl.Core {
-			if seen[c] {
-				return false
-			}
-			seen[c] = true
-		}
-		return max-min <= 1
+		return top.SocketsUsed(p) == want && top.SocketOf(p-1) == want-1
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)

@@ -185,7 +185,9 @@ func (s *Session) Sweep(ctx context.Context, topologies []string, points []int, 
 
 // DAGs measures each benchmark's computation dag — work, span and
 // parallelism, the paper's Section IV quantities — by running it once
-// under the session's policy; every run measures them. Benchmarks run
+// under the session's policy at the session's P; every run measures
+// them. The work is that run's strand cycles, NUMA work inflation
+// included, so it equals T1 only at P=1. Benchmarks run
 // concurrently on the session's job pool; results come back in suite
 // order.
 func (s *Session) DAGs(ctx context.Context, benches ...string) ([]DAGReport, error) {
