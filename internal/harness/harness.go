@@ -182,14 +182,13 @@ type Options struct {
 	// so a retried success is byte-identical to a first-try success.
 	// 0 means no retries.
 	Retries int
-	// Cache, if non-nil, is the persistent result store the runs of
-	// Measure/MeasureAll execute through (see ExecuteThrough): a run whose
-	// KeyFor key it holds is filled from it (and emitted through OnRun with
-	// Replayed set), and every simulated run is durably recorded in it.
-	// Failed runs are never recorded. Determinism makes a hit exact: a grid
-	// resumed from a store holds rows deep-equal to an uninterrupted run's.
-	// Tournament takes its cache as an argument; MeasureTopologies ignores
-	// this field.
+	// Cache, if non-nil, is the result store the runs of Measure,
+	// MeasureAll, MeasureScalability and MeasureTopologies execute through
+	// (see ExecuteThrough): a run whose KeyFor key it holds is filled from
+	// it (and emitted through OnRun with Replayed set), and every simulated
+	// run is recorded in it. Failed runs are never recorded. Determinism
+	// makes a hit exact: a grid answered from a store holds rows deep-equal
+	// to a simulated one's. Tournament takes its cache as an argument.
 	Cache ResultCache
 }
 
@@ -211,8 +210,9 @@ type RunMeta struct {
 	// and sweep runs, which have no baseline column.
 	Baseline bool
 	// Replayed marks a run that a ResultCache answered instead of a
-	// simulation (Options.Cache, or Tournament's cache argument); its Time
-	// is the stored measurement.
+	// simulation (Options.Cache, or Tournament's cache argument): a
+	// journal's record, or an earlier identical run of the same session
+	// recorded in its memo. Its Time is the stored measurement.
 	Replayed bool
 	Time     int64 // virtual cycles (TS for serial runs, TP otherwise)
 }

@@ -242,7 +242,8 @@ func TestMeasureAllParallelSpeedup(t *testing.T) {
 // protocol: OnRun receives exactly one RunMeta per simulation of the grid,
 // named by the run's policy, P, seed, serial and baseline flags, with a
 // valid time, and streaming does not perturb the returned results. A
-// tournament re-run on a warm cache streams every run as Replayed.
+// tournament or topology sweep re-run on a warm cache streams every run
+// as Replayed.
 func TestGridsStreamEveryRun(t *testing.T) {
 	var specs []Spec
 	for _, s := range Specs(ScaleSmall) {
@@ -261,6 +262,16 @@ func TestGridsStreamEveryRun(t *testing.T) {
 		return func(o Options) (any, error) { return Tournament(t.Context(), specs, machines, pols, c, o) }
 	}
 	if _, err := tournament(warm)(opt); err != nil {
+		t.Fatal(err)
+	}
+	warmSweep := newMemCache()
+	topologies := func(c ResultCache) func(Options) (any, error) {
+		return func(o Options) (any, error) {
+			o.Cache = c
+			return MeasureTopologies(t.Context(), specs, machines, o, []int{4})
+		}
+	}
+	if _, err := topologies(warmSweep)(opt); err != nil {
 		t.Fatal(err)
 	}
 
@@ -289,9 +300,8 @@ func TestGridsStreamEveryRun(t *testing.T) {
 		replayed bool
 	}{
 		{"MeasureAll", func(o Options) (any, error) { return MeasureAll(t.Context(), specs, o) }, all, false},
-		{"MeasureTopologies", func(o Options) (any, error) {
-			return MeasureTopologies(t.Context(), specs, machines, o, []int{4})
-		}, sweep, false},
+		{"MeasureTopologies", topologies(nil), sweep, false},
+		{"MeasureTopologies-warm", topologies(warmSweep), sweep, true},
 		{"Tournament", tournament(nil), tour, false},
 		{"Tournament-warm", tournament(warm), tour, true},
 	}

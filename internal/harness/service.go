@@ -5,10 +5,12 @@ package harness
 // simulated only when a persistent result cache does not already hold
 // them. The measurement grids run through the same seam (Options.Cache),
 // so a service store and a -journal file are one format — a record written
-// by either is a hit for both.
+// by either is a hit for both. Memo is the in-memory ResultCache for
+// callers with no file to keep.
 
 import (
 	"context"
+	"sync"
 
 	"repro/internal/core"
 	"repro/internal/journal"
@@ -23,6 +25,36 @@ import (
 type ResultCache interface {
 	Get(journal.Key) (journal.Result, bool)
 	Put(journal.Key, journal.Result) error
+}
+
+// Memo is a ResultCache held in memory: a mutex-guarded map from run key
+// to totals, safe for concurrent use by a grid's job pool. It is what a
+// numaws.Session without a journal executes through, so a session
+// simulates each distinct key at most once. Put never fails and Memo
+// never evicts: it grows with the distinct keys recorded. The zero value
+// is an empty memo.
+type Memo struct {
+	mu sync.Mutex
+	m  map[journal.Key]journal.Result
+}
+
+// Get reports the totals recorded under k.
+func (c *Memo) Get(k journal.Key) (journal.Result, bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	res, ok := c.m[k]
+	return res, ok
+}
+
+// Put records res under k.
+func (c *Memo) Put(k journal.Key, res journal.Result) error {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.m == nil {
+		c.m = make(map[journal.Key]journal.Result)
+	}
+	c.m[k] = res
+	return nil
 }
 
 // KeyFor is the content address of one run, built from the run's spec,

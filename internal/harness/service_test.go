@@ -53,23 +53,16 @@ func TestKeyForMatchesGridStoreKey(t *testing.T) {
 	}
 }
 
-// memCache is an in-memory ResultCache recording its traffic. It is safe
-// for the concurrent runs of a Jobs > 1 grid.
+// memCache is a Memo recording its traffic. It is safe for the
+// concurrent runs of a Jobs > 1 grid.
 type memCache struct {
+	Memo
 	mu   sync.Mutex
-	m    map[journal.Key]journal.Result
 	puts int
 	fail error
 }
 
-func newMemCache() *memCache { return &memCache{m: map[journal.Key]journal.Result{}} }
-
-func (c *memCache) Get(k journal.Key) (journal.Result, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	r, ok := c.m[k]
-	return r, ok
-}
+func newMemCache() *memCache { return &memCache{} }
 
 func (c *memCache) Put(k journal.Key, r journal.Result) error {
 	c.mu.Lock()
@@ -77,9 +70,8 @@ func (c *memCache) Put(k journal.Key, r journal.Result) error {
 	if c.fail != nil {
 		return c.fail
 	}
-	c.m[k] = r
 	c.puts++
-	return nil
+	return c.Memo.Put(k, r)
 }
 
 func TestExecuteThroughCachesRuns(t *testing.T) {

@@ -95,9 +95,10 @@ func machinePoints(name string, top *topology.Topology, points []int) ([]int, er
 // opt.Seeds scheduler seeds. points nil derives each machine's axis with
 // SweepPoints; explicit points are clipped to each machine's core count.
 // Results group by machine in the given order, one sweep per (machine,
-// spec). Cancelling ctx skips every simulation not yet started and returns
-// the context's error; completed runs already streamed through opt.OnRun
-// remain valid.
+// spec). Runs execute through opt.Cache when it is set, so a point some
+// earlier grid measured is filled from it. Cancelling ctx skips every
+// simulation not yet started and returns the context's error; completed
+// runs already streamed through opt.OnRun remain valid.
 func MeasureTopologies(ctx context.Context, specs []Spec, machines []Machine, opt Options, points []int) ([]results.SweepCurve, error) {
 	opt = opt.fill()
 	if len(machines) == 0 {
@@ -125,7 +126,7 @@ func MeasureTopologies(ctx context.Context, specs []Spec, machines []Machine, op
 			}
 		}
 	}
-	res, _, err := execute(ctx, opt, nil, runs, false)
+	res, _, err := execute(ctx, opt, opt.Cache, runs, false)
 	if err != nil {
 		return nil, err
 	}

@@ -9,9 +9,12 @@ package numaws_test
 
 import (
 	"bytes"
+	"context"
+	"errors"
 	"os"
 	"reflect"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 
@@ -32,7 +35,9 @@ func registerForTest(t *testing.T, def numaws.BenchmarkDef) {
 // panicking benchmark, a nil-Root benchmark, and a healthy one through
 // MeasureAll and Each at both scales: the two broken benchmarks come back
 // as attributable error rows, the healthy one measures normally, and
-// neither call crashes or returns an error.
+// neither call crashes or returns an error. One session serves every
+// call, so the test also pins what its result cache keeps: completed runs
+// only, never a failure and never a run a cancellation skipped.
 func TestMisbehavingBenchmarksYieldErrorRows(t *testing.T) {
 	registerForTest(t, numaws.BenchmarkDef{
 		Name: "misuse-panic",
@@ -88,13 +93,54 @@ func TestMisbehavingBenchmarksYieldErrorRows(t *testing.T) {
 				t.Errorf("scale %d %s: healthy benchmark's row suffered: %+v", scale, surface, healthy)
 			}
 		}
-		rows, err := s.MeasureAll(t.Context())
+		// each streams one Each call's runs, keyed without Replayed, and
+		// reports which of them the session's cache answered.
+		each := func(ctx context.Context, after func()) (map[numaws.Run]bool, []numaws.Row, error) {
+			var mu sync.Mutex
+			runs := map[numaws.Run]bool{}
+			rows, err := s.Each(ctx, func(r numaws.Run) {
+				mu.Lock()
+				defer mu.Unlock()
+				hit := r.Replayed
+				r.Replayed = false
+				runs[r] = hit
+				if after != nil {
+					after()
+				}
+			})
+			return runs, rows, err
+		}
+
+		// Cancelled after its first completed run, Each caches only the
+		// runs it streamed: the next call replays exactly those and
+		// simulates every run the cancellation skipped.
+		ctx, cancel := context.WithCancel(t.Context())
+		early, _, err := each(ctx, cancel)
+		cancel()
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("scale %d: cancelled Each: err = %v, want context.Canceled", scale, err)
+		}
+		runs, rows, err := each(t.Context(), nil)
+		check("Each after a cancelled Each", rows, err)
+		if len(runs) != 5 || len(early) == 0 || len(early) >= len(runs) {
+			t.Fatalf("scale %d: %d runs streamed before the cancellation, %d after, want a prefix of 5", scale, len(early), len(runs))
+		}
+		for r, hit := range runs {
+			if _, ran := early[r]; hit != ran {
+				t.Errorf("scale %d: run %+v replayed %t, but it completed in the cancelled call: %t", scale, r, hit, ran)
+			}
+		}
+
+		// Failures are never cached: the broken benchmarks fail again in
+		// every later call, while the healthy one's runs are all replayed.
+		rows, err = s.MeasureAll(t.Context())
 		check("MeasureAll", rows, err)
-		var streamed atomic.Int64
-		rows, err = s.Each(t.Context(), func(numaws.Run) { streamed.Add(1) })
-		check("Each", rows, err)
-		if streamed.Load() == 0 {
-			t.Errorf("scale %d: Each streamed no completed runs", scale)
+		runs, rows, err = each(t.Context(), nil)
+		check("second Each", rows, err)
+		for r, hit := range runs {
+			if !hit {
+				t.Errorf("scale %d: second Each simulated %+v again", scale, r)
+			}
 		}
 	}
 }

@@ -253,13 +253,15 @@ func WithRetry(n int) Option {
 }
 
 // WithJournal makes the session's grid measurements crash-safe: every
-// completed (benchmark, policy, P, seed) simulation of Measure, MeasureAll
-// and Each is durably appended to the JSONL journal at path as it
-// finishes. The journal is a result store in the format of NewServer's
-// store file: a run whose key it already holds, such as the second
-// column of a "cilk" session's comparison, is filled from the store
-// instead of simulated, so the file holds one line per key (two
-// concurrent first runs of one key may both append; replay keeps one).
+// completed (benchmark, policy, P, seed) simulation of Measure,
+// MeasureAll, Each, Scalability, Sweep and Tournament is durably appended
+// to the JSONL journal at path as it finishes. The journal is a result
+// store in the format of NewServer's store file, and it replaces the
+// session's in-memory memo: a run whose key it already holds, such as the
+// second column of a "cilk" session's comparison or a Scalability point
+// an earlier MeasureAll measured, is filled from the store instead of
+// simulated, so the file holds one line per key (two concurrent first
+// runs of one key may both append; replay keeps one).
 // Combine with WithResume to replay a journal written by an earlier
 // (killed) process; without it, New truncates path and starts fresh.
 // Sessions holding a journal should be Closed.
@@ -290,18 +292,28 @@ func WithResume() Option {
 }
 
 // Session is a configured simulator instance: one machine topology, one
-// scheduling policy, one benchmark suite. Sessions are immutable after New
-// and safe for concurrent use; every method that simulates takes a
-// context.Context and honors its cancellation at per-simulation
-// granularity. The suite is captured at New: benchmarks registered later
-// (RegisterBenchmark) appear in sessions built afterwards, never in
-// existing ones.
+// scheduling policy, one benchmark suite. Its configuration is immutable
+// after New, and it is safe for concurrent use; every method that
+// simulates takes a context.Context and honors its cancellation at
+// per-simulation granularity. The suite is captured at New: benchmarks
+// registered later (RegisterBenchmark) appear in sessions built
+// afterwards, never in existing ones.
+//
+// A session holds one result cache — its WithJournal file, or an
+// in-memory memo without one — that every grid protocol (Measure,
+// MeasureAll, Each, Scalability, Sweep, Tournament) executes through. A
+// run is a pure function of its (benchmark, policy, P, seed, machine)
+// tuple, so the session simulates each distinct tuple at most once and
+// answers repeats from the cache (Run.Replayed); the cache grows with the
+// distinct tuples the session ran. Failed and cancelled runs are never
+// cached. Run, RunSerial, DAGs and Timeline always simulate.
 type Session struct {
 	top    *topology.Topology
 	policy sched.Policy
 	specs  []harness.Spec
 	cfg    config
-	store  *store.Store // the WithJournal file; nil without one
+	store  *store.Store        // the WithJournal file; nil without one
+	cache  harness.ResultCache // store when set, otherwise a *harness.Memo
 }
 
 // New builds a Session from the given options, validating them as a set:
@@ -361,6 +373,9 @@ func New(opts ...Option) (*Session, error) {
 		if s.store, err = store.Open(c.journal); err != nil {
 			return nil, fmt.Errorf("numaws: %w", err)
 		}
+		s.cache = s.store
+	} else {
+		s.cache = &harness.Memo{}
 	}
 	return s, nil
 }
@@ -416,7 +431,7 @@ func selectSpecs(all []harness.Spec, names []string) ([]harness.Spec, error) {
 
 // options assembles the harness options for one measurement call.
 func (s *Session) options() harness.Options {
-	opt := harness.Options{
+	return harness.Options{
 		Topology:   s.top,
 		P:          s.cfg.workers,
 		Seed:       s.cfg.seed,
@@ -426,13 +441,8 @@ func (s *Session) options() harness.Options {
 		Policy:     s.policy,
 		RunTimeout: s.cfg.timeout,
 		Retries:    s.cfg.retries,
+		Cache:      s.cache,
 	}
-	if s.store != nil {
-		// Never a nil *store.Store in the interface: the harness tests
-		// Cache against nil.
-		opt.Cache = s.store
-	}
-	return opt
 }
 
 // Machine describes the session's simulated machine.

@@ -45,7 +45,7 @@ func (s *Session) Tournament(ctx context.Context, topologies []string, benches .
 			return Tournament{}, err
 		}
 	}
-	t, err := harness.Tournament(ctx, specs, machines, harness.RegisteredPolicies(), nil, s.options())
+	t, err := harness.Tournament(ctx, specs, machines, harness.RegisteredPolicies(), s.cache, s.options())
 	if err != nil {
 		return Tournament{}, facadeErr(err)
 	}

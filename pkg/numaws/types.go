@@ -55,8 +55,9 @@ type Run struct {
 	// even when the session's policy is itself "cilk". False for serial
 	// runs.
 	Baseline bool
-	// Replayed marks a run filled from the store (the WithJournal file)
-	// instead of simulated; Time is the stored measurement.
+	// Replayed marks a run the session's cache answered instead of a
+	// simulation: a WithJournal record, or the session's earlier identical
+	// run. Time is the stored measurement.
 	Replayed bool
 	Time     int64 // virtual cycles (TS for serial runs, TP otherwise)
 }
