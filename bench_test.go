@@ -285,8 +285,9 @@ func BenchmarkAblationNoCoinFlip(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationPushThreshold sweeps the pushing threshold; unbounded
-// pushing breaks the amortization of pushes against steals.
+// BenchmarkAblationPushThreshold sweeps the pushing threshold. The -1
+// point measures threshold 0, not unbounded pushing: any negative value
+// maps to 0, so one failed push and the pusher gives up.
 func BenchmarkAblationPushThreshold(b *testing.B) {
 	for _, th := range []int{-1, 1, 4, 16, 256} {
 		b.Run(fmt.Sprintf("threshold=%d", th), func(b *testing.B) {

@@ -83,7 +83,8 @@ func execute(ctx context.Context, opt Options, cache ResultCache, runs []run, co
 }
 
 // mean averages runs' totals field by field: the paper's "each data point
-// is the average of N runs", over scheduler seeds.
+// is the average of N runs", over scheduler seeds. The dag fields stay
+// zero: no row carries a dag.
 func mean(rs []journal.Result) journal.Result {
 	var m journal.Result
 	for _, r := range rs {

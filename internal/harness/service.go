@@ -76,11 +76,11 @@ func KeyFor(spec Spec, pol sched.Policy, opt Options, serial bool) journal.Key {
 	}
 }
 
-// resultOf reduces a run report to its measured totals: exactly what the
-// row fold consumes and what the store persists, so a stored run is
-// indistinguishable from a simulated one.
+// resultOf reduces a run report to its measured totals and its dag:
+// exactly what the row fold and Session.DAGs consume and what the store
+// persists, so a stored run is indistinguishable from a simulated one.
 func resultOf(rep *core.Report) journal.Result {
-	res := journal.Result{Time: rep.Time}
+	res := journal.Result{Time: rep.Time, DAGWork: rep.DAG.Work, DAGSpan: rep.DAG.Span}
 	if rep.Sched != nil {
 		res.Work = rep.Sched.WorkTotal()
 		res.Sched = rep.Sched.SchedTotal()
@@ -90,8 +90,8 @@ func resultOf(rep *core.Report) journal.Result {
 }
 
 // Execute measures one run — the serial elision when serial, one parallel
-// simulation otherwise — and reduces the report to its replayable totals,
-// the same four numbers the journal persists.
+// simulation otherwise — and reduces the report to the replayable result
+// the journal persists.
 func Execute(ctx context.Context, spec Spec, pol sched.Policy, opt Options, serial bool) (journal.Result, error) {
 	var rep *core.Report
 	var err error

@@ -9,6 +9,11 @@
 //
 //	{"crc":<crc32-IEEE of the rec field's JSON bytes>,"rec":{<Key+Result>}}
 //
+// A parallel run's Result carries its dag's work and span (dag_work,
+// dag_span); a serial run's has none. Records written before the dag was
+// recorded lack both fields and still replay: their totals are exact, and
+// a reader that needs the dag re-simulates the run (see Result).
+//
 // The checksum guards the only corruption append-only files suffer in
 // practice: a torn final line from a crash mid-write. Replay stops at the
 // first record that fails to parse or checksum, or that lacks its
@@ -53,13 +58,21 @@ type Key struct {
 }
 
 // Result is the replayable outcome of one completed simulation: the four
-// totals every aggregation in the harness folds from. Failed runs are never
-// journaled — a resume re-attempts them.
+// totals every row aggregation in the harness folds from, plus the run's
+// computation dag. Failed runs are never journaled — a resume re-attempts
+// them.
 type Result struct {
 	Time  int64 `json:"time"`
 	Work  int64 `json:"work"`
 	Sched int64 `json:"sched"`
 	Idle  int64 `json:"idle"`
+	// DAGWork and DAGSpan are the run's strand work and span
+	// (core.Report.DAG). A serial run has no dag, so both are zero and
+	// omitted, and its record keeps the bytes it had before the dag was
+	// recorded. A parallel record written before then has no dag either:
+	// a reader that needs the dag must treat zero as absent.
+	DAGWork int64 `json:"dag_work,omitempty"`
+	DAGSpan int64 `json:"dag_span,omitempty"`
 }
 
 // record is one journal line's payload.

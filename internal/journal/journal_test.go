@@ -367,3 +367,37 @@ func TestReplayWithStatsTornTail(t *testing.T) {
 		t.Errorf("Tail = %d, want %d (end of the intact first record)", st.Tail, len(lines[0]))
 	}
 }
+
+// TestRecordBytes pins the record format byte for byte, so a change to the
+// record's shape is a deliberate one. A parallel record carries its dag's
+// work and span; a serial record has no dag and keeps the bytes it had
+// before records carried one.
+func TestRecordBytes(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "runs.jsonl")
+	w, err := Append(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	par := Result{Time: 1000, Work: 2000, Sched: 30, Idle: 40, DAGWork: 1900, DAGSpan: 120}
+	if err := w.Write(key(1), par); err != nil {
+		t.Fatal(err)
+	}
+	sk := key(1)
+	sk.Policy, sk.P, sk.Serial = "serial", 1, true
+	if err := w.Write(sk, Result{Time: 1800, Work: 1800}); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	got, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := `{"crc":2379135413,"rec":{"gen":3,"bench":"fib","input":"n=30","scale":0,"topology":"4x8-0011223344556677","policy":"numaws","p":8,"seed":1,"serial":false,"verify":true,"time":1000,"work":2000,"sched":30,"idle":40,"dag_work":1900,"dag_span":120}}
+{"crc":161751399,"rec":{"gen":3,"bench":"fib","input":"n=30","scale":0,"topology":"4x8-0011223344556677","policy":"serial","p":1,"seed":1,"serial":true,"verify":true,"time":1800,"work":1800,"sched":0,"idle":0}}
+`
+	if string(got) != want {
+		t.Errorf("record bytes changed:\ngot  %s\nwant %s", got, want)
+	}
+}

@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"repro/internal/harness"
+	"repro/internal/journal"
 )
 
 // TestSessionSimulatesEachTupleOnce runs the measuring sections of `all`
@@ -19,9 +20,11 @@ import (
 // tables re-measure Fig. 3's seven (TS, T1 and T32 on both platforms),
 // and 14 because Fig. 9's P=1 and P=32 points of its seven curves are the
 // tables' numaws T1 and T32 — and those 49 are answered by the cache.
-// With the nine dag runs, the pipeline reports 124 runs and simulates 75.
-// Every row and series equals a fresh session's, so a hit is exact. Jobs
-// is 2, so under -race the pool's goroutines share the cache.
+// Then the dag section's nine runs are the tables' numaws T32 tuples, and
+// the cache answers all nine: with them the pipeline reports 124 runs and
+// simulates 66. Every row, series and dag equals a fresh session's, so a
+// hit is exact. Jobs is 2, so under -race the pool's goroutines share the
+// cache.
 func TestSessionSimulatesEachTupleOnce(t *testing.T) {
 	newSession := func() *Session {
 		s, err := New(
@@ -73,6 +76,15 @@ func TestSessionSimulatesEachTupleOnce(t *testing.T) {
 	if want := 7*5 + 9*5 + 7*5; runs != want || replayed != 35+14 {
 		t.Errorf("streamed %d runs with %d replayed, want %d with %d", runs, replayed, want, 35+14)
 	}
+	counted := &countingCache{ResultCache: s.cache}
+	s.cache = counted
+	dags, err := s.DAGs(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if counted.lookups != 9 || counted.misses != 0 {
+		t.Errorf("DAGs made %d cache lookups with %d misses (each a simulation), want 9 and 0", counted.lookups, counted.misses)
+	}
 
 	freshFig3, err := newSession().MeasureAll(ctx, fig3...)
 	if err != nil {
@@ -95,4 +107,30 @@ func TestSessionSimulatesEachTupleOnce(t *testing.T) {
 	if !reflect.DeepEqual(series, freshSeries) {
 		t.Errorf("Fig. 9 series differ from a fresh session's:\ncached: %+v\nfresh:  %+v", series, freshSeries)
 	}
+	freshDAGs, err := newSession().DAGs(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(dags, freshDAGs) {
+		t.Errorf("dags differ from a fresh session's:\ncached: %+v\nfresh:  %+v", dags, freshDAGs)
+	}
+}
+
+// countingCache counts the lookups a session makes through its cache and
+// the misses among them; every miss is a simulation.
+type countingCache struct {
+	harness.ResultCache
+	mu              sync.Mutex
+	lookups, misses int
+}
+
+func (c *countingCache) Get(k journal.Key) (journal.Result, bool) {
+	res, ok := c.ResultCache.Get(k)
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.lookups++
+	if !ok {
+		c.misses++
+	}
+	return res, ok
 }

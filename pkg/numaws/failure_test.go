@@ -10,7 +10,10 @@ package numaws_test
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
+	"fmt"
+	"hash/crc32"
 	"os"
 	"reflect"
 	"strings"
@@ -278,5 +281,134 @@ func TestSessionJournalTornTailResume(t *testing.T) {
 		if !reflect.DeepEqual(rows, want) {
 			t.Errorf("resume %d: rows differ from the journaled run's:\nfirst:   %+v\nresumed: %+v", pass+1, want, rows)
 		}
+	}
+}
+
+// preDAGRecord is a journal record in the shape written before records
+// carried the run's dag: the key and the four totals, nothing else.
+type preDAGRecord struct {
+	Gen      uint64 `json:"gen"`
+	Bench    string `json:"bench"`
+	Input    string `json:"input"`
+	Scale    int    `json:"scale"`
+	Topology string `json:"topology"`
+	Policy   string `json:"policy"`
+	P        int    `json:"p"`
+	Seed     int64  `json:"seed"`
+	Serial   bool   `json:"serial"`
+	Verify   bool   `json:"verify"`
+	Time     int64  `json:"time"`
+	Work     int64  `json:"work"`
+	Sched    int64  `json:"sched"`
+	Idle     int64  `json:"idle"`
+}
+
+// TestSessionResumesPreDAGJournal pins the compatibility rule for records
+// without a dag. A journal rewritten into the older record shape resumes
+// into the same rows without simulating; DAGs over it re-simulates the
+// tuples whose records lack the dag and reports their real work and
+// span, never zeros; and the journal gains no line, because the store
+// keeps the record it already holds for a key.
+func TestSessionResumesPreDAGJournal(t *testing.T) {
+	dir := t.TempDir()
+	opts := func(extra ...numaws.Option) []numaws.Option {
+		return append([]numaws.Option{
+			numaws.WithScale(numaws.ScaleSmall),
+			numaws.WithTopology("2x4"),
+			numaws.WithBenchmarks("heat"),
+			numaws.WithJobs(1),
+		}, extra...)
+	}
+	s, err := numaws.New(opts(numaws.WithJournal(dir + "/new.jsonl"))...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantRows, err := s.MeasureAll(t.Context())
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantDAGs, err := s.DAGs(t.Context())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if d := wantDAGs[0]; d.Work <= 0 || d.Span <= 0 {
+		t.Fatalf("simulated dag %+v, want positive work and span", d)
+	}
+
+	data, err := os.ReadFile(dir + "/new.jsonl")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var old bytes.Buffer
+	for _, ln := range strings.SplitAfter(string(data), "\n") {
+		if ln == "" {
+			continue
+		}
+		var wrapped struct {
+			Rec json.RawMessage `json:"rec"`
+		}
+		var rec preDAGRecord
+		if err := json.Unmarshal([]byte(ln), &wrapped); err != nil {
+			t.Fatal(err)
+		}
+		if err := json.Unmarshal(wrapped.Rec, &rec); err != nil {
+			t.Fatal(err)
+		}
+		body, err := json.Marshal(rec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		oldLn := fmt.Sprintf("{\"crc\":%d,\"rec\":%s}\n", crc32.ChecksumIEEE(body), body)
+		if rec.Serial != (oldLn == ln) {
+			t.Errorf("serial=%v record: new shape %q, older shape %q; want equal exactly for serial runs", rec.Serial, ln, oldLn)
+		}
+		old.WriteString(oldLn)
+	}
+	path := dir + "/old.jsonl"
+	if err := os.WriteFile(path, old.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	s, err = numaws.New(opts(numaws.WithJournal(path), numaws.WithResume())...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var simulated atomic.Int64
+	rows, err := s.Each(t.Context(), func(r numaws.Run) {
+		if !r.Replayed {
+			simulated.Add(1)
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dags, err := s.DAGs(t.Context())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if replayed, skipped := s.ReplayStats(); replayed != bytes.Count(old.Bytes(), []byte("\n")) || skipped != 0 {
+		t.Errorf("resume replayed %d records and skipped %d, want all %d and none", replayed, skipped, bytes.Count(old.Bytes(), []byte("\n")))
+	}
+	if simulated.Load() != 0 {
+		t.Errorf("resume simulated %d runs, want 0", simulated.Load())
+	}
+	if !reflect.DeepEqual(rows, wantRows) {
+		t.Errorf("rows from the older records differ:\ngot  %+v\nwant %+v", rows, wantRows)
+	}
+	if !reflect.DeepEqual(dags, wantDAGs) {
+		t.Errorf("dags over the older records = %+v, want the simulated %+v", dags, wantDAGs)
+	}
+	after, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(after, old.Bytes()) {
+		t.Errorf("journal of older records changed: %d lines before, %d after", bytes.Count(old.Bytes(), []byte("\n")), bytes.Count(after, []byte("\n")))
 	}
 }

@@ -12,6 +12,7 @@ import (
 	"errors"
 	"fmt"
 
+	"repro/internal/core"
 	"repro/internal/exec"
 	"repro/internal/harness"
 	"repro/internal/sched"
@@ -184,12 +185,15 @@ func (s *Session) Sweep(ctx context.Context, topologies []string, points []int, 
 }
 
 // DAGs measures each benchmark's computation dag — work, span and
-// parallelism, the paper's Section IV quantities — by running it once
-// under the session's policy at the session's P; every run measures
-// them. The work is that run's strand cycles, NUMA work inflation
-// included, so it equals T1 only at P=1. Benchmarks run
-// concurrently on the session's job pool; results come back in suite
-// order.
+// parallelism, the paper's Section IV quantities — on its run under the
+// session's policy at the session's P. The work is that run's strand
+// cycles, NUMA work inflation included, so it equals T1 only at P=1. The
+// runs go through the session's result cache, whose records carry the
+// dag, so a tuple the session already ran (the tables' T_P under its
+// policy) simulates nothing. A journal record written before records
+// carried the dag has none: its tuple is simulated again, and the
+// journal keeps the older record. Benchmarks run concurrently on the
+// session's job pool; results come back in suite order.
 func (s *Session) DAGs(ctx context.Context, benches ...string) ([]DAGReport, error) {
 	specs, err := s.subset(benches)
 	if err != nil {
@@ -198,15 +202,19 @@ func (s *Session) DAGs(ctx context.Context, benches ...string) ([]DAGReport, err
 	opt := s.options()
 	out := make([]DAGReport, len(specs))
 	err = exec.ForEach(ctx, opt.Jobs, len(specs), func(i int) error {
-		rep, err := harness.RunOne(ctx, specs[i], s.policy, opt)
+		res, hit, err := harness.ExecuteThrough(ctx, s.cache, specs[i], s.policy, opt, false)
+		if err == nil && hit && res.DAGSpan == 0 {
+			res, err = harness.Execute(ctx, specs[i], s.policy, opt, false)
+		}
 		if err != nil {
 			return facadeErr(err)
 		}
+		dag := core.DAG{Work: res.DAGWork, Span: res.DAGSpan}
 		out[i] = DAGReport{
 			Bench:       specs[i].Name,
-			Work:        rep.DAG.Work,
-			Span:        rep.DAG.Span,
-			Parallelism: rep.DAG.Parallelism(),
+			Work:        dag.Work,
+			Span:        dag.Span,
+			Parallelism: dag.Parallelism(),
 		}
 		return nil
 	})

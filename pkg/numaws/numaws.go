@@ -301,12 +301,13 @@ func WithResume() Option {
 //
 // A session holds one result cache — its WithJournal file, or an
 // in-memory memo without one — that every grid protocol (Measure,
-// MeasureAll, Each, Scalability, Sweep, Tournament) executes through. A
-// run is a pure function of its (benchmark, policy, P, seed, machine)
-// tuple, so the session simulates each distinct tuple at most once and
-// answers repeats from the cache (Run.Replayed); the cache grows with the
-// distinct tuples the session ran. Failed and cancelled runs are never
-// cached. Run, RunSerial, DAGs and Timeline always simulate.
+// MeasureAll, Each, Scalability, Sweep, Tournament) and DAGs execute
+// through. A run is a pure function of its (benchmark, policy, P, seed,
+// machine) tuple, so the session simulates each distinct tuple at most
+// once and answers repeats from the cache (Run.Replayed); the cache grows
+// with the distinct tuples the session ran. Failed and cancelled runs are
+// never cached. Run, RunSerial and Timeline return whole run reports,
+// which the cache does not hold, so they always simulate.
 type Session struct {
 	top    *topology.Topology
 	policy sched.Policy

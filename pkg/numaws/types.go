@@ -100,9 +100,9 @@ type RunReport struct {
 
 // DAGReport is a benchmark's measured computation dag: the quantities the
 // paper's Section IV bounds are stated in, measured on the session's
-// P-worker run. Strand memory costs depend on where strands run, so Work
-// includes that run's NUMA work inflation: it is the one-worker T1 only
-// when the session's P is 1.
+// P-worker run and read from that run's cache record. Strand memory costs
+// depend on where strands run, so Work includes that run's NUMA work
+// inflation: it is the one-worker T1 only when the session's P is 1.
 type DAGReport struct {
 	Bench       string
 	Work        int64 // total strand cycles of the session's P-worker run
