@@ -211,8 +211,10 @@ type RunMeta struct {
 	Baseline bool
 	// Replayed marks a run that a ResultCache answered instead of a
 	// simulation (Options.Cache, or Tournament's cache argument): a
-	// journal's record, or an earlier identical run of the same session
-	// recorded in its memo. Its Time is the stored measurement.
+	// journal's record, an earlier identical run of the same session
+	// recorded in its memo, or a concurrent identical run it waited on
+	// (ExecuteThrough's Cached and Coalesced). Its Time is the stored
+	// measurement.
 	Replayed bool
 	Time     int64 // virtual cycles (TS for serial runs, TP otherwise)
 }

@@ -57,7 +57,7 @@ func execute(ctx context.Context, opt Options, cache ResultCache, runs []run, co
 	err := exec.ForEach(ctx, opt.Jobs, len(runs), func(i int) error {
 		r := runs[i]
 		serial := r.pol == nil
-		out, hit, err := ExecuteThrough(ctx, cache, r.spec, r.pol, r.opt, serial)
+		out, outcome, err := ExecuteThrough(ctx, cache, r.spec, r.pol, r.opt, serial)
 		if err != nil {
 			var re *RunError
 			if contained && errors.As(err, &re) && ctx.Err() == nil {
@@ -71,7 +71,7 @@ func execute(ctx context.Context, opt Options, cache ResultCache, runs []run, co
 			key := KeyFor(r.spec, r.pol, r.opt, serial)
 			mu.Lock()
 			opt.OnRun(RunMeta{Bench: key.Bench, Policy: key.Policy, P: key.P, Seed: key.Seed,
-				Serial: serial, Baseline: r.baseline, Replayed: hit, Time: out.Time})
+				Serial: serial, Baseline: r.baseline, Replayed: outcome != Simulated, Time: out.Time})
 			mu.Unlock()
 		}
 		return nil

@@ -3,9 +3,9 @@
 // result store (internal/store). A grid request is expanded to its run
 // tuples, each with its key. Every tuple whose key is already recorded is
 // answered from the store first, and those rows go to the client in one
-// write. The rest are simulated, with concurrent identical in-flight runs
-// coalesced behind a per-key single-flight, and each row streams as
-// NDJSON the moment it finishes. Because every simulation is
+// write. The rest execute through the store with harness.ExecuteThrough,
+// which coalesces concurrent identical runs into one simulation, and each
+// row streams as NDJSON the moment it finishes. Because every simulation is
 // deterministic in its key, a cached row is byte-identical to a simulated
 // one — the service turns repeated queries into O(1) lookups.
 //
@@ -21,10 +21,12 @@
 //	GET  /v1/axes        the accepted axis values (benchmarks, topology
 //	                     presets, policies, scales)
 //	GET  /healthz        liveness
-//	GET  /statusz        JSON counters: grids, rows, cache hits/misses,
-//	                     coalesced runs, in-flight simulations, store
-//	                     state (including corruption found at open) and
-//	                     workload-pool counters (including quarantines)
+//	GET  /statusz        JSON counters: grids, rows, cache hits,
+//	                     simulated and coalesced runs, admitted runs in
+//	                     flight, store state (records, corruption found
+//	                     at open, puts, and the first-pass lookups' hits
+//	                     and misses) and workload-pool counters
+//	                     (including quarantines)
 //
 // Every JSON body above is a type of pkg/numaws/wire, the single
 // declaration of the service's schema; the facade's clients decode the
@@ -32,11 +34,12 @@
 //
 // Concurrency: each request fans the runs the store did not hold out on
 // its own internal/exec pool, and a server-wide semaphore bounds the
-// total simulations in flight across all clients, so one large grid
-// cannot starve the host.
+// runs admitted across all clients, so one large grid cannot starve the
+// host. A run waiting on another client's identical simulation holds its
+// own admission slot.
 // Client disconnect cancels that client's request context, which aborts
-// only its own uncached work — runs another client is waiting on are
-// taken over by a waiter, and completed records are already durable.
+// only its own uncached work — a run another client is waiting on is
+// taken over by that waiter, and completed records are already durable.
 package server
 
 import (
@@ -81,16 +84,17 @@ type Server struct {
 	maxRuns int
 	logf    func(string, ...any)
 
-	// sem is the admission bound: at most jobs simulations in flight
-	// server-wide, no matter how many clients are streaming.
-	sem    chan struct{}
-	flight flight
+	// sem is the admission bound: at most jobs runs admitted server-wide
+	// (simulating, or waiting on an identical simulation), no matter how
+	// many clients are streaming.
+	sem chan struct{}
 
-	grids, rows  atomic.Uint64
-	hits, misses atomic.Uint64
-	coalesced    atomic.Uint64
-	failures     atomic.Uint64
-	inflight     atomic.Int64
+	grids, rows            atomic.Uint64
+	hits, misses           atomic.Uint64
+	coalesced              atomic.Uint64
+	storeHits, storeMisses atomic.Uint64 // the first pass's store lookups
+	failures               atomic.Uint64
+	inflight               atomic.Int64
 }
 
 // New builds a Server over the given store.
@@ -112,8 +116,7 @@ func New(cfg Config) (*Server, error) {
 	}
 	return &Server{
 		st: cfg.Store, jobs: jobs, maxRuns: maxRuns, logf: logf,
-		sem:    make(chan struct{}, jobs),
-		flight: flight{m: map[journal.Key]*flightCall{}},
+		sem: make(chan struct{}, jobs),
 	}, nil
 }
 
@@ -265,6 +268,7 @@ func streamRuns[S any](s *Server, w http.ResponseWriter, r *http.Request, what s
 	for i := range runs {
 		res, ok := s.st.Get(runs[i].key)
 		if !ok {
+			s.storeMisses.Add(1)
 			misses = append(misses, i)
 			continue
 		}
@@ -272,6 +276,7 @@ func streamRuns[S any](s *Server, w http.ResponseWriter, r *http.Request, what s
 		rows[i] = row
 		sum.Rows++
 		sum.Cached++
+		s.storeHits.Add(1)
 		s.hits.Add(1)
 		s.rows.Add(1)
 		if err := st.encode(wire.Event[S]{Row: row}); err != nil {
@@ -321,12 +326,25 @@ func streamRuns[S any](s *Server, w http.ResponseWriter, r *http.Request, what s
 	}
 }
 
-// runOne produces the grid row of a tuple the store did not hold.
-// Contained run failures (*harness.RunError: panic, verification
+// runOne produces the grid row of a tuple the store did not hold at
+// lookup. It takes an admission slot, then executes the tuple through the
+// store, which simulates it at most once across all concurrent clients:
+// the row is cached when this request did not simulate — a coalesced ride
+// on another request's run, or a record another request stored since the
+// lookup. Contained run failures (*harness.RunError: panic, verification
 // mismatch, deadline) become the row's err field and the grid proceeds;
 // only cancellation and store I/O return an error.
 func (s *Server) runOne(ctx context.Context, rn *runSpec) (*wire.GridRow, error) {
-	res, cached, err := s.result(ctx, rn)
+	select {
+	case s.sem <- struct{}{}:
+	case <-ctx.Done():
+		return nil, ctx.Err()
+	}
+	s.inflight.Add(1)
+	opt := harness.Options{Topology: rn.top, P: rn.key.P, Seed: rn.key.Seed, Verify: rn.key.Verify}
+	res, outcome, err := harness.ExecuteThrough(ctx, s.st, rn.spec, rn.pol, opt, rn.key.Serial)
+	s.inflight.Add(-1)
+	<-s.sem
 	if err != nil {
 		var re *harness.RunError
 		if errors.As(err, &re) && ctx.Err() == nil {
@@ -337,62 +355,15 @@ func (s *Server) runOne(ctx context.Context, rn *runSpec) (*wire.GridRow, error)
 		}
 		return nil, err
 	}
-	return rn.row(res, cached), nil
-}
-
-// result serves one run tuple the store did not hold at lookup, by
-// simulating it exactly once across all concurrent clients. The reported
-// bool is true when this request did not simulate: a coalesced ride on
-// another request's run, or a record another client stored since the
-// lookup.
-func (s *Server) result(ctx context.Context, rn *runSpec) (journal.Result, bool, error) {
-	for {
-		leader, simulated := false, false
-		res, err := s.flight.do(rn.key, func() (journal.Result, error) {
-			leader = true
-			select {
-			case s.sem <- struct{}{}:
-			case <-ctx.Done():
-				return journal.Result{}, ctx.Err()
-			}
-			defer func() { <-s.sem }()
-			// A leader that finished since this request's lookup has
-			// stored the key; Peek re-checks without counting a second
-			// store lookup for the tuple.
-			if res, ok := s.st.Peek(rn.key); ok {
-				s.hits.Add(1)
-				return res, nil
-			}
-			s.inflight.Add(1)
-			defer s.inflight.Add(-1)
-			opt := harness.Options{Topology: rn.top, P: rn.key.P, Seed: rn.key.Seed, Verify: rn.key.Verify}
-			res, err := harness.Execute(ctx, rn.spec, rn.pol, opt, rn.key.Serial)
-			if err == nil {
-				err = s.st.Put(rn.key, res)
-			}
-			if err != nil {
-				return journal.Result{}, err
-			}
-			simulated = true
-			s.misses.Add(1)
-			return res, nil
-		})
-		switch {
-		case err == nil && leader:
-			return res, !simulated, nil
-		case err == nil:
-			s.coalesced.Add(1)
-			return res, true, nil
-		case !leader && ctx.Err() == nil &&
-			(errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)):
-			// The leader's client disconnected mid-run; its cancellation
-			// must not fail a waiter whose own request is still live —
-			// loop and take the flight over.
-			continue
-		default:
-			return journal.Result{}, false, err
-		}
+	switch outcome {
+	case harness.Simulated:
+		s.misses.Add(1)
+	case harness.Coalesced:
+		s.coalesced.Add(1)
+	default:
+		s.hits.Add(1)
 	}
+	return rn.row(res, outcome != harness.Simulated), nil
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
@@ -420,7 +391,7 @@ func (s *Server) handleStatusz(w http.ResponseWriter, r *http.Request) {
 	st.Inflight = s.inflight.Load()
 	c := s.st.Counters()
 	st.Store.Records, st.Store.Corrupt = c.Records, c.Skipped
-	st.Store.Puts, st.Store.Hits, st.Store.Misses = c.Puts, c.Hits, c.Misses
+	st.Store.Puts, st.Store.Hits, st.Store.Misses = c.Puts, s.storeHits.Load(), s.storeMisses.Load()
 	st.Pool.Built, st.Pool.Pooled, st.Pool.Refs, st.Pool.Quarantined = workloads.PoolCounters()
 	writeJSON(w, st)
 }
@@ -470,46 +441,4 @@ func (s *stream) flush() {
 	if s.fl != nil {
 		s.fl.Flush()
 	}
-}
-
-// flight is the per-key single-flight for in-progress simulations: the
-// RefCache discipline (block on a per-key entry, never the map) plus
-// completion broadcast and entry removal — once a run completes, its
-// result lives in the store, so the map holds only in-flight work and
-// stays bounded. Errors are never published as lasting state (no
-// poisoning): the entry is gone before waiters observe the outcome.
-type flight struct {
-	mu sync.Mutex
-	m  map[journal.Key]*flightCall
-}
-
-// flightCall is one in-progress run. res/err are written once, before
-// done is closed; waiters read them only after <-done.
-type flightCall struct {
-	done chan struct{}
-	res  journal.Result
-	err  error
-}
-
-// do runs fn under k's flight, or — when another goroutine is already
-// running it — waits for that leader and returns the leader's outcome.
-// The wait is not cancellable: a leader always terminates (its own
-// context bounds it), and callers distinguish the leader's cancellation
-// from their own.
-func (f *flight) do(k journal.Key, fn func() (journal.Result, error)) (journal.Result, error) {
-	f.mu.Lock()
-	if c, ok := f.m[k]; ok {
-		f.mu.Unlock()
-		<-c.done
-		return c.res, c.err
-	}
-	c := &flightCall{done: make(chan struct{})}
-	f.m[k] = c
-	f.mu.Unlock()
-	c.res, c.err = fn()
-	f.mu.Lock()
-	delete(f.m, k)
-	f.mu.Unlock()
-	close(c.done)
-	return c.res, c.err
 }

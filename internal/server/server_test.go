@@ -172,6 +172,16 @@ func TestConcurrentIdenticalQueriesCoalesce(t *testing.T) {
 		t.Errorf("%d simulations across %d identical queries, want exactly %d (one per unique tuple)",
 			simulated, clients, unique)
 	}
+
+	// Every row is a simulation, a coalesced ride or a store answer, and
+	// the store recorded each tuple once.
+	var st wire.Status
+	getJSON(t, hs.URL+"/statusz", &st)
+	if st.Simulated != unique || st.Simulated+st.Coalesced+st.CacheHits != clients*unique ||
+		st.Store.Puts != unique || st.Inflight != 0 {
+		t.Errorf("statusz: simulated=%d coalesced=%d cache_hits=%d store.puts=%d inflight=%d, want %d, %d in all, %d, 0",
+			st.Simulated, st.Coalesced, st.CacheHits, st.Store.Puts, st.Inflight, unique, clients*unique, unique)
+	}
 }
 
 // TestClientCancelMidStream cancels a query after its first row: the

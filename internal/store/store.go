@@ -25,7 +25,7 @@ import (
 )
 
 // Counters is a snapshot of a store's activity: what Open found on disk
-// and what Get/Put saw since.
+// and how many records Put appended since.
 type Counters struct {
 	// Records is the number of intact records loaded at Open.
 	Records int
@@ -33,8 +33,6 @@ type Counters struct {
 	// Open — store corruption, zero on a healthy file.
 	Skipped int
 	Puts    uint64
-	Hits    uint64
-	Misses  uint64
 }
 
 // Store is the on-disk result store plus its in-memory index. Safe for
@@ -46,8 +44,8 @@ type Store struct {
 	idx map[journal.Key]journal.Result
 	w   *journal.Writer
 
-	loaded, skipped    int
-	puts, hits, misses uint64
+	loaded, skipped int
+	puts            uint64
 }
 
 // Open replays path (a missing file is an empty store), heals a torn tail
@@ -72,23 +70,10 @@ func Open(path string) (*Store, error) {
 // Path reports the file the store persists to.
 func (s *Store) Path() string { return s.path }
 
-// Get reports the recorded result for a key, if present, and counts the
-// lookup as a hit or a miss.
+// Get reports the recorded result for a key, if present. It counts
+// nothing: a caller that reports lookups (the sweep service's /statusz)
+// counts the ones it means.
 func (s *Store) Get(k journal.Key) (journal.Result, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	r, ok := s.idx[k]
-	if ok {
-		s.hits++
-	} else {
-		s.misses++
-	}
-	return r, ok
-}
-
-// Peek is Get without counting: a re-check of a key the caller already
-// looked up with Get, so each lookup is counted once.
-func (s *Store) Peek(k journal.Key) (journal.Result, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	r, ok := s.idx[k]
@@ -98,9 +83,10 @@ func (s *Store) Peek(k journal.Key) (journal.Result, bool) {
 // Put durably records one completed run: the record is fsync'd before Put
 // returns, so a result a client saw stream survives any later crash. A
 // key already present is a no-op — records are content-addressed, so the
-// write would be byte-identical. (Two concurrent first Puts of one key
-// may both append; replay dedups identical records, so the race costs a
-// duplicate line, never a wrong result.)
+// write would be byte-identical. (harness.ExecuteThrough never issues two
+// concurrent first Puts of one key to one store, but a direct caller
+// may; both may then append, and replay dedups identical records, so the
+// race costs a duplicate line, never a wrong result.)
 func (s *Store) Put(k journal.Key, r journal.Result) error {
 	s.mu.Lock()
 	_, present := s.idx[k]
@@ -129,10 +115,7 @@ func (s *Store) Len() int {
 func (s *Store) Counters() Counters {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return Counters{
-		Records: s.loaded, Skipped: s.skipped,
-		Puts: s.puts, Hits: s.hits, Misses: s.misses,
-	}
+	return Counters{Records: s.loaded, Skipped: s.skipped, Puts: s.puts}
 }
 
 // Close closes the underlying file. Records are fsync'd per Put, so no

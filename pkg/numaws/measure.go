@@ -202,8 +202,8 @@ func (s *Session) DAGs(ctx context.Context, benches ...string) ([]DAGReport, err
 	opt := s.options()
 	out := make([]DAGReport, len(specs))
 	err = exec.ForEach(ctx, opt.Jobs, len(specs), func(i int) error {
-		res, hit, err := harness.ExecuteThrough(ctx, s.cache, specs[i], s.policy, opt, false)
-		if err == nil && hit && res.DAGSpan == 0 {
+		res, outcome, err := harness.ExecuteThrough(ctx, s.cache, specs[i], s.policy, opt, false)
+		if err == nil && outcome == harness.Cached && res.DAGSpan == 0 {
 			res, err = harness.Execute(ctx, specs[i], s.policy, opt, false)
 		}
 		if err != nil {

@@ -304,7 +304,8 @@ func WithResume() Option {
 // MeasureAll, Each, Scalability, Sweep, Tournament) and DAGs execute
 // through. A run is a pure function of its (benchmark, policy, P, seed,
 // machine) tuple, so the session simulates each distinct tuple at most
-// once and answers repeats from the cache (Run.Replayed); the cache grows
+// once, even when its job pool misses one tuple on several workers at
+// once, and answers repeats from the cache (Run.Replayed); the cache grows
 // with the distinct tuples the session ran. Failed and cancelled runs are
 // never cached. Run, RunSerial and Timeline return whole run reports,
 // which the cache does not hold, so they always simulate.

@@ -56,8 +56,8 @@ type Run struct {
 	// runs.
 	Baseline bool
 	// Replayed marks a run the session's cache answered instead of a
-	// simulation: a WithJournal record, or the session's earlier identical
-	// run. Time is the stored measurement.
+	// simulation: a WithJournal record, or the session's earlier or
+	// concurrent identical run. Time is the stored measurement.
 	Replayed bool
 	Time     int64 // virtual cycles (TS for serial runs, TP otherwise)
 }
