@@ -15,6 +15,7 @@ package main
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"io"
 	"os"
 	"sort"
@@ -22,6 +23,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"repro/pkg/numaws"
 )
 
 // paperNine is the original nine-benchmark suite the golden output pins.
@@ -467,6 +470,20 @@ func TestServeQueryRoundTrip(t *testing.T) {
 	}
 	if !strings.Contains(errb, "2 rows: 2 cached, 0 simulated, 0 failed") {
 		t.Errorf("warm query summary: %s", errb)
+	}
+
+	// Each printed row is the line json.Encoder writes for it.
+	first, _, _ := strings.Cut(out1, "\n")
+	var row numaws.GridRow
+	if err := json.Unmarshal([]byte(first), &row); err != nil {
+		t.Fatalf("query row %q: %v", first, err)
+	}
+	var enc bytes.Buffer
+	if err := json.NewEncoder(&enc).Encode(row); err != nil {
+		t.Fatal(err)
+	}
+	if enc.String() != first+"\n" {
+		t.Errorf("query row line:\n got %q\nwant %q", first+"\n", enc.String())
 	}
 
 	// NDJSON rows are deterministic, so the two queries agree line for

@@ -7,7 +7,6 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
@@ -17,6 +16,7 @@ import (
 	"strings"
 
 	"repro/pkg/numaws"
+	"repro/pkg/numaws/wire"
 )
 
 // subcommandHelp drives the top-level usage text: every subcommand in
@@ -92,8 +92,9 @@ func runServe(ctx context.Context, args []string, stderr io.Writer) int {
 }
 
 // runQuery streams one grid from a running service: each row to stdout as
-// an NDJSON line, the summary to stderr. Exits 1 when any row failed or
-// the stream was truncated.
+// an NDJSON line (wire.AppendRow's bytes, which are encoding/json's), the
+// summary to stderr. Exits 1 when any row failed or the stream was
+// truncated.
 func runQuery(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	fail := func(err error) int {
 		fmt.Fprintln(stderr, "numaws:", strings.TrimPrefix(err.Error(), "numaws: "))
@@ -144,10 +145,11 @@ func runQuery(ctx context.Context, args []string, stdout, stderr io.Writer) int 
 		}
 		req.Seeds = append(req.Seeds, sd)
 	}
-	enc := json.NewEncoder(stdout)
+	var line []byte
 	var encErr error
 	sum, err := numaws.QueryGrid(ctx, *server, req, func(row numaws.GridRow) {
-		if err := enc.Encode(row); err != nil && encErr == nil {
+		line = append(wire.AppendRow(line[:0], &row), '\n')
+		if _, err := stdout.Write(line); err != nil && encErr == nil {
 			encErr = err
 		}
 	})

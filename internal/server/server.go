@@ -30,7 +30,8 @@
 //
 // Every JSON body above is a type of pkg/numaws/wire, the single
 // declaration of the service's schema; the facade's clients decode the
-// same types.
+// same types. Row lines are written with wire.AppendRowEvent, whose bytes
+// are encoding/json's; everything else is encoded by encoding/json.
 //
 // Concurrency: each request fans the runs the store did not hold out on
 // its own internal/exec pool, and a server-wide semaphore bounds the
@@ -47,6 +48,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"sync"
 	"sync/atomic"
@@ -279,7 +281,7 @@ func streamRuns[S any](s *Server, w http.ResponseWriter, r *http.Request, what s
 		s.storeHits.Add(1)
 		s.hits.Add(1)
 		s.rows.Add(1)
-		if err := st.encode(wire.Event[S]{Row: row}); err != nil {
+		if err := st.row(row); err != nil {
 			s.logf("numaws: %s aborted: %v", what, err)
 			return
 		}
@@ -308,7 +310,11 @@ func streamRuns[S any](s *Server, w http.ResponseWriter, r *http.Request, what s
 		}
 		mu.Unlock()
 		s.rows.Add(1)
-		return st.event(wire.Event[S]{Row: row})
+		if err := st.row(row); err != nil {
+			return err
+		}
+		st.flush()
+		return nil
 	})
 	if err != nil {
 		// The stream is committed to 200 by now; ending it without the
@@ -405,34 +411,41 @@ func writeJSON(w http.ResponseWriter, v any) {
 
 // stream serializes NDJSON events onto one response: pool workers emit
 // rows concurrently, and the ResponseWriter is not safe for concurrent
-// writes. event flushes each event, so a slow grid still streams; encode
-// leaves the event in the writer's buffer until flush.
+// writes. row appends each row line with wire.AppendRowEvent into a
+// reused buffer and leaves it in the writer's buffer until flush; event
+// encodes any other event (the trailer) with encoding/json and flushes it.
 type stream struct {
 	mu  sync.Mutex
-	enc *json.Encoder
+	w   io.Writer
+	buf []byte       // the row line being written, reused under mu
 	fl  http.Flusher // nil when the writer cannot flush (tests)
 }
 
 func newStream(w http.ResponseWriter) *stream {
-	st := &stream{enc: json.NewEncoder(w)}
+	st := &stream{w: w}
 	if fl, ok := w.(http.Flusher); ok {
 		st.fl = fl
 	}
 	return st
 }
 
+func (s *stream) row(r *wire.GridRow) error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.buf = wire.AppendRowEvent(s.buf[:0], r)
+	_, err := s.w.Write(s.buf)
+	return err
+}
+
 func (s *stream) event(ev any) error {
-	if err := s.encode(ev); err != nil {
+	s.mu.Lock()
+	err := json.NewEncoder(s.w).Encode(ev)
+	s.mu.Unlock()
+	if err != nil {
 		return err
 	}
 	s.flush()
 	return nil
-}
-
-func (s *stream) encode(ev any) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.enc.Encode(ev)
 }
 
 func (s *stream) flush() {

@@ -6,6 +6,7 @@ package numaws
 // names as aliases.
 
 import (
+	"bufio"
 	"bytes"
 	"context"
 	"encoding/json"
@@ -88,20 +89,49 @@ func query[S any](ctx context.Context, server, path, op string, req any, onRow f
 		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
 		return fail(fmt.Errorf("server said %s: %s", resp.Status, strings.TrimSpace(string(msg))))
 	}
-	dec := json.NewDecoder(resp.Body)
+	// Rows take the reflection-free parser; every other line, trailers
+	// included, is decoded by encoding/json, which defines what the stream
+	// accepts. The reader's buffer is small, since a cold query streams
+	// only a few rows; a longer line is gathered in long instead.
+	br := bufio.NewReaderSize(resp.Body, 1024)
+	var long []byte
+	var row GridRow
 	for {
-		var ev wire.Event[S]
-		if err := dec.Decode(&ev); err != nil {
-			if errors.Is(err, io.EOF) {
-				err = errors.New("stream ended without its summary (the server aborted it)")
+		line, err := br.ReadSlice('\n')
+		if errors.Is(err, bufio.ErrBufferFull) {
+			long = append(long[:0], line...)
+			for errors.Is(err, bufio.ErrBufferFull) {
+				line, err = br.ReadSlice('\n')
+				long = append(long, line...)
 			}
+			line = long
+		}
+		if err != nil && !errors.Is(err, io.EOF) {
 			return fail(err)
 		}
-		if ev.Row != nil && onRow != nil {
-			onRow(*ev.Row)
-		}
-		if ev.Done != nil {
-			return *ev.Done, nil
+		switch {
+		case wire.ParseRowEvent(line, &row):
+			if onRow != nil {
+				onRow(row)
+			}
+		case len(bytes.TrimSpace(line)) > 0:
+			var ev wire.Event[S]
+			if err := json.Unmarshal(line, &ev); err != nil {
+				return fail(err)
+			}
+			if ev.Row != nil && onRow != nil {
+				onRow(*ev.Row)
+			}
+			if ev.Done != nil {
+				// Read on to the end of the response (normally only the
+				// chunked terminator) so the transport can reuse the
+				// connection. The summary is complete, so an error here
+				// costs only that reuse.
+				_, _ = io.CopyN(io.Discard, br, 1<<10)
+				return *ev.Done, nil
+			}
+		case err != nil: // io.EOF, and no line left to decode
+			return fail(errors.New("stream ended without its summary (the server aborted it)"))
 		}
 	}
 }

@@ -11,6 +11,11 @@
 // aborted mid-grid. GET /v1/axes answers with Axes and GET /statusz with
 // Status.
 //
+// A row line is appended and parsed without reflection (AppendRowEvent,
+// ParseRowEvent), byte-identical to encoding/json: the parser accepts only
+// the appender's layout, and a client decodes every line it declines with
+// encoding/json, which stays the reference for what the stream accepts. Requests and trailers use encoding/json directly.
+//
 // The package imports only the standard library and nothing from this
 // module, so both sides can depend on it.
 package wire

@@ -5,21 +5,21 @@ import (
 	"testing"
 )
 
-// TestWireBytes pins the NDJSON the service streams, byte for byte: each
-// expected line is what the service emitted before this package existed,
-// so a tag, field-order or omitempty change anywhere in the schema fails
-// here rather than in a client.
-func TestWireBytes(t *testing.T) {
+type wireCase struct {
+	name string
+	v    any
+	want string
+}
+
+// wireCases pins the NDJSON the service streams, byte for byte: each
+// expected line is what the service emitted before this package existed.
+var wireCases = func() []wireCase {
 	ranking := []TournamentRank{
 		{Rank: 1, Policy: "numaws", Score: 1},
 		{Rank: 2, Policy: "cilk", Score: 1.0833333333333333},
 		{Rank: 3, Policy: "steal-half", Score: 1.25},
 	}
-	cases := []struct {
-		name string
-		v    any
-		want string
-	}{
+	return []wireCase{
 		{
 			"row with err",
 			Event[GridSummary]{Row: &GridRow{
@@ -75,13 +75,25 @@ func TestWireBytes(t *testing.T) {
 			`{"benches":["fib"],"policies":["cilk","numaws"],"seeds":[1]}`,
 		},
 	}
-	for _, tc := range cases {
+}()
+
+// TestWireBytes checks every wireCases line against encoding/json, and
+// each row line against AppendRowEvent too, so a tag, field-order or
+// omitempty change anywhere in the schema — or an appender that drifts
+// from it — fails here rather than in a client.
+func TestWireBytes(t *testing.T) {
+	for _, tc := range wireCases {
 		got, err := json.Marshal(tc.v)
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
 		if string(got) != tc.want {
 			t.Errorf("%s:\n got %s\nwant %s", tc.name, got, tc.want)
+		}
+		if ev, ok := tc.v.(Event[GridSummary]); ok && ev.Row != nil {
+			if got := AppendRowEvent(nil, ev.Row); string(got) != tc.want+"\n" {
+				t.Errorf("%s: AppendRowEvent:\n got %q\nwant %q", tc.name, got, tc.want+"\n")
+			}
 		}
 	}
 }
