@@ -178,9 +178,15 @@ func realMain(ctx context.Context, args []string, stdout, stderr io.Writer) int 
 		}
 		return runQuery(ctx, rest, stdout, stderr)
 	}
-	sc := numaws.ScaleFull
-	if *scale == "small" {
+	var sc numaws.Scale
+	switch *scale {
+	case "small":
 		sc = numaws.ScaleSmall
+	case "full":
+		sc = numaws.ScaleFull
+	default:
+		// Anything else would otherwise run the hours-long full scale.
+		return fail(fmt.Errorf("-scale %q: want small|full", *scale))
 	}
 	if *jobs < 1 {
 		fmt.Fprintf(stderr, "numaws: -jobs %d clamped to 1 (need at least one host worker)\n", *jobs)

@@ -188,6 +188,23 @@ func TestSeedsBelowOneIsUsageError(t *testing.T) {
 	}
 }
 
+func TestUnknownScaleIsUsageError(t *testing.T) {
+	for _, v := range []string{"smal", "", "Small"} {
+		code, _, errb := runCLI(t, "-scale", v, "fig1")
+		if code == 0 {
+			t.Fatalf("-scale %q exited 0", v)
+		}
+		if !strings.Contains(errb, "small|full") {
+			t.Errorf("-scale %q stderr unhelpful:\n%s", v, errb)
+		}
+	}
+	for _, v := range []string{"small", "full"} {
+		if code, _, errb := runCLI(t, "-scale", v, "fig1"); code != 0 {
+			t.Errorf("-scale %s rejected: %s", v, errb)
+		}
+	}
+}
+
 func TestUnknownPolicyIsUsageErrorListingNames(t *testing.T) {
 	code, _, errb := runCLI(t, "-policy", "bogus", "fig1")
 	if code == 0 {

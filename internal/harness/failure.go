@@ -27,6 +27,7 @@ import (
 	"runtime/debug"
 
 	"repro/internal/core"
+	"repro/internal/journal"
 	"repro/internal/sched"
 	"repro/pkg/numaws/results"
 )
@@ -61,26 +62,15 @@ func (k FailKind) String() string {
 	return fmt.Sprintf("failkind(%d)", int(k))
 }
 
-// runKey identifies the failing run inside a RunError.
-type runKey struct {
-	bench  string
-	policy string // "" for serial runs
-	p      int
-	seed   int64
-	serial bool
-}
-
 // RunError is a contained run failure: the run's identity, the failure
 // classification, and the evidence (panic value plus stack, or the
 // underlying error). The measurement protocols convert it into an error
 // row; only grid-level failures (cancellation, journal I/O) abort a sweep.
 type RunError struct {
-	Bench  string
-	Policy string // "" for serial runs
-	P      int
-	Seed   int64
-	Serial bool
-	Kind   FailKind
+	// Key is the failed run's KeyFor key: a serial run's Policy is
+	// "serial" and its P 1.
+	Key  journal.Key
+	Kind FailKind
 	// Panic is the recovered panic value (KindPanic).
 	Panic any
 	// Stack is the goroutine stack captured at the recovery boundary
@@ -114,12 +104,9 @@ func (e *RunError) detail() string {
 
 // Error implements error.
 func (e *RunError) Error() string {
-	mode := e.Policy
-	if e.Serial {
-		mode = "serial"
-	}
+	k := e.Key
 	return fmt.Sprintf("harness: run %s [%s P=%d seed=%d] failed (%s): %s",
-		e.Bench, mode, e.P, e.Seed, e.Kind, e.detail())
+		k.Bench, k.Policy, k.P, k.Seed, e.Kind, e.detail())
 }
 
 // Unwrap exposes the underlying error to errors.Is/As.
@@ -129,10 +116,21 @@ func (e *RunError) Unwrap() error { return e.Err }
 // and classification, which renderers, exporters and the facade all carry
 // as is.
 func (e *RunError) RowError() *results.RunFailure {
+	k := e.Key
 	return &results.RunFailure{
-		Bench: e.Bench, Policy: e.Policy, P: e.P, Seed: e.Seed,
+		Bench: k.Bench, Policy: failPolicy(k), P: k.P, Seed: k.Seed,
 		Kind: e.Kind.String(), Message: e.detail(),
 	}
+}
+
+// failPolicy is the policy a failure report names for the run: none for
+// the serial elision, which has no scheduler (faultinject targets and
+// RunFailure both spell that "").
+func failPolicy(k journal.Key) string {
+	if k.Serial {
+		return ""
+	}
+	return k.Policy
 }
 
 // contain is the designated recovery boundary of the harness: the ONE
@@ -144,15 +142,13 @@ func (e *RunError) RowError() *results.RunFailure {
 // is KindPanic with the stack captured here, at the point of recovery.
 // Errors returned by run (verify failures already typed by the run body,
 // context errors) pass through untouched.
-func contain(parent context.Context, key runKey, run func() (*core.Report, error)) (rep *core.Report, err error) {
+func contain(parent context.Context, key journal.Key, run func() (*core.Report, error)) (rep *core.Report, err error) {
 	defer func() {
 		p := recover()
 		if p == nil {
 			return
 		}
-		re := &RunError{
-			Bench: key.bench, Policy: key.policy, P: key.p, Seed: key.seed, Serial: key.serial,
-		}
+		re := &RunError{Key: key}
 		if pe, ok := p.(error); ok && errors.Is(pe, sched.ErrInterrupted) {
 			re.Kind, re.Err = KindTimeout, pe
 			if parent != nil && parent.Err() != nil {
@@ -176,7 +172,7 @@ func contain(parent context.Context, key runKey, run func() (*core.Report, error
 // byte-identical to one that succeeds on attempt 1. Grid cancellation
 // always wins: once the parent context is dead, its error is returned
 // unchanged, preserving the protocols' pinned cancellation contract.
-func attemptRun(ctx context.Context, key runKey, opt Options, run func(context.Context) (*core.Report, error)) (*core.Report, error) {
+func attemptRun(ctx context.Context, key journal.Key, opt Options, run func(context.Context) (*core.Report, error)) (*core.Report, error) {
 	for attempt := 1; ; attempt++ {
 		rctx, cancel := ctx, context.CancelFunc(func() {})
 		if opt.RunTimeout > 0 {

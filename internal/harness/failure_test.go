@@ -301,7 +301,7 @@ func TestRefCacheNotPoisonedByPanic(t *testing.T) {
 	opt := Options{Verify: true}
 	_, err := RunSerial(t.Context(), spec, opt)
 	var re *RunError
-	if !errors.As(err, &re) || re.Kind != KindPanic || !re.Serial {
+	if !errors.As(err, &re) || re.Kind != KindPanic || !re.Key.Serial {
 		t.Fatalf("err = %v, want serial panic RunError", err)
 	}
 	if _, _, _, quarantined := workloads.PoolCounters(); quarantined != 1 {

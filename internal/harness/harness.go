@@ -4,7 +4,7 @@
 //
 // The paper's machine-and-methodology choices are encoded here: workers are
 // packed onto the fewest sockets (Fig. 9's policy), Cilk Plus baselines run
-// with the better of first-touch and interleave placement and no hints,
+// with first-touch placement after serial initialization and no hints,
 // NUMA-WS runs use partitioned placement plus hints (except matmul and
 // strassen, which per the paper use no hints), and both platforms run
 // identical inputs and base-case sizes.
@@ -167,7 +167,7 @@ type Options struct {
 	// MeasureTopologies, Tournament) as it finishes — in completion order,
 	// not canonical order; calls are serialized. Streaming observes the
 	// grid; it never changes the returned results, which are still folded
-	// canonically after the pool drains.
+	// canonically after the last run finishes.
 	OnRun func(RunMeta)
 	// RunTimeout bounds each individual simulation: a run that exceeds it
 	// is interrupted (the engine polls a per-run deadline context) and
@@ -284,14 +284,14 @@ func RunOne(ctx context.Context, spec Spec, pol sched.Policy, opt Options) (*cor
 		return nil, err
 	}
 	opt = opt.fill()
-	key := runKey{bench: spec.Name, policy: pol.Name(), p: opt.P, seed: opt.Seed}
+	key := KeyFor(spec, pol, opt, false)
 	return attemptRun(ctx, key, opt, func(rctx context.Context) (*core.Report, error) {
 		return runAttempt(rctx, spec, pol, opt, key, nil)
 	})
 }
 
 // runAttempt is one attempt of one run — the serial elision when
-// key.serial (pol is then ignored), one parallel simulation otherwise —
+// key.Serial (pol is then ignored), one parallel simulation otherwise —
 // with tracer (may be nil) receiving its timeline: check out the run's
 // resources, simulate, verify, settle. The deferred settlement is the
 // quarantine mechanism — it runs on the panic unwind path too, so by the
@@ -299,10 +299,10 @@ func RunOne(ctx context.Context, spec Spec, pol sched.Policy, opt Options) (*cor
 // arena and workload instance are already out of circulation. The serial
 // elision polls the interrupt hook at its Spawn/Compute edges, so serial
 // runs honor RunTimeout too.
-func runAttempt(rctx context.Context, spec Spec, pol sched.Policy, opt Options, key runKey, tracer sched.Tracer) (*core.Report, error) {
-	plan := faultinject.ForRun(key.bench, key.policy, key.p, key.seed, key.serial)
+func runAttempt(rctx context.Context, spec Spec, pol sched.Policy, opt Options, key journal.Key, tracer sched.Tracer) (*core.Report, error) {
+	plan := faultinject.ForRun(key.Bench, failPolicy(key), key.P, key.Seed, key.Serial)
 	workers, run := opt.P, (*core.Runtime).Run
-	if key.serial {
+	if key.Serial {
 		// The serial elision runs on one core with baseline placement.
 		pol, workers, tracer, run = sched.Cilk, 1, nil, (*core.Runtime).RunSerial
 	}
@@ -342,15 +342,12 @@ func runAttempt(rctx context.Context, spec Spec, pol sched.Policy, opt Options, 
 
 // verifyError types a verification mismatch as the deterministic,
 // non-retryable failure it is.
-func verifyError(key runKey, err error) *RunError {
+func verifyError(key journal.Key, err error) *RunError {
 	where := "serial"
-	if !key.serial {
-		where = fmt.Sprintf("on %s at P=%d", key.policy, key.p)
+	if !key.Serial {
+		where = fmt.Sprintf("on %s at P=%d", key.Policy, key.P)
 	}
-	return &RunError{
-		Bench: key.bench, Policy: key.policy, P: key.p, Seed: key.seed, Serial: key.serial,
-		Kind: KindVerify, Err: fmt.Errorf("harness: %s %s: %w", key.bench, where, err),
-	}
+	return &RunError{Key: key, Kind: KindVerify, Err: fmt.Errorf("harness: %s %s: %w", key.Bench, where, err)}
 }
 
 // RunSerial measures TS for a spec (serial elision, baseline placement).
@@ -366,7 +363,7 @@ func RunSerial(ctx context.Context, spec Spec, opt Options) (*core.Report, error
 		return nil, err
 	}
 	opt = opt.fill()
-	key := runKey{bench: spec.Name, p: 1, seed: opt.Seed, serial: true}
+	key := KeyFor(spec, nil, opt, true)
 	// Containment and retry sit INSIDE the memoization compute: a serial
 	// reference that panics or times out surfaces as an error, and RefCache
 	// never caches errors, so the single-flight entry is not poisoned — the
@@ -381,10 +378,9 @@ func RunSerial(ctx context.Context, spec Spec, opt Options) (*core.Report, error
 		return attempt()
 	}
 	// The memo key pins everything the serial report depends on: the
-	// machine shape (String renders the distance matrix too) and whether
-	// this call must have verified. Geometry and latency are harness
-	// constants.
-	memoKey := fmt.Sprintf("harness.ts|verify=%t|%s", opt.Verify, opt.Topology)
+	// machine (its Key hashes the distance matrix too) and whether this
+	// call must have verified. Geometry and latency are harness constants.
+	memoKey := fmt.Sprintf("harness.ts|verify=%t|%s", opt.Verify, opt.Topology.Key())
 	v, err := cache.Do(memoKey, func() (any, error) { return attempt() })
 	if err != nil {
 		return nil, err
@@ -447,7 +443,7 @@ func MeasureAll(ctx context.Context, specs []Spec, opt Options) ([]results.Row, 
 	}
 	column := func(rs []journal.Result) results.PlatformResult {
 		tp := mean(rs[1:])
-		return results.PlatformResult{T1: rs[0].Time, W1: rs[0].Work, TP: tp.Time, WP: tp.Work, SP: tp.Sched, IP: tp.Idle}
+		return results.PlatformResult{T1: rs[0].Time, TP: tp.Time, WP: tp.Work, SP: tp.Sched, IP: tp.Idle}
 	}
 	rows := make([]results.Row, len(specs))
 	for i, spec := range specs {
@@ -470,7 +466,7 @@ var Fig9Points = []int{1, 8, 16, 24, 32}
 // MeasureScalability produces the Fig. 9 series: opt.Policy's TP over the
 // worker counts, tight socket packing (the Pack default). It is the
 // single-machine case of MeasureTopologies, which fans every (spec, point,
-// seed) run out to an opt.Jobs-worker pool and aggregates in canonical
+// seed) run out to opt.Jobs host goroutines and aggregates in canonical
 // order. nil points derive the axis from the machine (SweepPoints), which
 // on the paper's topology is exactly Fig9Points.
 func MeasureScalability(ctx context.Context, specs []Spec, opt Options, points []int) ([]results.Series, error) {
@@ -504,7 +500,7 @@ func RunTraced(ctx context.Context, spec Spec, pol sched.Policy, opt Options) (*
 		return nil, nil, err
 	}
 	opt = opt.fill()
-	key := runKey{bench: spec.Name, policy: pol.Name(), p: opt.P, seed: opt.Seed}
+	key := KeyFor(spec, pol, opt, false)
 	tl := trace.New(opt.P)
 	rep, err := contain(ctx, key, func() (*core.Report, error) {
 		return runAttempt(ctx, spec, pol, opt, key, tl)

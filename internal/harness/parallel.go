@@ -2,21 +2,21 @@ package harness
 
 // This file is the harness's one grid executor. Every measurement protocol
 // (MeasureAll, MeasureTopologies, Tournament) lists its runs in canonical
-// order and hands the list to execute, which fans them out over the
-// internal/exec pool. Each run is one full simulation with its own workload
+// order and hands the list to execute, which fans them out with
+// exec.ForEach. Each run is one full simulation with its own workload
 // and runtime, and writes its measured totals into the slot with its own
-// index; the protocol folds the slots after the pool drains, so the
+// index; the protocol folds the slots after ForEach returns, so the
 // aggregate is byte-identical for every Jobs value. Completed runs are also
 // streamed through Options.OnRun in completion order, which is what
 // Session.Each builds on.
 //
 // Failure containment happens at this seam. With contained set, a run that
 // comes back as a *RunError stores it in the run's own failure slot and
-// returns nil to the pool: the grid proceeds, and the protocol folds the
+// returns nil to ForEach: the grid proceeds, and the protocol folds the
 // failure into an error row (the lowest run index wins, so the reported
 // failure is deterministic for a deterministic fault). Grid-level errors
 // (cancellation, cache I/O), and every error of an uncontained grid,
-// propagate into the pool and abort the grid.
+// propagate out of ForEach and abort the grid.
 
 import (
 	"context"
@@ -39,7 +39,7 @@ type run struct {
 }
 
 // execute runs every entry of runs through cache (nil: every run
-// simulates) on an opt.Jobs-worker pool and returns their totals by index.
+// simulates) on opt.Jobs host goroutines and returns their totals by index.
 // With contained, a run's *RunError lands in its slot of the returned
 // failures and its result stays zero; otherwise the failures are nil and
 // any run's error aborts the grid. Each completed run is emitted through

@@ -16,8 +16,8 @@ import (
 const (
 	fixtureRows = `[
 	{"Name": "heat", "Input": "128x128x8/8 rows", "P": 32, "TS": 1000,
-	 "Cilk": {"T1": 1100, "TP": 200, "WP": 1500, "SP": 300, "IP": 400, "W1": 1100},
-	 "NUMAWS": {"T1": 1050, "TP": 100, "WP": 1200, "SP": 150, "IP": 250, "W1": 1050}},
+	 "Cilk": {"T1": 1100, "TP": 200, "WP": 1500, "SP": 300, "IP": 400},
+	 "NUMAWS": {"T1": 1050, "TP": 100, "WP": 1200, "SP": 150, "IP": 250}},
 	{"Name": "cg", "Input": "1024x16, n=16", "P": 32,
 	 "Err": {"Bench": "cg", "Policy": "numaws", "P": 32, "Seed": 2, "Kind": "verify",
 	         "Msg": "result \"x\" mismatch", "Message": "result \"x\" mismatch"}}

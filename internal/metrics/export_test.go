@@ -14,13 +14,13 @@ func exportFixtures() ([]results.Row, []results.Series) {
 	rows := []results.Row{
 		{
 			Name: "heat", Input: "128x128x8/8 rows", P: 32, TS: 1000,
-			Cilk:   results.PlatformResult{T1: 1100, TP: 200, WP: 1500, SP: 300, IP: 400, W1: 1100},
-			NUMAWS: results.PlatformResult{T1: 1050, TP: 100, WP: 1200, SP: 150, IP: 250, W1: 1050},
+			Cilk:   results.PlatformResult{T1: 1100, TP: 200, WP: 1500, SP: 300, IP: 400},
+			NUMAWS: results.PlatformResult{T1: 1050, TP: 100, WP: 1200, SP: 150, IP: 250},
 		},
 		{
 			Name: "cg", Input: "1024x16/n=16", P: 32, TS: 2000,
-			Cilk:   results.PlatformResult{T1: 2400, TP: 500, WP: 3000, SP: 600, IP: 700, W1: 2400},
-			NUMAWS: results.PlatformResult{T1: 2200, TP: 250, WP: 2500, SP: 300, IP: 350, W1: 2200},
+			Cilk:   results.PlatformResult{T1: 2400, TP: 500, WP: 3000, SP: 600, IP: 700},
+			NUMAWS: results.PlatformResult{T1: 2200, TP: 250, WP: 2500, SP: 300, IP: 350},
 		},
 	}
 	series := []results.Series{

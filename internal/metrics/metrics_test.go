@@ -11,13 +11,13 @@ func sampleRows() []results.Row {
 	return []results.Row{
 		{
 			Name: "cilksort", Input: "1048576/4096", TS: 1000, P: 32,
-			Cilk:   results.PlatformResult{T1: 1005, TP: 47, WP: 1540, SP: 10, IP: 30, W1: 1005},
-			NUMAWS: results.PlatformResult{T1: 1030, TP: 39, WP: 1210, SP: 15, IP: 20, W1: 1030},
+			Cilk:   results.PlatformResult{T1: 1005, TP: 47, WP: 1540, SP: 10, IP: 30},
+			NUMAWS: results.PlatformResult{T1: 1030, TP: 39, WP: 1210, SP: 15, IP: 20},
 		},
 		{
 			Name: "heat", Input: "512x512", TS: 2000, P: 32,
-			Cilk:   results.PlatformResult{T1: 1990, TP: 330, WP: 10430, SP: 26, IP: 71, W1: 1990},
-			NUMAWS: results.PlatformResult{T1: 1990, TP: 143, WP: 4478, SP: 10, IP: 45, W1: 1990},
+			Cilk:   results.PlatformResult{T1: 1990, TP: 330, WP: 10430, SP: 26, IP: 71},
+			NUMAWS: results.PlatformResult{T1: 1990, TP: 143, WP: 4478, SP: 10, IP: 45},
 		},
 	}
 }

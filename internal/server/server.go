@@ -33,8 +33,8 @@
 // same types. Row lines are written with wire.AppendRowEvent, whose bytes
 // are encoding/json's; everything else is encoded by encoding/json.
 //
-// Concurrency: each request fans the runs the store did not hold out on
-// its own internal/exec pool, and a server-wide semaphore bounds the
+// Concurrency: each request fans the runs the store did not hold out
+// with its own exec.ForEach, and a server-wide semaphore bounds the
 // runs admitted across all clients, so one large grid cannot starve the
 // host. A run waiting on another client's identical simulation holds its
 // own admission slot.
@@ -244,13 +244,13 @@ func readRequest(w http.ResponseWriter, r *http.Request, what string, req any) b
 // looks every tuple up in the store and writes each hit as a row event,
 // with one flush after the loop. The second fans the misses out with
 // exec.ForEach and streams each simulated row as its own flushed event,
-// in completion order. The passes are separate because ForEach's pool
-// blocks when full: a hit queued behind a miss would wait for a
+// in completion order. The passes are separate because ForEach runs at
+// most s.jobs jobs at once: a hit queued behind a miss would wait for a
 // simulation.
 // Last comes the trailer that done builds from the rows (index-addressed
 // in expansion order, not stream order) and their counts. The handler's
-// context is the request's: client disconnect cancels the pool, skipping
-// runs not yet started, and the stream ends without its trailer — as it
+// context is the request's: client disconnect cancels the ForEach,
+// skipping runs not yet started, and the stream ends without its trailer — as it
 // does when a run hits a grid-level error (cancellation, store I/O) or
 // done fails.
 func streamRuns[S any](s *Server, w http.ResponseWriter, r *http.Request, what string,
@@ -409,7 +409,7 @@ func writeJSON(w http.ResponseWriter, v any) {
 	enc.Encode(v)
 }
 
-// stream serializes NDJSON events onto one response: pool workers emit
+// stream serializes NDJSON events onto one response: ForEach's workers emit
 // rows concurrently, and the ResponseWriter is not safe for concurrent
 // writes. row appends each row line with wire.AppendRowEvent into a
 // reused buffer and leaves it in the writer's buffer until flush; event

@@ -41,7 +41,7 @@ func (s *Cilksort) Name() string { return "cilksort" }
 // allocation pattern Fig. 4's commentary prescribes.
 func (s *Cilksort) Prepare(rt *core.Runtime) {
 	s.places = rt.Places()
-	var pol memory.Policy = s.cfg.basePolicy()
+	var pol memory.Policy = basePolicy()
 	if s.cfg.Aware {
 		sockets := make([]int, 4)
 		for i := range sockets {

@@ -51,7 +51,7 @@ func (m *Matmul) Prepare(rt *core.Runtime) {
 	if m.zkind {
 		kind, block = layout.BlockedMorton, m.base
 	}
-	pol := m.cfg.basePolicy()
+	pol := basePolicy()
 	first := m.a == nil
 	if first {
 		m.a = layout.NewMatrix(alloc, m.Name()+".A", m.n, kind, block, pol)

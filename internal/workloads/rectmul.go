@@ -53,7 +53,7 @@ func (r *Rectmul) Name() string { return "rectmul" }
 // Prepare implements Workload.
 func (r *Rectmul) Prepare(rt *core.Runtime) {
 	r.places = rt.Places()
-	pol := r.cfg.basePolicy()
+	pol := basePolicy()
 	first := r.a == nil
 	r.a = memory.ReuseF64(r.a, rt.Allocator(), "rectmul.A", r.m*r.p, pol)
 	r.b = memory.ReuseF64(r.b, rt.Allocator(), "rectmul.B", r.p*r.n, pol)

@@ -91,7 +91,7 @@ func (s *Strassen) newMatrix(what string, n int) *layout.Matrix {
 	}
 	s.nameCtr++
 	name := fmt.Sprintf("%s.%s%d.%d", s.Name(), what, n, s.nameCtr)
-	pol := s.cfg.basePolicy()
+	pol := basePolicy()
 	if what == "S" || what == "T" || what == "M" {
 		// Temporaries are heap allocations a real runtime first-touches on
 		// the worker that computes them — naturally distributed.

@@ -6,11 +6,7 @@ package workloads
 // pins them byte for byte); only the packaging moved from a closed
 // nine-entry function to per-benchmark registry entries.
 
-import (
-	"fmt"
-
-	"repro/internal/memory"
-)
+import "fmt"
 
 // paperSeed drives input generation for the paper suite (IISWC 2018
 // vintage).
@@ -53,7 +49,7 @@ func dimsOf(s Scale) paperDims {
 // socket 0 — the configuration a vanilla Cilk Plus program gets by
 // default, and the one whose serial elision matches TS.
 func paperCfg(aware bool) Config {
-	return Config{Aware: aware, Base: memory.BindTo{Socket: 0}, Seed: paperSeed}
+	return Config{Aware: aware, Seed: paperSeed}
 }
 
 func init() {

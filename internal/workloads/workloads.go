@@ -46,28 +46,20 @@ type Config struct {
 	// Aware enables the NUMA-aware setup: partitioned data placement and
 	// locality hints (the NUMA-WS side of the paper's tables).
 	Aware bool
-	// Base is the allocation policy for the baseline configuration; nil
-	// means memory.BindTo{Socket: 0}, i.e. first-touch after serial
-	// initialization. The paper's Cilk Plus runs pick the better of
-	// first-touch and interleave per benchmark; the harness encodes those
-	// choices.
-	Base memory.Policy
 	// Seed drives input generation.
 	Seed int64
 }
 
-func (c Config) basePolicy() memory.Policy {
-	if c.Base != nil {
-		return c.Base
-	}
-	return memory.BindTo{Socket: 0}
-}
+// basePolicy is the allocation policy of the baseline configuration:
+// first-touch after serial initialization, so every page lands on socket
+// 0.
+func basePolicy() memory.Policy { return memory.BindTo{Socket: 0} }
 
 // bandPolicy returns the allocation policy for a banded array: partitioned
 // over places when aware, the base policy otherwise.
 func (c Config) bandPolicy(places int) memory.Policy {
 	if !c.Aware {
-		return c.basePolicy()
+		return basePolicy()
 	}
 	return memory.Partition(places)
 }

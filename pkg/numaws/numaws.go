@@ -260,8 +260,8 @@ func WithRetry(n int) Option {
 // session's in-memory memo: a run whose key it already holds, such as the
 // second column of a "cilk" session's comparison or a Scalability point
 // an earlier MeasureAll measured, is filled from the store instead of
-// simulated, so the file holds one line per key (two concurrent first
-// runs of one key may both append; replay keeps one).
+// simulated, and concurrent first runs of one key simulate once, so the
+// file holds one line per key.
 // Combine with WithResume to replay a journal written by an earlier
 // (killed) process; without it, New truncates path and starts fresh.
 // Sessions holding a journal should be Closed.

@@ -25,7 +25,6 @@ type PlatformResult struct {
 	WP int64 // summed work time at P workers
 	SP int64 // summed scheduling time at P workers
 	IP int64 // summed idle time at P workers
-	W1 int64 // work time at one worker (= T1)
 }
 
 // SpawnOverhead is T1/TS: the cost of expressing the parallelism.

@@ -12,6 +12,8 @@ import (
 	"context"
 
 	"repro/internal/core"
+	"repro/internal/harness"
+	"repro/internal/workloads"
 )
 
 // PlaceAny unsets a locality hint, the paper's @ANY annotation.
@@ -79,29 +81,34 @@ func (t taskCtx) Worker() int               { return t.c.Worker() }
 // RunTask executes a user fork-join computation on the session's simulated
 // machine under the session's policy, at the session's worker count and
 // seed, and returns the run report (Bench is empty for user computations).
+// It is a single run of the same contained path as Run: a panic anywhere
+// in the computation comes back as a *RunFailure of kind "panic", and the
+// run honors WithRunTimeout and WithRetry; cancelling ctx interrupts a
+// started run and returns ctx.Err().
 func (s *Session) RunTask(ctx context.Context, t Task) (RunReport, error) {
-	if err := ctx.Err(); err != nil {
-		return RunReport{}, err
+	rep, err := harness.RunOne(ctx, taskSpec(t), s.policy, s.options())
+	if err != nil {
+		return RunReport{}, facadeErr(err)
 	}
-	rt := s.newRuntime(s.cfg.workers)
-	rep := rt.Run(adapt(t))
 	return reportFrom("", s.policy.Name(), rep), nil
 }
 
 // RunTaskSerial executes a user computation as the serial elision (spawn
-// becomes call, sync a no-op) and returns its TS report.
+// becomes call, sync a no-op) and returns its TS report. Failures come
+// back as RunTask's do.
 func (s *Session) RunTaskSerial(ctx context.Context, t Task) (RunReport, error) {
-	if err := ctx.Err(); err != nil {
-		return RunReport{}, err
+	rep, err := harness.RunSerial(ctx, taskSpec(t), s.options())
+	if err != nil {
+		return RunReport{}, facadeErr(err)
 	}
-	rt := s.newRuntime(1)
-	rep := rt.RunSerial(adapt(t))
 	return reportFrom("", "serial", rep), nil
 }
 
-// newRuntime builds a fresh simulated platform for one user computation.
-func (s *Session) newRuntime(workers int) *core.Runtime {
-	cfg := core.DefaultConfigOn(s.top, workers, s.policy)
-	cfg.Sched.Seed = s.cfg.seed
-	return core.NewRuntime(cfg)
+// taskSpec wraps a user computation as a one-run benchmark. A hand-built
+// spec has no pool identity, so the harness neither pools its instance
+// nor memoizes its serial report.
+func taskSpec(t Task) harness.Spec {
+	return harness.Spec{Make: func(bool) workloads.Workload {
+		return &userWorkload{run: BenchmarkRun{Root: t}}
+	}}
 }
