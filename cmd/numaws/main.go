@@ -260,7 +260,7 @@ func realMain(ctx context.Context, args []string, stdout, stderr io.Writer) int 
 		fmt.Fprintf(stderr, "numaws: note: the NWS/numaws columns carry policy %q for this run\n", *policy)
 	}
 
-	kind, known := subcommands[cmd]
+	kind, known := lookupSubcommand(cmd)
 	if !known {
 		return fail(unknownSubcommand(cmd))
 	}
@@ -427,25 +427,42 @@ func startProfiles(cpu, mem string) (func() error, error) {
 type measures struct{ rows, series, sweeps, tour bool }
 
 // subcommands is the authoritative registry: every subcommand run()
-// handles, mapped to what it measures. Validity checks, the usage
-// message, and the export sinks derive from it; -json/-csv problems
-// (non-measuring subcommand, unwritable path) are rejected up front,
-// before hours of simulation.
-var subcommands = map[string]measures{
-	"fig1": {}, "fig6": {}, "dag": {}, "timeline": {},
-	// serve and query are dispatched before the Session is built (they
-	// talk to the sweep service, exporting nothing locally); they are
-	// registered here so the usage text and unknown-subcommand listing
-	// stay complete.
-	"serve": {}, "query": {},
-	"fig3":       {rows: true},
-	"table7":     {rows: true},
-	"table8":     {rows: true},
-	"tables":     {rows: true},
-	"fig9":       {series: true},
-	"sweep":      {sweeps: true},
-	"tournament": {tour: true},
-	"all":        {rows: true, series: true},
+// handles, in presentation order, with its one-line usage description and
+// what it measures. The usage message, validity checks, the
+// unknown-subcommand listing and the export sinks derive from it;
+// -json/-csv problems (non-measuring subcommand, unwritable path) are
+// rejected up front, before hours of simulation. serve and query are
+// dispatched before the Session is built (they talk to the sweep service,
+// exporting nothing locally); they are registered here so the usage text
+// and unknown-subcommand listing stay complete.
+var subcommands = []struct {
+	name, desc string
+	kind       measures
+}{
+	{"fig1", "print the evaluation machine's topology (Fig. 1)", measures{}},
+	{"fig3", "normalized processing times on Cilk Plus (Fig. 3)", measures{rows: true}},
+	{"fig6", "Z-Morton and blocked Z-Morton index grids (Fig. 6)", measures{}},
+	{"table7", "TS / T1 / TP execution times on both platforms (Fig. 7)", measures{rows: true}},
+	{"table8", "work / scheduling / idle breakdown and inflation (Fig. 8)", measures{rows: true}},
+	{"tables", "table7 and table8 from one measured grid", measures{rows: true}},
+	{"fig9", "scalability curves (Fig. 9)", measures{series: true}},
+	{"dag", "measured work, span and parallelism per benchmark (Section IV)", measures{}},
+	{"timeline", "per-worker execution timeline under both schedulers", measures{}},
+	{"sweep", "speedup curves across a grid of machine topologies", measures{sweeps: true}},
+	{"tournament", "rank every registered scheduling policy over a benchmark x topology grid", measures{tour: true}},
+	{"serve", "run the deduplicating sweep service (HTTP/JSON, NDJSON streams)", measures{}},
+	{"query", "stream a grid from a running sweep service", measures{}},
+	{"all", "everything above except sweep, tournament, serve and query", measures{rows: true, series: true}},
+}
+
+// lookupSubcommand reports what cmd measures and whether it is registered.
+func lookupSubcommand(cmd string) (measures, bool) {
+	for _, sc := range subcommands {
+		if sc.name == cmd {
+			return sc.kind, true
+		}
+	}
+	return measures{}, false
 }
 
 // sweepArgs carries the sweep subcommand's parsed flags.
@@ -562,8 +579,8 @@ func seriesCSVPath(path string) string {
 
 func unknownSubcommand(cmd string) error {
 	names := make([]string, 0, len(subcommands))
-	for name := range subcommands {
-		names = append(names, name)
+	for _, sc := range subcommands {
+		names = append(names, sc.name)
 	}
 	sort.Strings(names)
 	return fmt.Errorf("unknown subcommand %q (want %s)", cmd, strings.Join(names, ", "))

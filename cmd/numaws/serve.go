@@ -19,31 +19,11 @@ import (
 	"repro/pkg/numaws/wire"
 )
 
-// subcommandHelp drives the top-level usage text: every subcommand in
-// presentation order with a one-line description. main_test pins its
-// correspondence with the subcommands map.
-var subcommandHelp = []struct{ name, desc string }{
-	{"fig1", "print the evaluation machine's topology (Fig. 1)"},
-	{"fig3", "normalized processing times on Cilk Plus (Fig. 3)"},
-	{"fig6", "Z-Morton and blocked Z-Morton index grids (Fig. 6)"},
-	{"table7", "TS / T1 / TP execution times on both platforms (Fig. 7)"},
-	{"table8", "work / scheduling / idle breakdown and inflation (Fig. 8)"},
-	{"tables", "table7 and table8 from one measured grid"},
-	{"fig9", "scalability curves (Fig. 9)"},
-	{"dag", "measured work, span and parallelism per benchmark (Section IV)"},
-	{"timeline", "per-worker execution timeline under both schedulers"},
-	{"sweep", "speedup curves across a grid of machine topologies"},
-	{"tournament", "rank every registered scheduling policy over a benchmark x topology grid"},
-	{"serve", "run the deduplicating sweep service (HTTP/JSON, NDJSON streams)"},
-	{"query", "stream a grid from a running sweep service"},
-	{"all", "everything above except sweep, tournament, serve and query"},
-}
-
 // printUsage is the top-level -h text: the subcommand list first (the
 // thing flag's default usage never shows), then the global flags.
 func printUsage(fs *flag.FlagSet, w io.Writer) {
 	fmt.Fprintf(w, "Usage: numaws [flags] <subcommand>\n\nSubcommands:\n")
-	for _, sc := range subcommandHelp {
+	for _, sc := range subcommands {
 		fmt.Fprintf(w, "  %-9s %s\n", sc.name, sc.desc)
 	}
 	fmt.Fprintf(w, "\nGlobal flags (before the subcommand; sweep, tournament, serve and query take their own flags after their name — see numaws <subcommand> -h):\n")

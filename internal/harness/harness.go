@@ -491,19 +491,20 @@ func MeasureScalability(ctx context.Context, specs []Spec, opt Options, points [
 
 // RunTraced is RunOne with an execution timeline attached: it returns the
 // run report plus the recorded per-worker trace (see internal/trace). It
-// shares the containment boundary (a panicking run returns a *RunError
-// with its resources quarantined, never crashes the caller) but not the
-// retry loop: a trace is a one-off diagnostic, and retrying would splice
-// two attempts' timelines.
+// shares RunOne's containment, per-attempt deadline (opt.RunTimeout) and
+// retry loop (opt.Retries). Each attempt records into a fresh timeline and
+// the succeeding attempt's is returned, so a retried run never splices two
+// attempts' traces.
 func RunTraced(ctx context.Context, spec Spec, pol sched.Policy, opt Options) (*core.Report, *trace.Timeline, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, nil, err
 	}
 	opt = opt.fill()
 	key := KeyFor(spec, pol, opt, false)
-	tl := trace.New(opt.P)
-	rep, err := contain(ctx, key, func() (*core.Report, error) {
-		return runAttempt(ctx, spec, pol, opt, key, tl)
+	var tl *trace.Timeline
+	rep, err := attemptRun(ctx, key, opt, func(rctx context.Context) (*core.Report, error) {
+		tl = trace.New(opt.P)
+		return runAttempt(rctx, spec, pol, opt, key, tl)
 	})
 	if err != nil {
 		return nil, nil, err

@@ -4,8 +4,9 @@ package harness
 // topology grid and the policies are ranked by metrics.NewTournament's
 // normalized-geomean score. Each cell runs at the machine's full core
 // count (the canonical whole-machine comparison; a fixed P would bias the
-// grid toward machines it happens to fit) and is averaged over opt.Seeds
-// scheduler seeds, exactly like MeasureTopologies. Runs go through the
+// grid toward machines it happens to fit) once under each of opt.Seeds
+// scheduler seeds, and NewTournament folds the seeds into the cell's
+// integer mean, as it does the sweep service's rows. Runs go through the
 // optional ResultCache — the same journal-keyed store the sweep service
 // executes through — so a repeated tournament over a warm store simulates
 // nothing.
@@ -19,8 +20,9 @@ import (
 	"repro/pkg/numaws/results"
 )
 
-// Tournament runs pols over the specs x machines grid and ranks them.
-// cache may be nil (every cell simulates). Any cell's failure — including
+// Tournament runs pols over the specs x machines grid and ranks them: it
+// lists one metrics.CellTime per run, fills in each run's TP, and hands
+// the list to metrics.NewTournament. cache may be nil (every cell simulates). Any cell's failure — including
 // a contained *RunError — aborts the tournament: a ranking with missing
 // cells would silently compare incomparables. Cancelling ctx skips every
 // simulation not yet started and returns the context's error.
@@ -43,6 +45,7 @@ func Tournament(ctx context.Context, specs []Spec, machines []Machine, pols []sc
 		seen[pol.Name()] = true
 	}
 	var runs []run
+	var cells []metrics.CellTime
 	for _, pol := range pols {
 		for _, spec := range specs {
 			for _, mach := range machines {
@@ -52,6 +55,7 @@ func Tournament(ctx context.Context, specs []Spec, machines []Machine, pols []sc
 					o.P = mach.Top.Cores()
 					o.Seed = opt.Seed + int64(sd)
 					runs = append(runs, run{spec: spec, pol: pol, opt: o})
+					cells = append(cells, metrics.CellTime{Policy: pol.Name(), Bench: spec.Name, Topology: mach.Name})
 				}
 			}
 		}
@@ -60,17 +64,8 @@ func Tournament(ctx context.Context, specs []Spec, machines []Machine, pols []sc
 	if err != nil {
 		return results.Tournament{}, err
 	}
-	cells := make([]metrics.CellTime, 0, len(runs)/opt.Seeds)
-	for _, pol := range pols {
-		for _, spec := range specs {
-			for _, mach := range machines {
-				k := len(cells) * opt.Seeds
-				cells = append(cells, metrics.CellTime{
-					Policy: pol.Name(), Bench: spec.Name, Topology: mach.Name,
-					TP: mean(res[k : k+opt.Seeds]).Time,
-				})
-			}
-		}
+	for i := range cells {
+		cells[i].TP = res[i].Time
 	}
 	return metrics.NewTournament(cells)
 }

@@ -10,9 +10,11 @@ import (
 // The fixture is JSON over the measurement types' Go field names, decoded
 // into whatever type each writer accepts (decodeFor infers it from the
 // writer's signature), so the pinned bytes below depend only on the
-// writers, not on where the row types are declared. The failure carries
-// its text under both spellings the field has had (Msg, Message); the
-// decoder fills whichever the type declares.
+// writers, not on where the row types are declared. encoding/json matches
+// keys case-insensitively, so the names also decode into the types that
+// carry json tags (the failure, the tournament). The failure carries its
+// text under both spellings the field has had (Msg, Message); the decoder
+// fills whichever the type declares.
 const (
 	fixtureRows = `[
 	{"Name": "heat", "Input": "128x128x8/8 rows", "P": 32, "TS": 1000,

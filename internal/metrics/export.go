@@ -36,25 +36,15 @@ func exportPlatform(r results.PlatformResult, ts int64) platformJSON {
 	}
 }
 
-// rowErrorJSON is a failed row's exported diagnosis.
-type rowErrorJSON struct {
-	Bench  string `json:"bench"`
-	Policy string `json:"policy,omitempty"`
-	P      int    `json:"p"`
-	Seed   int64  `json:"seed"`
-	Kind   string `json:"kind"`
-	Msg    string `json:"msg"`
-}
-
 // rowJSON is one benchmark's exported measurements across both platforms.
 type rowJSON struct {
-	Name   string        `json:"name"`
-	Input  string        `json:"input"`
-	P      int           `json:"p"`
-	TS     int64         `json:"ts"`
-	Cilk   platformJSON  `json:"cilk"`
-	NUMAWS platformJSON  `json:"numaws"`
-	Error  *rowErrorJSON `json:"error,omitempty"`
+	Name   string              `json:"name"`
+	Input  string              `json:"input"`
+	P      int                 `json:"p"`
+	TS     int64               `json:"ts"`
+	Cilk   platformJSON        `json:"cilk"`
+	NUMAWS platformJSON        `json:"numaws"`
+	Error  *results.RunFailure `json:"error,omitempty"`
 }
 
 // seriesPointJSON is one point of a scalability curve.
@@ -79,55 +69,26 @@ type sweepJSON struct {
 	Points   []seriesPointJSON `json:"points"`
 }
 
-// tournamentCellJSON is one exported tournament cell.
-type tournamentCellJSON struct {
-	Bench    string  `json:"bench"`
-	Topology string  `json:"topology"`
-	TP       int64   `json:"tp"`
-	Norm     float64 `json:"norm"` // TP / best TP in the cell
-}
-
-// tournamentEntryJSON is one exported ranked policy.
-type tournamentEntryJSON struct {
-	Rank   int                  `json:"rank"`
-	Policy string               `json:"policy"`
-	Score  float64              `json:"score"` // geomean of norm over cells
-	Cells  []tournamentCellJSON `json:"cells"`
-}
-
-// tournamentJSON is an exported policy tournament.
-type tournamentJSON struct {
-	Benches    []string              `json:"benches"`
-	Topologies []string              `json:"topologies"`
-	Entries    []tournamentEntryJSON `json:"entries"`
-}
-
 // document is the top-level JSON export.
 type document struct {
-	Rows       []rowJSON       `json:"rows,omitempty"`
-	Series     []seriesJSON    `json:"series,omitempty"`
-	Sweeps     []sweepJSON     `json:"sweeps,omitempty"`
-	Tournament *tournamentJSON `json:"tournament,omitempty"`
+	Rows       []rowJSON           `json:"rows,omitempty"`
+	Series     []seriesJSON        `json:"series,omitempty"`
+	Sweeps     []sweepJSON         `json:"sweeps,omitempty"`
+	Tournament *results.Tournament `json:"tournament,omitempty"`
 }
 
 // WriteExport writes every measurement kind in e (any may be empty) as one
 // indented JSON document.
 func WriteExport(w io.Writer, e results.Export) error {
 	rows, series := e.Rows, e.Series
-	var doc document
+	doc := document{Tournament: e.Tournament}
 	for _, r := range rows {
-		rj := rowJSON{
+		doc.Rows = append(doc.Rows, rowJSON{
 			Name: r.Name, Input: r.Input, P: r.P, TS: r.TS,
 			Cilk:   exportPlatform(r.Cilk, r.TS),
 			NUMAWS: exportPlatform(r.NUMAWS, r.TS),
-		}
-		if r.Err != nil {
-			rj.Error = &rowErrorJSON{
-				Bench: r.Err.Bench, Policy: r.Err.Policy, P: r.Err.P,
-				Seed: r.Err.Seed, Kind: r.Err.Kind, Msg: r.Err.Message,
-			}
-		}
-		doc.Rows = append(doc.Rows, rj)
+			Error:  r.Err,
+		})
 	}
 	for _, s := range series {
 		sj := seriesJSON{Name: s.Name}
@@ -144,19 +105,6 @@ func WriteExport(w io.Writer, e results.Export) error {
 			sj.Points = append(sj.Points, seriesPointJSON{P: p, TP: s.TP[i], Speedup: speedup[i]})
 		}
 		doc.Sweeps = append(doc.Sweeps, sj)
-	}
-	if t := e.Tournament; t != nil {
-		tj := &tournamentJSON{Benches: t.Benches, Topologies: t.Topologies}
-		for _, en := range t.Entries {
-			ej := tournamentEntryJSON{Rank: en.Rank, Policy: en.Policy, Score: en.Score}
-			for _, c := range en.Cells {
-				ej.Cells = append(ej.Cells, tournamentCellJSON{
-					Bench: c.Bench, Topology: c.Topology, TP: c.TP, Norm: c.Norm,
-				})
-			}
-			tj.Entries = append(tj.Entries, ej)
-		}
-		doc.Tournament = tj
 	}
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")

@@ -1,7 +1,10 @@
 // Package metrics renders the paper's measurements — the rows, curves and
 // rankings declared in pkg/numaws/results — as the Fig. 3, Fig. 7 (table),
 // Fig. 8 (table), Fig. 9 and topology-sweep tables, exports them as JSON
-// and CSV, and ranks raw policy-tournament cells.
+// and CSV, and folds a policy tournament's runs into its ranking
+// (NewTournament, the one fold behind harness.Tournament and the sweep
+// service's tournament trailer). The export encodes the results types
+// that carry their own json tags (RunFailure, Tournament) as they are.
 package metrics
 
 import (

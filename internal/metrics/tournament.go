@@ -15,8 +15,8 @@ import (
 	"repro/pkg/numaws/results"
 )
 
-// CellTime is one raw tournament measurement: policy Policy completed
-// Bench on Topology in TP cycles (averaged over the protocol's seeds).
+// CellTime is one tournament run: policy Policy completed Bench on
+// Topology in TP cycles under one of the protocol's seeds.
 type CellTime struct {
 	Policy   string
 	Bench    string
@@ -24,62 +24,72 @@ type CellTime struct {
 	TP       int64
 }
 
-// NewTournament ranks raw cells into a tournament. Every policy must carry
-// exactly one measurement per (bench, topology) cell of the grid spanned
-// by the cells — a missing or duplicated cell is an error, because a
-// ranking over unequal grids would silently compare incomparables. Axis
-// and policy orders follow first appearance in cells; the returned entries
-// are sorted by ascending score, ties broken by policy name, so the
-// ranking is deterministic for deterministic inputs.
-func NewTournament(cells []CellTime) (results.Tournament, error) {
+// NewTournament is the one fold from a tournament's runs to its ranking.
+// A (policy, bench, topology) cell's time is the integer mean (sum / n) of
+// its runs' TP. Every policy must hold every (bench, topology) cell of the
+// grid spanned by the runs, and every cell the same number of runs — a
+// missing cell or a cell averaged over more seeds than its neighbours is
+// an error, because a ranking over unequal grids would silently compare
+// incomparables. Axis and policy orders follow first appearance in runs;
+// the returned entries are sorted by ascending score, ties broken by
+// policy name, so the ranking is deterministic for deterministic inputs.
+func NewTournament(runs []CellTime) (results.Tournament, error) {
 	var t results.Tournament
 	var pols []string
-	type cellKey struct{ bench, topo string }
+	type cellKey struct{ pol, bench, topo string }
+	type acc struct{ sum, n int64 }
 	seenBench := map[string]bool{}
 	seenTopo := map[string]bool{}
 	seenPol := map[string]bool{}
-	tp := map[string]map[cellKey]int64{}
-	for _, c := range cells {
-		if !seenBench[c.Bench] {
-			seenBench[c.Bench] = true
-			t.Benches = append(t.Benches, c.Bench)
+	agg := map[cellKey]acc{}
+	for _, r := range runs {
+		if !seenBench[r.Bench] {
+			seenBench[r.Bench] = true
+			t.Benches = append(t.Benches, r.Bench)
 		}
-		if !seenTopo[c.Topology] {
-			seenTopo[c.Topology] = true
-			t.Topologies = append(t.Topologies, c.Topology)
+		if !seenTopo[r.Topology] {
+			seenTopo[r.Topology] = true
+			t.Topologies = append(t.Topologies, r.Topology)
 		}
-		if !seenPol[c.Policy] {
-			seenPol[c.Policy] = true
-			pols = append(pols, c.Policy)
-			tp[c.Policy] = map[cellKey]int64{}
+		if !seenPol[r.Policy] {
+			seenPol[r.Policy] = true
+			pols = append(pols, r.Policy)
 		}
-		k := cellKey{c.Bench, c.Topology}
-		if _, dup := tp[c.Policy][k]; dup {
-			return results.Tournament{}, fmt.Errorf("metrics: tournament: policy %q measured cell (%s, %s) twice",
-				c.Policy, c.Bench, c.Topology)
-		}
-		if c.TP <= 0 {
+		if r.TP <= 0 {
 			return results.Tournament{}, fmt.Errorf("metrics: tournament: policy %q cell (%s, %s) has non-positive TP %d",
-				c.Policy, c.Bench, c.Topology, c.TP)
+				r.Policy, r.Bench, r.Topology, r.TP)
 		}
-		tp[c.Policy][k] = c.TP
+		k := cellKey{r.Policy, r.Bench, r.Topology}
+		a := agg[k]
+		a.sum += r.TP
+		a.n++
+		agg[k] = a
 	}
 	if len(pols) == 0 {
 		return results.Tournament{}, fmt.Errorf("metrics: tournament: no cells")
 	}
-	// The cell's best time across policies is the normalization base.
-	best := map[cellKey]int64{}
+	// Every cell must hold as many runs as the first run's cell. A cell's
+	// mean is its time; the best time across policies in a (bench,
+	// topology) cell is the normalization base.
+	want := agg[cellKey{runs[0].Policy, runs[0].Bench, runs[0].Topology}].n
+	type gridKey struct{ bench, topo string }
+	best := map[gridKey]int64{}
 	for _, pol := range pols {
 		for _, b := range t.Benches {
 			for _, topo := range t.Topologies {
-				k := cellKey{b, topo}
-				v, ok := tp[pol][k]
+				k := cellKey{pol, b, topo}
+				a, ok := agg[k]
 				if !ok {
 					return results.Tournament{}, fmt.Errorf("metrics: tournament: policy %q is missing cell (%s, %s)",
 						pol, b, topo)
 				}
-				if cur, ok := best[k]; !ok || v < cur {
-					best[k] = v
+				if a.n != want {
+					return results.Tournament{}, fmt.Errorf("metrics: tournament: policy %q cell (%s, %s) holds %d runs, want %d",
+						pol, b, topo, a.n, want)
+				}
+				v := a.sum / a.n
+				if cur, ok := best[gridKey{b, topo}]; !ok || v < cur {
+					best[gridKey{b, topo}] = v
 				}
 			}
 		}
@@ -89,11 +99,12 @@ func NewTournament(cells []CellTime) (results.Tournament, error) {
 		logSum := 0.0
 		for _, b := range t.Benches {
 			for _, topo := range t.Topologies {
-				k := cellKey{b, topo}
-				norm := float64(tp[pol][k]) / float64(best[k])
+				a := agg[cellKey{pol, b, topo}]
+				v := a.sum / a.n
+				norm := float64(v) / float64(best[gridKey{b, topo}])
 				logSum += math.Log(norm)
 				e.Cells = append(e.Cells, results.TournamentCell{
-					Bench: b, Topology: topo, TP: tp[pol][k], Norm: norm,
+					Bench: b, Topology: topo, TP: v, Norm: norm,
 				})
 			}
 		}

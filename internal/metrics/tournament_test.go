@@ -78,8 +78,8 @@ func TestNewTournamentRejectsBadGrids(t *testing.T) {
 		want  string
 	}{
 		{"empty", nil, "no cells"},
-		{"duplicate cell", append(fourCells(),
-			CellTime{Policy: "a", Bench: "fib", Topology: "2x4", TP: 1}), "twice"},
+		{"unequal run counts", append(fourCells(),
+			CellTime{Policy: "a", Bench: "fib", Topology: "2x4", TP: 1}), `cell (heat, 2x4) holds 1 runs, want 2`},
 		{"missing cell", fourCells()[:3], "missing cell"},
 		{"non-positive time", []CellTime{
 			{Policy: "a", Bench: "fib", Topology: "2x4", TP: 0}}, "non-positive TP"},
@@ -89,6 +89,96 @@ func TestNewTournamentRejectsBadGrids(t *testing.T) {
 			t.Errorf("%s: err = %v, want mention of %q", tc.name, err, tc.want)
 		}
 	}
+}
+
+// A cell's time is the integer mean of its runs, so two runs per cell
+// rank exactly like their pre-averaged cells.
+func TestNewTournamentAveragesRuns(t *testing.T) {
+	var runs []CellTime
+	for _, c := range fourCells() {
+		lo, hi := c, c
+		lo.TP, hi.TP = c.TP-1, c.TP+2 // (2TP+1)/2 truncates to TP
+		runs = append(runs, lo, hi)
+	}
+	got, err := NewTournament(runs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := NewTournament(fourCells())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("two runs per cell:\n got %+v\nwant %+v", got, want)
+	}
+}
+
+// FuzzTournament folds arbitrary run lists over a small alphabet of
+// policies, benches and topologies. The fold must never panic; a
+// successful ranking numbers its entries 1..n with every score >= 1; a
+// grid whose cells hold unequal run counts, or any non-positive time, is
+// an error; and otherwise the fold equals ranking one pre-averaged
+// CellTime per cell.
+func FuzzTournament(f *testing.F) {
+	f.Add([]byte{0, 0, 100, 1, 0, 200})
+	f.Add([]byte{0, 0, 100, 0, 0, 101, 1, 0, 200, 1, 0, 199})
+	f.Add([]byte{0, 0, 100, 3, 0, 50, 1, 1, 0, 4, 0, 7})
+	f.Add([]byte{0, 0, 0})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		pols := []string{"a", "b", "c"}
+		benches := []string{"fib", "heat"}
+		topos := []string{"2x4", "4x8"}
+		var runs []CellTime
+		positive := true
+		for i := 0; i+2 < len(data); i += 3 {
+			c := data[i]
+			r := CellTime{
+				Policy:   pols[int(c)%len(pols)],
+				Bench:    benches[int(c)/len(pols)%len(benches)],
+				Topology: topos[int(c)/(len(pols)*len(benches))%len(topos)],
+				TP:       int64(data[i+1])<<8 | int64(data[i+2]),
+			}
+			positive = positive && r.TP > 0
+			runs = append(runs, r)
+		}
+		got, err := NewTournament(runs)
+		if err == nil {
+			for i, e := range got.Entries {
+				if e.Rank != i+1 || !(e.Score >= 1) {
+					t.Fatalf("entry %d: rank %d score %v", i, e.Rank, e.Score)
+				}
+			}
+		}
+		type key struct{ pol, bench, topo string }
+		var order []key
+		sum, n := map[key]int64{}, map[key]int64{}
+		for _, r := range runs {
+			k := key{r.Policy, r.Bench, r.Topology}
+			if n[k] == 0 {
+				order = append(order, k)
+			}
+			sum[k] += r.TP
+			n[k]++
+		}
+		equal := true
+		for _, k := range order {
+			equal = equal && n[k] == n[order[0]]
+		}
+		if !positive || !equal {
+			if err == nil {
+				t.Fatalf("runs %v: ranked, want an error (positive %t, equal counts %t)", runs, positive, equal)
+			}
+			return
+		}
+		cells := make([]CellTime, len(order))
+		for i, k := range order {
+			cells[i] = CellTime{Policy: k.pol, Bench: k.bench, Topology: k.topo, TP: sum[k] / n[k]}
+		}
+		want, werr := NewTournament(cells)
+		if (err == nil) != (werr == nil) || !reflect.DeepEqual(got, want) {
+			t.Fatalf("runs %v:\n got %+v (%v)\nwant %+v (%v)", runs, got, err, want, werr)
+		}
+	})
 }
 
 func TestTournamentTable(t *testing.T) {

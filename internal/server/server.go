@@ -161,9 +161,9 @@ func (s *Server) handleTournament(w http.ResponseWriter, r *http.Request) {
 		polNames = sched.Names()
 	}
 	// The ranking needs exactly one measurement per (policy, bench,
-	// topology, seed); a duplicated axis entry would double cells, so it
-	// is rejected up front rather than surfacing as a ranking error after
-	// the grid already streamed. The axes are checked in a fixed order so
+	// topology, seed); a duplicated axis entry would give its cells twice
+	// the runs of the others, so it is rejected up front rather than
+	// surfacing as a ranking error after the grid already streamed. The axes are checked in a fixed order so
 	// a request with several duplicates always names the same one.
 	for _, axis := range []struct {
 		name string
@@ -185,34 +185,19 @@ func (s *Server) handleTournament(w http.ResponseWriter, r *http.Request) {
 }
 
 // rank builds a tournament's trailer from its rows, in the expansion's
-// canonical order. A tournament with failed cells is unranked.
+// canonical order: each row is one run, and metrics.NewTournament folds
+// a cell's seeds into its mean exactly as it does for harness.Tournament.
+// A tournament with failed cells is unranked.
 func rank(rows []*wire.GridRow, sum wire.GridSummary) (*wire.TournamentSummary, error) {
 	out := &wire.TournamentSummary{GridSummary: sum}
 	if sum.Failed > 0 {
 		return out, nil
 	}
-	type cellKey struct{ pol, bench, topo string }
-	var order []cellKey
-	type acc struct{ total, n int64 }
-	agg := map[cellKey]acc{}
-	for _, row := range rows {
-		k := cellKey{row.Policy, row.Bench, row.Topology}
-		a, ok := agg[k]
-		if !ok {
-			order = append(order, k)
-		}
-		a.total += row.Time
-		a.n++
-		agg[k] = a
+	runs := make([]metrics.CellTime, len(rows))
+	for i, row := range rows {
+		runs[i] = metrics.CellTime{Policy: row.Policy, Bench: row.Bench, Topology: row.Topology, TP: row.Time}
 	}
-	cells := make([]metrics.CellTime, len(order))
-	for i, k := range order {
-		a := agg[k]
-		cells[i] = metrics.CellTime{
-			Policy: k.pol, Bench: k.bench, Topology: k.topo, TP: a.total / a.n,
-		}
-	}
-	t, err := metrics.NewTournament(cells)
+	t, err := metrics.NewTournament(runs)
 	if err != nil {
 		// Unreachable with handleTournament's duplicate-axis check.
 		return nil, err

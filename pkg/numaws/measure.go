@@ -227,7 +227,8 @@ func (s *Session) DAGs(ctx context.Context, benches ...string) ([]DAGReport, err
 // Timeline runs the named benchmark with an execution-timeline recorder
 // under the classic baseline and under the session's policy (once, if they
 // are the same) and renders each worker's time as a fixed-width chart of
-// the given column width.
+// the given column width. Each run honors WithRunTimeout and WithRetry
+// like Run does; a failed run returns its *RunFailure.
 func (s *Session) Timeline(ctx context.Context, bench string, width int) ([]Timeline, error) {
 	sp, err := s.spec(bench)
 	if err != nil {

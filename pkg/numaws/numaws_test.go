@@ -286,6 +286,18 @@ func TestDAGsAndTimeline(t *testing.T) {
 	}
 }
 
+// A timeline runs under the session's run deadline like every other
+// single-run surface: past it, the run is a timeout RunFailure, not a
+// chart of a run that ignored the deadline.
+func TestTimelineHonorsRunTimeout(t *testing.T) {
+	s := small(t, numaws.WithRunTimeout(time.Microsecond))
+	tls, err := s.Timeline(t.Context(), "heat", 40)
+	var rf *numaws.RunFailure
+	if !errors.As(err, &rf) || rf.Kind != "timeout" {
+		t.Errorf("Timeline past its deadline: timelines = %d, err = %v, want a timeout RunFailure", len(tls), err)
+	}
+}
+
 // sumTree is the quickstart computation: sum of squares by binary
 // spawning.
 func sumTree(lo, hi int, out *int64) numaws.Task {

@@ -45,15 +45,15 @@ func (r PlatformResult) WorkInflation() float64 { return ratio(r.WP, r.T1) }
 // single benchmark's panic, deadline or verification mismatch becomes its
 // row's Err with every other row intact.
 type RunFailure struct {
-	Bench  string
-	Policy string // "" for serial-reference failures
-	P      int
-	Seed   int64
+	Bench  string `json:"bench"`
+	Policy string `json:"policy,omitempty"` // "" for serial-reference failures
+	P      int    `json:"p"`
+	Seed   int64  `json:"seed"`
 	// Kind classifies the failure: "panic", "verify", "timeout" or
 	// "cancel". Timeouts are transient (WithRetry re-runs them); the
 	// others are deterministic properties of the run.
-	Kind    string
-	Message string
+	Kind    string `json:"kind"`
+	Message string `json:"msg"`
 }
 
 // Error implements error.
@@ -138,31 +138,31 @@ type Export struct {
 // session's seeds, and its ratio to the cell's best time across all
 // policies (1.0 = this policy won the cell).
 type TournamentCell struct {
-	Bench    string
-	Topology string
-	TP       int64
-	Norm     float64
+	Bench    string  `json:"bench"`
+	Topology string  `json:"topology"`
+	TP       int64   `json:"tp"`
+	Norm     float64 `json:"norm"`
 }
 
 // TournamentEntry is one policy's ranked tournament outcome.
 type TournamentEntry struct {
-	Rank   int
-	Policy string
+	Rank   int    `json:"rank"`
+	Policy string `json:"policy"`
 	// Score is the geometric mean of Norm over the cells; lower is better,
 	// and 1.0 means the policy had the best time in every cell.
-	Score float64
+	Score float64 `json:"score"`
 	// Cells holds one result per (bench, topology), bench-major, in the
 	// tournament's axis order.
-	Cells []TournamentCell
+	Cells []TournamentCell `json:"cells"`
 }
 
 // Tournament is a complete ranked policy tournament: the grid axes and one
 // entry per registered policy, best score first. The ranking is
 // deterministic: same session configuration, same table.
 type Tournament struct {
-	Benches    []string
-	Topologies []string
-	Entries    []TournamentEntry
+	Benches    []string          `json:"benches"`
+	Topologies []string          `json:"topologies"`
+	Entries    []TournamentEntry `json:"entries"`
 }
 
 // Winner reports the top-ranked policy name ("" for an empty tournament).

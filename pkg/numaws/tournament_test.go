@@ -3,6 +3,8 @@ package numaws_test
 import (
 	"bytes"
 	"encoding/csv"
+	"net/http/httptest"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
@@ -73,6 +75,41 @@ func TestSessionTournament(t *testing.T) {
 	}
 	if want := 1 + len(all)*4; len(recs) != want {
 		t.Errorf("CSV has %d records, want %d", len(recs), want)
+	}
+}
+
+// TestServiceTournamentMatchesSession ties the two front ends together:
+// the sweep service's ranking over seeds {1, 2} carries exactly the
+// scores of a session tournament built WithSeed(1)/WithSeeds(2) over the
+// same grid, because both fold their runs through one tournament fold.
+func TestServiceTournamentMatchesSession(t *testing.T) {
+	benches, topos := []string{"fib", "cilksort"}, []string{"2x4", "1x2"}
+	s := small(t, numaws.WithSeed(1), numaws.WithSeeds(2))
+	tour, err := s.Tournament(t.Context(), topos, benches...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, err := numaws.NewServer(numaws.ServerConfig{Store: filepath.Join(t.TempDir(), "store.jsonl"), Jobs: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	hs := httptest.NewServer(srv.Handler())
+	defer hs.Close()
+	sum, err := numaws.QueryTournament(t.Context(), hs.URL, numaws.TournamentRequest{
+		Benches: benches, Topologies: topos, Seeds: []int64{1, 2}, Scale: "small",
+	}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(sum.Ranking) != len(tour.Entries) {
+		t.Fatalf("service ranked %d policies, session %d", len(sum.Ranking), len(tour.Entries))
+	}
+	for i, r := range sum.Ranking {
+		e := tour.Entries[i]
+		if r.Rank != e.Rank || r.Policy != e.Policy || r.Score != e.Score {
+			t.Errorf("rank %d: service %s %v, session %s %v", i+1, r.Policy, r.Score, e.Policy, e.Score)
+		}
 	}
 }
 
