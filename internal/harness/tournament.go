@@ -22,10 +22,11 @@ import (
 
 // Tournament runs pols over the specs x machines grid and ranks them: it
 // lists one metrics.CellTime per run, fills in each run's TP, and hands
-// the list to metrics.NewTournament. cache may be nil (every cell simulates). Any cell's failure — including
-// a contained *RunError — aborts the tournament: a ranking with missing
-// cells would silently compare incomparables. Cancelling ctx skips every
-// simulation not yet started and returns the context's error.
+// the list to metrics.NewTournament. cache may be nil (every cell
+// simulates). Any cell's failure — including a contained *RunError —
+// aborts the tournament: a ranking with missing cells would silently
+// compare incomparables. Cancelling ctx skips every simulation not yet
+// started and returns the context's error.
 func Tournament(ctx context.Context, specs []Spec, machines []Machine, pols []sched.Policy, cache ResultCache, opt Options) (results.Tournament, error) {
 	opt = opt.fill()
 	if len(pols) == 0 {

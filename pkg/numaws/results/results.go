@@ -43,7 +43,8 @@ func (r PlatformResult) WorkInflation() float64 { return ratio(r.WP, r.T1) }
 // containment's public face — a session-level measurement call returns an
 // error only for grid-level problems (cancellation, journal I/O), while a
 // single benchmark's panic, deadline or verification mismatch becomes its
-// row's Err with every other row intact.
+// row's Err with every other row intact. Its json tags are the JSON
+// export's schema for a failed row's "error" object.
 type RunFailure struct {
 	Bench  string `json:"bench"`
 	Policy string `json:"policy,omitempty"` // "" for serial-reference failures
@@ -158,7 +159,9 @@ type TournamentEntry struct {
 
 // Tournament is a complete ranked policy tournament: the grid axes and one
 // entry per registered policy, best score first. The ranking is
-// deterministic: same session configuration, same table.
+// deterministic: same session configuration, same table. Its json tags,
+// and those of its entries and cells, are the JSON export's schema for
+// the "tournament" section.
 type Tournament struct {
 	Benches    []string          `json:"benches"`
 	Topologies []string          `json:"topologies"`
