@@ -16,6 +16,7 @@ import (
 	"fmt"
 	"runtime"
 	"slices"
+	"strings"
 	"sync"
 	"time"
 
@@ -115,6 +116,32 @@ const (
 // restricting a run to those names reproduces the pinned golden output
 // byte for byte.
 func Specs(s Scale) []Spec { return workloads.Specs(s) }
+
+// SelectSpecs resolves benchmark names against all, preserving the
+// requested order and rejecting unknown or duplicate names. It is the one
+// name resolver of the facade's sessions and the sweep service.
+func SelectSpecs(all []Spec, names []string) ([]Spec, error) {
+	byName := make(map[string]Spec, len(all))
+	known := make([]string, 0, len(all))
+	for _, s := range all {
+		byName[s.Name] = s
+		known = append(known, s.Name)
+	}
+	seen := make(map[string]bool, len(names))
+	out := make([]Spec, 0, len(names))
+	for _, n := range names {
+		s, ok := byName[n]
+		if !ok {
+			return nil, fmt.Errorf("no benchmark named %q (want %s)", n, strings.Join(known, ", "))
+		}
+		if seen[n] {
+			return nil, fmt.Errorf("benchmark %q named twice", n)
+		}
+		seen[n] = true
+		out = append(out, s)
+	}
+	return out, nil
+}
 
 // Options configures measurement runs.
 //
@@ -402,7 +429,7 @@ func Measure(ctx context.Context, spec Spec, opt Options) (results.Row, error) {
 }
 
 // MeasureAll measures every spec. Every (spec, policy, P, seed) run across
-// all specs is one entry of the grid executor (execute); results are
+// all specs is one entry of the grid executor (ExecuteGrid); results are
 // folded in spec/platform/seed order, so the rows are identical for every
 // Jobs value. Cancelling ctx skips every simulation not yet started and
 // returns the context's error; completed runs already streamed through
@@ -420,24 +447,25 @@ func MeasureAll(ctx context.Context, specs []Spec, opt Options) ([]results.Row, 
 	// Per spec: TS, then T1 and one TP run per seed on the baseline column
 	// and on the policy column.
 	per := 3 + 2*opt.Seeds
-	runs := make([]run, 0, len(specs)*per)
+	runs := make([]Run, 0, len(specs)*per)
 	for _, spec := range specs {
-		runs = append(runs, run{spec: spec, opt: opt})
+		runs = append(runs, Run{Spec: spec, Opt: opt})
 		// Column position, not policy identity: with Policy: sched.Cilk the
 		// comparison degenerates to cilk-vs-cilk, and both columns must
 		// still be populated.
 		for col, pol := range []sched.Policy{sched.Cilk, opt.Policy} {
 			o := opt
 			o.P = 1
-			runs = append(runs, run{spec, pol, o, col == 0})
+			runs = append(runs, Run{spec, pol, o, col == 0})
 			for s := 0; s < opt.Seeds; s++ {
 				o := opt
 				o.Seed = opt.Seed + int64(s)
-				runs = append(runs, run{spec, pol, o, col == 0})
+				runs = append(runs, Run{spec, pol, o, col == 0})
 			}
 		}
 	}
-	res, fails, err := execute(ctx, opt, opt.Cache, runs, true)
+	fails := make([]*RunError, len(runs))
+	res, err := gather(ctx, opt, opt.Cache, runs, fails)
 	if err != nil {
 		return nil, err
 	}

@@ -345,3 +345,49 @@ func TestGridsStreamEveryRun(t *testing.T) {
 		})
 	}
 }
+
+// TestGridReportsHitsFirst runs a topology sweep over a partly warm
+// cache: every run the cache held streams through OnRun before any run
+// that simulates, at Jobs 1 and above, and the sweep equals a cold one.
+func TestGridReportsHitsFirst(t *testing.T) {
+	var specs []Spec
+	for _, s := range Specs(ScaleSmall) {
+		if s.Name == "fib" || s.Name == "heat" {
+			specs = append(specs, s)
+		}
+	}
+	machines, err := Machines([]string{"2x4"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cold, err := MeasureTopologies(t.Context(), specs, machines, Options{}, []int{1, 2, 4, 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, jobs := range []int{1, 4} {
+		t.Run(fmt.Sprintf("jobs=%d", jobs), func(t *testing.T) {
+			opt := Options{Jobs: jobs, Cache: newMemCache()}
+			// The sweep always measures P 1, so this stores P 1 and 4.
+			if _, err := MeasureTopologies(t.Context(), specs, machines, opt, []int{4}); err != nil {
+				t.Fatal(err)
+			}
+			var got []RunMeta
+			opt.OnRun = func(m RunMeta) { got = append(got, m) } // calls are serialized
+			sweeps, err := MeasureTopologies(t.Context(), specs, machines, opt, []int{1, 2, 4, 8})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(sweeps, cold) {
+				t.Errorf("partly warm sweep %+v, want the cold %+v", sweeps, cold)
+			}
+			if len(got) != 8 {
+				t.Fatalf("streamed %d runs, want 8", len(got))
+			}
+			for i, m := range got {
+				if want := i < 4; m.Replayed != want || (m.P == 1 || m.P == 4) != want {
+					t.Errorf("run %d streamed %+v; want the 4 replayed runs (P 1 and 4) first", i, m)
+				}
+			}
+		})
+	}
+}

@@ -3,10 +3,10 @@ package harness
 // This file is the execute-through-cache seam: single runs addressed by
 // their full journal key, simulated only when a result cache does not
 // already hold them, and at most once at a time per key and cache. The
-// sweep service (internal/server), the measurement grids (Options.Cache)
-// and the facade's sessions all run through it, so a service store and a
-// -journal file are one format — a record written by either is a hit for
-// both. Memo is the in-memory ResultCache for callers with no file to
+// grid executor (ExecuteGrid) runs every miss through it, for the sweep
+// service (internal/server), the measurement grids (Options.Cache) and
+// the facade's sessions alike, so a service store and a -journal file are
+// one format — a record written by either is a hit for both. Memo is the in-memory ResultCache for callers with no file to
 // keep.
 
 import (
@@ -159,14 +159,23 @@ var flights = struct {
 // cancelled, a waiter whose context is live takes the run over. A nil
 // cache simulates every call. The Outcome is meaningless with an error.
 func ExecuteThrough(ctx context.Context, c ResultCache, spec Spec, pol sched.Policy, opt Options, serial bool) (journal.Result, Outcome, error) {
+	key := KeyFor(spec, pol, opt, serial)
+	if c != nil {
+		if res, ok := c.Get(key); ok {
+			return res, Cached, nil
+		}
+	}
+	return executeMiss(ctx, c, key, spec, pol, opt, serial)
+}
+
+// executeMiss is ExecuteThrough after its cache lookup missed: the
+// single-flight simulation of key, whose record may still have landed
+// since the lookup (Cached).
+func executeMiss(ctx context.Context, c ResultCache, key journal.Key, spec Spec, pol sched.Policy, opt Options, serial bool) (journal.Result, Outcome, error) {
 	opt = opt.fill()
 	if c == nil {
 		res, err := Execute(ctx, spec, pol, opt, serial)
 		return res, Simulated, err
-	}
-	key := KeyFor(spec, pol, opt, serial)
-	if res, ok := c.Get(key); ok {
-		return res, Cached, nil
 	}
 	fk := flightKey{c, key}
 	for {
@@ -187,7 +196,7 @@ func ExecuteThrough(ctx context.Context, c ResultCache, spec Spec, pol sched.Pol
 		flights.m[fk] = f
 		flights.Unlock()
 		out := Simulated
-		// A leader that finished between the lookup above and this
+		// A leader that finished between the caller's lookup and this
 		// entry has already recorded the key.
 		if res, ok := c.Get(key); ok {
 			f.res, out = res, Cached

@@ -3,7 +3,7 @@ package harness
 // The topology-sweep experiment surface: the Fig. 9 scalability protocol
 // run across a grid of machine shapes instead of only the paper's 4x8
 // machine. Every (machine, spec, point, seed) run is one entry of the
-// grid executor (execute), folded in canonical order so output is
+// grid executor (ExecuteGrid), folded in canonical order so output is
 // byte-identical for every Jobs value.
 
 import (
@@ -112,7 +112,7 @@ func MeasureTopologies(ctx context.Context, specs []Spec, machines []Machine, op
 		}
 		axes[m] = axis
 	}
-	var runs []run
+	var runs []Run
 	for m, mach := range machines {
 		for _, spec := range specs {
 			for _, p := range axes[m] {
@@ -121,12 +121,12 @@ func MeasureTopologies(ctx context.Context, specs []Spec, machines []Machine, op
 					o.Topology = mach.Top
 					o.P = p
 					o.Seed = opt.Seed + int64(sd)
-					runs = append(runs, run{spec: spec, pol: opt.Policy, opt: o})
+					runs = append(runs, Run{Spec: spec, Policy: opt.Policy, Opt: o})
 				}
 			}
 		}
 	}
-	res, _, err := execute(ctx, opt, opt.Cache, runs, false)
+	res, err := gather(ctx, opt, opt.Cache, runs, nil)
 	if err != nil {
 		return nil, err
 	}

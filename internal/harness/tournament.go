@@ -45,7 +45,7 @@ func Tournament(ctx context.Context, specs []Spec, machines []Machine, pols []sc
 		}
 		seen[pol.Name()] = true
 	}
-	var runs []run
+	var runs []Run
 	var cells []metrics.CellTime
 	for _, pol := range pols {
 		for _, spec := range specs {
@@ -55,13 +55,13 @@ func Tournament(ctx context.Context, specs []Spec, machines []Machine, pols []sc
 					o.Topology = mach.Top
 					o.P = mach.Top.Cores()
 					o.Seed = opt.Seed + int64(sd)
-					runs = append(runs, run{spec: spec, pol: pol, opt: o})
+					runs = append(runs, Run{Spec: spec, Policy: pol, Opt: o})
 					cells = append(cells, metrics.CellTime{Policy: pol.Name(), Bench: spec.Name, Topology: mach.Name})
 				}
 			}
 		}
 	}
-	res, _, err := execute(ctx, opt, cache, runs, false)
+	res, err := gather(ctx, opt, cache, runs, nil)
 	if err != nil {
 		return results.Tournament{}, err
 	}

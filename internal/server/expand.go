@@ -6,11 +6,11 @@ package server
 // facade's clients use.
 
 import (
+	"cmp"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
-	"strings"
 
 	"repro/internal/harness"
 	"repro/internal/journal"
@@ -27,26 +27,37 @@ func decodeRequest(body io.Reader, v any) error {
 	return dec.Decode(v)
 }
 
-// runSpec is one expanded grid cell, validated and resolved. Its key is
-// built once, at expansion, and carries the run's identity: bench, input,
-// policy ("serial" for serial rows), P, seed, serial and verify.
-type runSpec struct {
-	spec      harness.Spec
-	topoName  string
-	top       *topology.Topology
-	pol       sched.Policy // nil for serial rows
-	scaleName string
-	key       journal.Key
+// grid is an expanded request: its runs in canonical order, plus what a
+// row names that a run's key does not.
+type grid struct {
+	runs       []harness.Run
+	topologies []string // the machines as the request named them
+	perMachine int      // runs per (bench, machine) block
+	scale      string
 }
 
-// row is the run's grid row carrying res.
-func (rn *runSpec) row(res journal.Result, cached bool) *wire.GridRow {
-	return &wire.GridRow{
-		Bench: rn.key.Bench, Input: rn.key.Input, Scale: rn.scaleName,
-		Topology: rn.topoName, Policy: rn.key.Policy, P: rn.key.P, Seed: rn.key.Seed,
-		Serial: rn.key.Serial, Cached: cached,
+// row is run i's grid row carrying res, named by its key. Run i belongs
+// to the (bench, machine) block i / perMachine, and blocks cycle through
+// the machines within each bench.
+func (g *grid) row(i int, key journal.Key, res journal.Result, cached bool) wire.GridRow {
+	return wire.GridRow{
+		Bench: key.Bench, Input: key.Input, Scale: g.scale,
+		Topology: g.topologies[i/g.perMachine%len(g.topologies)], Policy: key.Policy, P: key.P, Seed: key.Seed,
+		Serial: key.Serial, Cached: cached,
 		Time: res.Time, Work: res.Work, Sched: res.Sched, Idle: res.Idle,
 	}
+}
+
+// repeated is an error naming the first value vals holds twice, if any.
+func repeated[T comparable](axis string, vals []T) error {
+	seen := make(map[T]bool, len(vals))
+	for _, v := range vals {
+		if seen[v] {
+			return fmt.Errorf("duplicate %s entry %#v", axis, v)
+		}
+		seen[v] = true
+	}
+	return nil
 }
 
 // expand validates a request the way the CLI validates its flags — every
@@ -55,8 +66,12 @@ func (rn *runSpec) row(res journal.Result, cached bool) *wire.GridRow {
 // then topology, the serial row first, then policy × workers × seeds.
 // The grid's size is checked against the server's limit before any
 // topology is built or any run expanded, so a small request naming a huge
-// cross product costs only its own axes.
-func (s *Server) expand(req wire.GridRequest) ([]runSpec, error) {
+// cross product costs only its own axes. A grid within the limit must not
+// repeat a value on any axis: the first repeat, in the axis order
+// benches, topologies, policies, workers, seeds, is an error naming its
+// axis and value. Aliases are distinct values: two names of one machine
+// ("uniform" and "1x32"), or worker 0 beside the machine's core count.
+func (s *Server) expand(req wire.GridRequest) (*grid, error) {
 	scaleName := req.Scale
 	var sc harness.Scale
 	switch scaleName {
@@ -70,24 +85,6 @@ func (s *Server) expand(req wire.GridRequest) ([]runSpec, error) {
 	verify := true
 	if req.Verify != nil {
 		verify = *req.Verify
-	}
-	all := harness.Specs(sc)
-	specs := all
-	if len(req.Benches) > 0 {
-		byName := make(map[string]harness.Spec, len(all))
-		known := make([]string, 0, len(all))
-		for _, sp := range all {
-			byName[sp.Name] = sp
-			known = append(known, sp.Name)
-		}
-		specs = make([]harness.Spec, 0, len(req.Benches))
-		for _, n := range req.Benches {
-			sp, ok := byName[n]
-			if !ok {
-				return nil, fmt.Errorf("no benchmark named %q (want %s)", n, strings.Join(known, ", "))
-			}
-			specs = append(specs, sp)
-		}
 	}
 	polNames := req.Policies
 	if len(polNames) == 0 {
@@ -138,17 +135,28 @@ func (s *Server) expand(req wire.GridRequest) ([]runSpec, error) {
 	if len(topoSpecs) == 0 {
 		topoSpecs = []string{"paper-4x8"}
 	}
-	n := mul(mul(len(specs), len(topoSpecs)), perMachine)
+	specs := harness.Specs(sc)
+	nBench := len(req.Benches)
+	if nBench == 0 {
+		nBench = len(specs)
+	}
+	n := mul(mul(nBench, len(topoSpecs)), perMachine)
 	if n > limit {
 		return nil, fmt.Errorf("grid exceeds this server's limit of %d runs; split the request", limit)
 	}
+	if err := cmp.Or(repeated("benches", req.Benches), repeated("topologies", req.Topologies),
+		repeated("policies", req.Policies), repeated("workers", req.Workers), repeated("seeds", req.Seeds)); err != nil {
+		return nil, err
+	}
+	if len(req.Benches) > 0 {
+		var err error
+		if specs, err = harness.SelectSpecs(specs, req.Benches); err != nil {
+			return nil, err
+		}
+	}
 	// Topologies are resolved last: each parsed machine holds a distance
 	// matrix, so only a grid within the limit gets to build them.
-	type machine struct {
-		name string
-		top  *topology.Topology
-	}
-	machines := make([]machine, 0, len(topoSpecs))
+	machines := make([]*topology.Topology, 0, len(topoSpecs))
 	for _, t := range topoSpecs {
 		top, err := topology.Parse(t)
 		if err != nil {
@@ -157,33 +165,30 @@ func (s *Server) expand(req wire.GridRequest) ([]runSpec, error) {
 		if maxP > top.Cores() {
 			return nil, fmt.Errorf("%d workers out of range [1,%d] for topology %s", maxP, top.Cores(), t)
 		}
-		machines = append(machines, machine{name: t, top: top})
+		machines = append(machines, top)
 	}
-	runs := make([]runSpec, 0, n)
-	add := func(sp harness.Spec, m machine, pol sched.Policy, p int, seed int64) {
-		opt := harness.Options{Topology: m.top, P: p, Seed: seed, Verify: verify}
-		runs = append(runs, runSpec{
-			spec: sp, topoName: m.name, top: m.top, pol: pol, scaleName: scaleName,
-			key: harness.KeyFor(sp, pol, opt, pol == nil),
-		})
+	g := &grid{runs: make([]harness.Run, 0, n), topologies: topoSpecs, perMachine: perMachine, scale: scaleName}
+	add := func(sp harness.Spec, top *topology.Topology, pol sched.Policy, p int, seed int64) {
+		opt := harness.Options{Topology: top, P: p, Seed: seed, Verify: verify}
+		g.runs = append(g.runs, harness.Run{Spec: sp, Policy: pol, Opt: opt})
 	}
 	for _, sp := range specs {
-		for _, m := range machines {
+		for _, top := range machines {
 			if req.Serial {
-				add(sp, m, nil, 1, seeds[0])
+				add(sp, top, nil, 1, seeds[0])
 			}
 			for _, pol := range pols {
 				for _, p := range workers {
 					rp := p
 					if rp == 0 {
-						rp = m.top.Cores()
+						rp = top.Cores()
 					}
 					for _, sd := range seeds {
-						add(sp, m, pol, rp, sd)
+						add(sp, top, pol, rp, sd)
 					}
 				}
 			}
 		}
 	}
-	return runs, nil
+	return g, nil
 }

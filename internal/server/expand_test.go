@@ -52,9 +52,9 @@ func TestGridAtLimitAccepted(t *testing.T) {
 		Benches: []string{"fib"}, Topologies: []string{"2x4"}, Scale: "small",
 		Seeds: []int64{1, 2, 3, 4, 5}, Serial: true,
 	}
-	runs, err := s.expand(req)
-	if err != nil || len(runs) != 6 {
-		t.Fatalf("grid of 6 at limit 6: %d runs, error %v", len(runs), err)
+	g, err := s.expand(req)
+	if err != nil || len(g.runs) != 6 {
+		t.Fatalf("grid of 6 at limit 6: %v, error %v", g, err)
 	}
 	req.Seeds = append(req.Seeds, 6)
 	if _, err := s.expand(req); err == nil || !strings.Contains(err.Error(), "exceeds this server's limit of 6") {
@@ -65,7 +65,8 @@ func TestGridAtLimitAccepted(t *testing.T) {
 // FuzzGridRequest feeds arbitrary bodies through the handler's decode and
 // expand. Whatever the bytes, expand must not panic, must stay within
 // the server's limit, and on success must return exactly the cross
-// product of the request's axes (each defaulted the way expand documents).
+// product of the request's axes (each defaulted the way expand documents),
+// none of which repeats a value.
 func FuzzGridRequest(f *testing.F) {
 	s := &Server{maxRuns: 64}
 	f.Fuzz(func(t *testing.T, body []byte) {
@@ -73,12 +74,15 @@ func FuzzGridRequest(f *testing.F) {
 		if decodeRequest(bytes.NewReader(body), &req) != nil {
 			return
 		}
-		runs, err := s.expand(req)
+		g, err := s.expand(req)
 		if err != nil {
 			return
 		}
-		if len(runs) > s.maxRuns {
-			t.Fatalf("%d runs, over the limit of %d", len(runs), s.maxRuns)
+		if len(g.runs) > s.maxRuns {
+			t.Fatalf("%d runs, over the limit of %d", len(g.runs), s.maxRuns)
+		}
+		if twice(req.Benches) || twice(req.Topologies) || twice(req.Policies) || twice(req.Workers) || twice(req.Seeds) {
+			t.Fatalf("accepted a request that repeats an axis value: %+v", req)
 		}
 		sc := harness.ScaleFull
 		if req.Scale == "small" {
@@ -95,8 +99,20 @@ func FuzzGridRequest(f *testing.F) {
 			perMachine++
 		}
 		want := axis(len(req.Benches), len(harness.Specs(sc))) * axis(len(req.Topologies), 1) * perMachine
-		if len(runs) != want {
-			t.Fatalf("%d runs, want the axis product %d", len(runs), want)
+		if len(g.runs) != want {
+			t.Fatalf("%d runs, want the axis product %d", len(g.runs), want)
 		}
 	})
+}
+
+// twice reports whether vals holds some value at two indices.
+func twice[T comparable](vals []T) bool {
+	for i := range vals {
+		for j := range i {
+			if vals[i] == vals[j] {
+				return true
+			}
+		}
+	}
+	return false
 }

@@ -1,13 +1,14 @@
 // Package server implements the numaws sweep service: an HTTP/JSON API
 // over the measurement harness backed by a persistent content-addressed
 // result store (internal/store). A grid request is expanded to its run
-// tuples, each with its key. Every tuple whose key is already recorded is
-// answered from the store first, and those rows go to the client in one
-// write. The rest execute through the store with harness.ExecuteThrough,
-// which coalesces concurrent identical runs into one simulation, and each
-// row streams as NDJSON the moment it finishes. Because every simulation is
-// deterministic in its key, a cached row is byte-identical to a simulated
-// one — the service turns repeated queries into O(1) lookups.
+// tuples and handed to the harness's one grid executor,
+// harness.ExecuteGrid, which executes them through the store. Every tuple
+// whose key is already recorded is answered first, and those rows go to
+// the client under one flush. The rest simulate, concurrent identical runs
+// coalescing into one simulation, and each row streams as NDJSON the
+// moment it finishes. Because every simulation is deterministic in its
+// key, a cached row is byte-identical to a simulated one — the service
+// turns repeated queries into O(1) lookups.
 //
 // Endpoints:
 //
@@ -33,27 +34,25 @@
 // same types. Row lines are written with wire.AppendRowEvent, whose bytes
 // are encoding/json's; everything else is encoded by encoding/json.
 //
-// Concurrency: each request fans the runs the store did not hold out
-// with its own exec.ForEach, and a server-wide semaphore bounds the
-// runs admitted across all clients, so one large grid cannot starve the
-// host. A run waiting on another client's identical simulation holds its
-// own admission slot.
+// Concurrency: the server keeps its expansion, its NDJSON stream and its
+// counters; the fan-out is the executor's. Each request runs its misses on
+// up to Config.Jobs goroutines, and the server passes the executor one
+// server-wide semaphore of Config.Jobs slots, which bounds the runs
+// admitted across all clients, so one large grid cannot starve the host.
+// A run waiting on another client's identical simulation holds its own
+// admission slot, and /statusz's inflight is the slots taken.
 // Client disconnect cancels that client's request context, which aborts
 // only its own uncached work — a run another client is waiting on is
 // taken over by that waiter, and completed records are already durable.
 package server
 
 import (
-	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
-	"sync"
 	"sync/atomic"
 
-	"repro/internal/exec"
 	"repro/internal/harness"
 	"repro/internal/journal"
 	"repro/internal/metrics"
@@ -68,13 +67,14 @@ import (
 type Config struct {
 	// Store is the persistent result store; required.
 	Store *store.Store
-	// Jobs bounds concurrent simulations across all requests; values
-	// below 1 mean 1.
+	// Jobs bounds concurrent simulations across all requests; at least
+	// 1 (numaws.NewServer sets the default).
 	Jobs int
 	// MaxGridRuns is the largest accepted grid, in run tuples; values
 	// below 1 mean the default of 4096.
 	MaxGridRuns int
-	// Logf, when non-nil, receives server log lines.
+	// Logf receives server log lines; required (numaws.NewServer sets
+	// the default).
 	Logf func(format string, args ...any)
 }
 
@@ -82,13 +82,12 @@ type Config struct {
 // use; build with New.
 type Server struct {
 	st      *store.Store
-	jobs    int
 	maxRuns int
 	logf    func(string, ...any)
 
-	// sem is the admission bound: at most jobs runs admitted server-wide
-	// (simulating, or waiting on an identical simulation), no matter how
-	// many clients are streaming.
+	// sem is the admission bound: at most Config.Jobs runs admitted
+	// server-wide (simulating, or waiting on an identical simulation), no
+	// matter how many clients are streaming.
 	sem chan struct{}
 
 	grids, rows            atomic.Uint64
@@ -96,30 +95,18 @@ type Server struct {
 	coalesced              atomic.Uint64
 	storeHits, storeMisses atomic.Uint64 // the first pass's store lookups
 	failures               atomic.Uint64
-	inflight               atomic.Int64
 }
 
 // New builds a Server over the given store.
 func New(cfg Config) (*Server, error) {
-	if cfg.Store == nil {
-		return nil, errors.New("server: Config.Store is required")
-	}
-	jobs := cfg.Jobs
-	if jobs < 1 {
-		jobs = 1
+	if cfg.Store == nil || cfg.Jobs < 1 || cfg.Logf == nil {
+		return nil, errors.New("server: Config needs a Store, Jobs of at least 1 and a Logf")
 	}
 	maxRuns := cfg.MaxGridRuns
 	if maxRuns < 1 {
 		maxRuns = 4096
 	}
-	logf := cfg.Logf
-	if logf == nil {
-		logf = func(string, ...any) {}
-	}
-	return &Server{
-		st: cfg.Store, jobs: jobs, maxRuns: maxRuns, logf: logf,
-		sem: make(chan struct{}, jobs),
-	}, nil
+	return &Server{st: cfg.Store, maxRuns: maxRuns, logf: cfg.Logf, sem: make(chan struct{}, cfg.Jobs)}, nil
 }
 
 // Handler returns the service's HTTP handler.
@@ -140,7 +127,7 @@ func (s *Server) handleGrid(w http.ResponseWriter, r *http.Request) {
 	if !readRequest(w, r, "grid", &req) {
 		return
 	}
-	streamRuns(s, w, r, "grid", req, func(_ []*wire.GridRow, sum wire.GridSummary) (*wire.GridSummary, error) {
+	streamRuns(s, w, r, "grid", req, func(_ []wire.GridRow, sum wire.GridSummary) (*wire.GridSummary, error) {
 		return &sum, nil
 	})
 }
@@ -156,27 +143,13 @@ func (s *Server) handleTournament(w http.ResponseWriter, r *http.Request) {
 	if !readRequest(w, r, "tournament", &req) {
 		return
 	}
+	// The ranking needs exactly one measurement per (policy, bench,
+	// topology, seed); expand rejects a repeated axis value up front
+	// rather than let it surface as a ranking error after the grid
+	// already streamed.
 	polNames := req.Policies
 	if len(polNames) == 0 {
 		polNames = sched.Names()
-	}
-	// The ranking needs exactly one measurement per (policy, bench,
-	// topology, seed); a duplicated axis entry would give its cells twice
-	// the runs of the others, so it is rejected up front rather than
-	// surfacing as a ranking error after the grid already streamed. The axes are checked in a fixed order so
-	// a request with several duplicates always names the same one.
-	for _, axis := range []struct {
-		name string
-		vals []string
-	}{{"benches", req.Benches}, {"topologies", req.Topologies}, {"policies", polNames}} {
-		seen := make(map[string]bool, len(axis.vals))
-		for _, v := range axis.vals {
-			if seen[v] {
-				http.Error(w, fmt.Sprintf("duplicate %s entry %q", axis.name, v), http.StatusBadRequest)
-				return
-			}
-			seen[v] = true
-		}
 	}
 	streamRuns(s, w, r, "tournament", wire.GridRequest{
 		Benches: req.Benches, Topologies: req.Topologies, Policies: polNames,
@@ -188,7 +161,7 @@ func (s *Server) handleTournament(w http.ResponseWriter, r *http.Request) {
 // canonical order: each row is one run, and metrics.NewTournament folds
 // a cell's seeds into its mean exactly as it does for harness.Tournament.
 // A tournament with failed cells is unranked.
-func rank(rows []*wire.GridRow, sum wire.GridSummary) (*wire.TournamentSummary, error) {
+func rank(rows []wire.GridRow, sum wire.GridSummary) (*wire.TournamentSummary, error) {
 	out := &wire.TournamentSummary{GridSummary: sum}
 	if sum.Failed > 0 {
 		return out, nil
@@ -199,7 +172,7 @@ func rank(rows []*wire.GridRow, sum wire.GridSummary) (*wire.TournamentSummary, 
 	}
 	t, err := metrics.NewTournament(runs)
 	if err != nil {
-		// Unreachable with handleTournament's duplicate-axis check.
+		// Unreachable with expand's repeated-value check.
 		return nil, err
 	}
 	for _, e := range t.Entries {
@@ -225,82 +198,75 @@ func readRequest(w http.ResponseWriter, r *http.Request, what string, req any) b
 }
 
 // streamRuns is the one execution path of every streaming endpoint: it
-// expands req (a 400 when invalid) and answers in two passes. The first
-// looks every tuple up in the store and writes each hit as a row event,
-// with one flush after the loop. The second fans the misses out with
-// exec.ForEach and streams each simulated row as its own flushed event,
-// in completion order. The passes are separate because ForEach runs at
-// most s.jobs jobs at once: a hit queued behind a miss would wait for a
-// simulation.
-// Last comes the trailer that done builds from the rows (index-addressed
-// in expansion order, not stream order) and their counts. The handler's
-// context is the request's: client disconnect cancels the ForEach,
-// skipping runs not yet started, and the stream ends without its trailer — as it
-// does when a run hits a grid-level error (cancellation, store I/O) or
-// done fails.
+// expands req (a 400 when invalid) and runs the grid through
+// harness.ExecuteGrid under the server's admission semaphore. The rows
+// the store already held are written first, under one flush; each other
+// row is written and flushed as it completes. Contained run failures
+// (*harness.RunError: panic, verification mismatch, deadline) become
+// their row's err field and the grid proceeds. Last comes the trailer
+// that done builds from the rows (index-addressed in expansion order, not
+// stream order) and their counts. The executor runs under the request's
+// context: client disconnect skips the runs not yet started, and the
+// stream ends without its trailer — as it does when a run hits a
+// grid-level error (cancellation, store I/O), a write fails, or done
+// fails.
 func streamRuns[S any](s *Server, w http.ResponseWriter, r *http.Request, what string,
-	req wire.GridRequest, done func([]*wire.GridRow, wire.GridSummary) (*S, error)) {
-	runs, err := s.expand(req)
+	req wire.GridRequest, done func([]wire.GridRow, wire.GridSummary) (*S, error)) {
+	g, err := s.expand(req)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
 	s.grids.Add(1)
-	ctx := r.Context()
 	w.Header().Set("Content-Type", "application/x-ndjson")
-	st := newStream(w)
-	rows := make([]*wire.GridRow, len(runs))
+	fl, _ := w.(http.Flusher) // nil when the writer cannot flush (tests)
+	flush := func() {
+		if fl != nil {
+			fl.Flush()
+		}
+	}
+	rows := make([]wire.GridRow, len(g.runs))
 	var sum wire.GridSummary
-	var misses []int
-	for i := range runs {
-		res, ok := s.st.Get(runs[i].key)
-		if !ok {
-			s.storeMisses.Add(1)
-			misses = append(misses, i)
-			continue
+	var line []byte    // the row line being written, reused
+	flushEach := false // past the stored rows: flush each row as it completes
+	stored := func(hits int) {
+		s.storeHits.Add(uint64(hits))
+		s.storeMisses.Add(uint64(len(g.runs) - hits))
+		if hits > 0 {
+			flush()
 		}
-		row := runs[i].row(res, true)
-		rows[i] = row
-		sum.Rows++
-		sum.Cached++
-		s.storeHits.Add(1)
-		s.hits.Add(1)
-		s.rows.Add(1)
-		if err := st.row(row); err != nil {
-			s.logf("numaws: %s aborted: %v", what, err)
-			return
-		}
+		flushEach = true
 	}
-	if sum.Cached > 0 {
-		st.flush()
-	}
-
-	var mu sync.Mutex
-	err = exec.ForEach(ctx, s.jobs, len(misses), func(k int) error {
-		i := misses[k]
-		row, err := s.runOne(ctx, &runs[i])
-		if err != nil {
-			return err
-		}
-		mu.Lock()
-		rows[i] = row
-		sum.Rows++
-		switch {
-		case row.Err != nil:
-			sum.Failed++
-		case row.Cached:
-			sum.Cached++
-		default:
-			sum.Simulated++
-		}
-		mu.Unlock()
-		s.rows.Add(1)
-		if err := st.row(row); err != nil {
-			return err
-		}
-		st.flush()
-		return nil
-	})
+	err = harness.ExecuteGrid(r.Context(), cap(s.sem), s.st, s.sem, g.runs, stored,
+		func(i int, key journal.Key, res journal.Result, out harness.Outcome, re *harness.RunError) error {
+			row := &rows[i]
+			*row = g.row(i, key, res, re == nil && out != harness.Simulated)
+			sum.Rows++
+			switch {
+			case re != nil:
+				row.Err = &wire.GridRowError{Kind: re.Kind.String(), Msg: re.Error()}
+				sum.Failed++
+				s.failures.Add(1)
+			case out == harness.Simulated:
+				sum.Simulated++
+				s.misses.Add(1)
+			case out == harness.Coalesced:
+				sum.Cached++
+				s.coalesced.Add(1)
+			default:
+				sum.Cached++
+				s.hits.Add(1)
+			}
+			s.rows.Add(1)
+			line = wire.AppendRowEvent(line[:0], row)
+			if _, err := w.Write(line); err != nil {
+				return err
+			}
+			if flushEach {
+				flush()
+			}
+			return nil
+		})
 	if err != nil {
 		// The stream is committed to 200 by now; ending it without the
 		// done trailer is the in-band abort signal.
@@ -312,49 +278,11 @@ func streamRuns[S any](s *Server, w http.ResponseWriter, r *http.Request, what s
 		s.logf("numaws: %s trailer: %v", what, err)
 		return
 	}
-	if err := st.event(wire.Event[S]{Done: trailer}); err != nil {
+	if err := json.NewEncoder(w).Encode(wire.Event[S]{Done: trailer}); err != nil {
 		s.logf("numaws: %s summary write: %v", what, err)
+		return
 	}
-}
-
-// runOne produces the grid row of a tuple the store did not hold at
-// lookup. It takes an admission slot, then executes the tuple through the
-// store, which simulates it at most once across all concurrent clients:
-// the row is cached when this request did not simulate — a coalesced ride
-// on another request's run, or a record another request stored since the
-// lookup. Contained run failures (*harness.RunError: panic, verification
-// mismatch, deadline) become the row's err field and the grid proceeds;
-// only cancellation and store I/O return an error.
-func (s *Server) runOne(ctx context.Context, rn *runSpec) (*wire.GridRow, error) {
-	select {
-	case s.sem <- struct{}{}:
-	case <-ctx.Done():
-		return nil, ctx.Err()
-	}
-	s.inflight.Add(1)
-	opt := harness.Options{Topology: rn.top, P: rn.key.P, Seed: rn.key.Seed, Verify: rn.key.Verify}
-	res, outcome, err := harness.ExecuteThrough(ctx, s.st, rn.spec, rn.pol, opt, rn.key.Serial)
-	s.inflight.Add(-1)
-	<-s.sem
-	if err != nil {
-		var re *harness.RunError
-		if errors.As(err, &re) && ctx.Err() == nil {
-			s.failures.Add(1)
-			row := rn.row(journal.Result{}, false)
-			row.Err = &wire.GridRowError{Kind: re.Kind.String(), Msg: re.Error()}
-			return row, nil
-		}
-		return nil, err
-	}
-	switch outcome {
-	case harness.Simulated:
-		s.misses.Add(1)
-	case harness.Coalesced:
-		s.coalesced.Add(1)
-	default:
-		s.hits.Add(1)
-	}
-	return rn.row(res, outcome != harness.Simulated), nil
+	flush()
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
@@ -379,7 +307,7 @@ func (s *Server) handleStatusz(w http.ResponseWriter, r *http.Request) {
 	st.Simulated = s.misses.Load()
 	st.Coalesced = s.coalesced.Load()
 	st.Failures = s.failures.Load()
-	st.Inflight = s.inflight.Load()
+	st.Inflight = int64(len(s.sem))
 	c := s.st.Counters()
 	st.Store.Records, st.Store.Corrupt = c.Records, c.Skipped
 	st.Store.Puts, st.Store.Hits, st.Store.Misses = c.Puts, s.storeHits.Load(), s.storeMisses.Load()
@@ -392,51 +320,4 @@ func writeJSON(w http.ResponseWriter, v any) {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	enc.Encode(v)
-}
-
-// stream serializes NDJSON events onto one response: ForEach's workers emit
-// rows concurrently, and the ResponseWriter is not safe for concurrent
-// writes. row appends each row line with wire.AppendRowEvent into a
-// reused buffer and leaves it in the writer's buffer until flush; event
-// encodes any other event (the trailer) with encoding/json and flushes it.
-type stream struct {
-	mu  sync.Mutex
-	w   io.Writer
-	buf []byte       // the row line being written, reused under mu
-	fl  http.Flusher // nil when the writer cannot flush (tests)
-}
-
-func newStream(w http.ResponseWriter) *stream {
-	st := &stream{w: w}
-	if fl, ok := w.(http.Flusher); ok {
-		st.fl = fl
-	}
-	return st
-}
-
-func (s *stream) row(r *wire.GridRow) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.buf = wire.AppendRowEvent(s.buf[:0], r)
-	_, err := s.w.Write(s.buf)
-	return err
-}
-
-func (s *stream) event(ev any) error {
-	s.mu.Lock()
-	err := json.NewEncoder(s.w).Encode(ev)
-	s.mu.Unlock()
-	if err != nil {
-		return err
-	}
-	s.flush()
-	return nil
-}
-
-func (s *stream) flush() {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.fl != nil {
-		s.fl.Flush()
-	}
 }

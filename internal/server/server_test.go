@@ -330,6 +330,8 @@ func TestBadRequestsAreRejected(t *testing.T) {
 		{numaws.GridRequest{Scale: "medium"}, "unknown scale"},
 		{numaws.GridRequest{Benches: []string{"fib"}, Scale: "small", Seeds: []int64{0}}, "seed 0 is reserved"},
 		{numaws.GridRequest{Benches: []string{"fib"}, Scale: "small", Workers: []int{99}}, "out of range"},
+		{numaws.GridRequest{Benches: []string{"fib"}, Topologies: []string{"2x4"}, Scale: "small", Seeds: []int64{1, 1}},
+			"duplicate seeds entry 1"},
 	}
 	for _, tc := range cases {
 		_, err := numaws.QueryGrid(t.Context(), hs.URL, tc.req, nil)

@@ -130,8 +130,9 @@ func TestTournamentDefaultsToEveryRegisteredPolicy(t *testing.T) {
 }
 
 // TestTournamentRejectsBadRequests pins the endpoint's validation: a
-// duplicated axis entry would double cells under the ranking, so it is a
-// 400 up front, and unknown axis values fail like grid requests do.
+// duplicated axis entry, seeds included, would double cells under the
+// ranking, so it is a 400 up front, and unknown axis values fail like
+// grid requests do.
 func TestTournamentRejectsBadRequests(t *testing.T) {
 	srv, hs := newService(t, filepath.Join(t.TempDir(), "store.jsonl"), 1)
 	defer srv.Close()
@@ -143,6 +144,8 @@ func TestTournamentRejectsBadRequests(t *testing.T) {
 		{numaws.TournamentRequest{Policies: []string{"cilk", "cilk"}}, `duplicate policies entry "cilk"`},
 		{numaws.TournamentRequest{Benches: []string{"fib", "fib"}}, `duplicate benches entry "fib"`},
 		{numaws.TournamentRequest{Topologies: []string{"2x4", "2x4"}}, `duplicate topologies entry "2x4"`},
+		{numaws.TournamentRequest{Benches: []string{"fib"}, Topologies: []string{"2x4"}, Seeds: []int64{1, 1}, Scale: "small"},
+			"duplicate seeds entry 1"},
 		// Duplicates on two axes always name the first axis in the fixed
 		// order benches, topologies, policies.
 		{numaws.TournamentRequest{Benches: []string{"fib", "fib"}, Policies: []string{"cilk", "cilk"}},

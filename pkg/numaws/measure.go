@@ -13,8 +13,8 @@ import (
 	"fmt"
 
 	"repro/internal/core"
-	"repro/internal/exec"
 	"repro/internal/harness"
+	"repro/internal/journal"
 	"repro/internal/sched"
 )
 
@@ -47,12 +47,13 @@ func (s *Session) spec(bench string) (harness.Spec, error) {
 
 // subset resolves an optional benchmark-name filter: no names means the
 // session's whole suite. Explicit names follow the same rules as
-// WithBenchmarks (selectSpecs): unknown and duplicate names are errors.
+// WithBenchmarks (harness.SelectSpecs): unknown and duplicate names are
+// errors.
 func (s *Session) subset(benches []string) ([]harness.Spec, error) {
 	if len(benches) == 0 {
 		return s.specs, nil
 	}
-	out, err := selectSpecs(s.specs, benches)
+	out, err := harness.SelectSpecs(s.specs, benches)
 	if err != nil {
 		return nil, fmt.Errorf("numaws: %w", err)
 	}
@@ -192,32 +193,35 @@ func (s *Session) Sweep(ctx context.Context, topologies []string, points []int, 
 // dag, so a tuple the session already ran (the tables' T_P under its
 // policy) simulates nothing. A journal record written before records
 // carried the dag has none: its tuple is simulated again, and the
-// journal keeps the older record. Benchmarks run concurrently on the
-// session's job pool; results come back in suite order.
+// journal keeps the older record. The runs go through the harness's grid
+// executor, so benchmarks run concurrently on the session's job pool;
+// results come back in suite order.
 func (s *Session) DAGs(ctx context.Context, benches ...string) ([]DAGReport, error) {
 	specs, err := s.subset(benches)
 	if err != nil {
 		return nil, err
 	}
 	opt := s.options()
+	runs := make([]harness.Run, len(specs))
+	for i, sp := range specs {
+		runs[i] = harness.Run{Spec: sp, Policy: s.policy, Opt: opt}
+	}
 	out := make([]DAGReport, len(specs))
-	err = exec.ForEach(ctx, opt.Jobs, len(specs), func(i int) error {
-		res, outcome, err := harness.ExecuteThrough(ctx, s.cache, specs[i], s.policy, opt, false)
-		if err == nil && outcome == harness.Cached && res.DAGSpan == 0 {
-			res, err = harness.Execute(ctx, specs[i], s.policy, opt, false)
-		}
-		if err != nil {
-			return facadeErr(err)
-		}
-		dag := core.DAG{Work: res.DAGWork, Span: res.DAGSpan}
-		out[i] = DAGReport{
-			Bench:       specs[i].Name,
-			Work:        dag.Work,
-			Span:        dag.Span,
-			Parallelism: dag.Parallelism(),
-		}
-		return nil
-	})
+	err = harness.ExecuteGrid(ctx, opt.Jobs, s.cache, nil, runs, nil,
+		func(i int, _ journal.Key, res journal.Result, outcome harness.Outcome, re *harness.RunError) error {
+			if re != nil {
+				return facadeErr(re)
+			}
+			if outcome == harness.Cached && res.DAGSpan == 0 {
+				var err error
+				if res, err = harness.Execute(ctx, specs[i], s.policy, opt, false); err != nil {
+					return facadeErr(err)
+				}
+			}
+			dag := core.DAG{Work: res.DAGWork, Span: res.DAGSpan}
+			out[i] = DAGReport{Bench: specs[i].Name, Work: dag.Work, Span: dag.Span, Parallelism: dag.Parallelism()}
+			return nil
+		})
 	if err != nil {
 		return nil, err
 	}

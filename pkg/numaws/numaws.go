@@ -31,7 +31,6 @@ package numaws
 import (
 	"fmt"
 	"os"
-	"strings"
 	"time"
 
 	"repro/internal/exec"
@@ -357,7 +356,7 @@ func New(opts ...Option) (*Session, error) {
 	all := harness.Specs(engineScale(c.scale))
 	specs := all
 	if len(c.benches) > 0 {
-		specs, err = selectSpecs(all, c.benches)
+		specs, err = harness.SelectSpecs(all, c.benches)
 		if err != nil {
 			return nil, fmt.Errorf("numaws: %w", err)
 		}
@@ -404,31 +403,6 @@ func (s *Session) ReplayStats() (replayed, skipped int) {
 	}
 	c := s.store.Counters()
 	return c.Records, c.Skipped
-}
-
-// selectSpecs resolves benchmark names against the suite, preserving the
-// requested order and rejecting unknown or duplicate names.
-func selectSpecs(all []harness.Spec, names []string) ([]harness.Spec, error) {
-	byName := make(map[string]harness.Spec, len(all))
-	known := make([]string, 0, len(all))
-	for _, s := range all {
-		byName[s.Name] = s
-		known = append(known, s.Name)
-	}
-	seen := make(map[string]bool, len(names))
-	out := make([]harness.Spec, 0, len(names))
-	for _, n := range names {
-		s, ok := byName[n]
-		if !ok {
-			return nil, fmt.Errorf("no benchmark named %q (want %s)", n, strings.Join(known, ", "))
-		}
-		if seen[n] {
-			return nil, fmt.Errorf("benchmark %q named twice", n)
-		}
-		seen[n] = true
-		out = append(out, s)
-	}
-	return out, nil
 }
 
 // options assembles the harness options for one measurement call.
