@@ -6,8 +6,8 @@ package harness
 // grid executor (ExecuteGrid) runs every miss through it, for the sweep
 // service (internal/server), the measurement grids (Options.Cache) and
 // the facade's sessions alike, so a service store and a -journal file are
-// one format — a record written by either is a hit for both. Memo is the in-memory ResultCache for callers with no file to
-// keep.
+// one format — a record written by either is a hit for both. Memo is the
+// in-memory ResultCache for callers with no file to keep.
 
 import (
 	"context"

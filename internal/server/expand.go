@@ -36,14 +36,16 @@ type grid struct {
 	scale      string
 }
 
-// row is run i's grid row carrying res, named by its key. Run i belongs
-// to the (bench, machine) block i / perMachine, and blocks cycle through
-// the machines within each bench.
+// topology is run i's machine as the request named it. Run i belongs to
+// the (bench, machine) block i / perMachine, and blocks cycle through the
+// machines within each bench.
+func (g *grid) topology(i int) string { return g.topologies[i/g.perMachine%len(g.topologies)] }
+
+// row is run i's grid row carrying res, named by its key.
 func (g *grid) row(i int, key journal.Key, res journal.Result, cached bool) wire.GridRow {
 	return wire.GridRow{
-		Bench: key.Bench, Input: key.Input, Scale: g.scale,
-		Topology: g.topologies[i/g.perMachine%len(g.topologies)], Policy: key.Policy, P: key.P, Seed: key.Seed,
-		Serial: key.Serial, Cached: cached,
+		Bench: key.Bench, Input: key.Input, Scale: g.scale, Topology: g.topology(i),
+		Policy: key.Policy, P: key.P, Seed: key.Seed, Serial: key.Serial, Cached: cached,
 		Time: res.Time, Work: res.Work, Sched: res.Sched, Idle: res.Idle,
 	}
 }

@@ -127,7 +127,7 @@ func (s *Server) handleGrid(w http.ResponseWriter, r *http.Request) {
 	if !readRequest(w, r, "grid", &req) {
 		return
 	}
-	streamRuns(s, w, r, "grid", req, func(_ []wire.GridRow, sum wire.GridSummary) (*wire.GridSummary, error) {
+	streamRuns(s, w, r, "grid", req, func(_ *grid, _ []int64, sum wire.GridSummary) (*wire.GridSummary, error) {
 		return &sum, nil
 	})
 }
@@ -157,18 +157,18 @@ func (s *Server) handleTournament(w http.ResponseWriter, r *http.Request) {
 	}, rank)
 }
 
-// rank builds a tournament's trailer from its rows, in the expansion's
-// canonical order: each row is one run, and metrics.NewTournament folds
-// a cell's seeds into its mean exactly as it does for harness.Tournament.
-// A tournament with failed cells is unranked.
-func rank(rows []wire.GridRow, sum wire.GridSummary) (*wire.TournamentSummary, error) {
+// rank builds a tournament's trailer from its runs' times, in the
+// expansion's canonical order: metrics.NewTournament folds a cell's seeds
+// into its mean exactly as it does for harness.Tournament. A tournament
+// with failed cells is unranked.
+func rank(g *grid, times []int64, sum wire.GridSummary) (*wire.TournamentSummary, error) {
 	out := &wire.TournamentSummary{GridSummary: sum}
 	if sum.Failed > 0 {
 		return out, nil
 	}
-	runs := make([]metrics.CellTime, len(rows))
-	for i, row := range rows {
-		runs[i] = metrics.CellTime{Policy: row.Policy, Bench: row.Bench, Topology: row.Topology, TP: row.Time}
+	runs := make([]metrics.CellTime, len(times))
+	for i, r := range g.runs {
+		runs[i] = metrics.CellTime{Policy: r.Policy.Name(), Bench: r.Spec.Name, Topology: g.topology(i), TP: times[i]}
 	}
 	t, err := metrics.NewTournament(runs)
 	if err != nil {
@@ -204,14 +204,14 @@ func readRequest(w http.ResponseWriter, r *http.Request, what string, req any) b
 // row is written and flushed as it completes. Contained run failures
 // (*harness.RunError: panic, verification mismatch, deadline) become
 // their row's err field and the grid proceeds. Last comes the trailer
-// that done builds from the rows (index-addressed in expansion order, not
-// stream order) and their counts. The executor runs under the request's
-// context: client disconnect skips the runs not yet started, and the
-// stream ends without its trailer — as it does when a run hits a
-// grid-level error (cancellation, store I/O), a write fails, or done
-// fails.
+// that done builds from the grid, its runs' times (index-addressed in
+// expansion order, not stream order) and their counts. The executor runs
+// under the request's context: client disconnect skips the runs not yet
+// started, and the stream ends without its trailer — as it does when a
+// run hits a grid-level error (cancellation, store I/O), a write fails,
+// or done fails.
 func streamRuns[S any](s *Server, w http.ResponseWriter, r *http.Request, what string,
-	req wire.GridRequest, done func([]wire.GridRow, wire.GridSummary) (*S, error)) {
+	req wire.GridRequest, done func(*grid, []int64, wire.GridSummary) (*S, error)) {
 	g, err := s.expand(req)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
@@ -225,7 +225,7 @@ func streamRuns[S any](s *Server, w http.ResponseWriter, r *http.Request, what s
 			fl.Flush()
 		}
 	}
-	rows := make([]wire.GridRow, len(g.runs))
+	times := make([]int64, len(g.runs))
 	var sum wire.GridSummary
 	var line []byte    // the row line being written, reused
 	flushEach := false // past the stored rows: flush each row as it completes
@@ -239,8 +239,8 @@ func streamRuns[S any](s *Server, w http.ResponseWriter, r *http.Request, what s
 	}
 	err = harness.ExecuteGrid(r.Context(), cap(s.sem), s.st, s.sem, g.runs, stored,
 		func(i int, key journal.Key, res journal.Result, out harness.Outcome, re *harness.RunError) error {
-			row := &rows[i]
-			*row = g.row(i, key, res, re == nil && out != harness.Simulated)
+			row := g.row(i, key, res, re == nil && out != harness.Simulated)
+			times[i] = res.Time
 			sum.Rows++
 			switch {
 			case re != nil:
@@ -258,7 +258,7 @@ func streamRuns[S any](s *Server, w http.ResponseWriter, r *http.Request, what s
 				s.hits.Add(1)
 			}
 			s.rows.Add(1)
-			line = wire.AppendRowEvent(line[:0], row)
+			line = wire.AppendRowEvent(line[:0], &row)
 			if _, err := w.Write(line); err != nil {
 				return err
 			}
@@ -273,7 +273,7 @@ func streamRuns[S any](s *Server, w http.ResponseWriter, r *http.Request, what s
 		s.logf("numaws: %s aborted: %v", what, err)
 		return
 	}
-	trailer, err := done(rows, sum)
+	trailer, err := done(g, times, sum)
 	if err != nil {
 		s.logf("numaws: %s trailer: %v", what, err)
 		return

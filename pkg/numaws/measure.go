@@ -192,10 +192,11 @@ func (s *Session) Sweep(ctx context.Context, topologies []string, points []int, 
 // runs go through the session's result cache, whose records carry the
 // dag, so a tuple the session already ran (the tables' T_P under its
 // policy) simulates nothing. A journal record written before records
-// carried the dag has none: its tuple is simulated again, and the
-// journal keeps the older record. The runs go through the harness's grid
-// executor, so benchmarks run concurrently on the session's job pool;
-// results come back in suite order.
+// carried the dag has none: its tuple is simulated again, as the executor
+// reports the hit (one at a time), and the journal keeps the older
+// record. The runs go through the harness's grid executor, so the misses
+// run concurrently on the session's job pool; results come back in suite
+// order.
 func (s *Session) DAGs(ctx context.Context, benches ...string) ([]DAGReport, error) {
 	specs, err := s.subset(benches)
 	if err != nil {
