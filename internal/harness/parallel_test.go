@@ -159,15 +159,14 @@ func (failingWorkload) Verify() error { return errors.New("forced verification f
 // measured normally, and MeasureAll itself succeeds.
 func TestMeasureAllErrorSurfaces(t *testing.T) {
 	specs := Specs(ScaleSmall)[:3]
-	// Overriding Make requires clearing the spec's pool identity: the pool
-	// keys on the registry entry, not the builder, and would otherwise hand
-	// back instances the original builder constructed.
-	bad := workloads.Unpooled(specs[1])
-	make1 := bad.Make
-	bad.Make = func(aware bool) workloads.Workload {
+	// A Spec literal, not a modified registry spec: the pool keys on the
+	// registry entry, not the builder, so a registry spec with an
+	// overridden Make would be handed instances the original builder
+	// constructed. A literal has no pool identity and is never pooled.
+	make1 := specs[1].Make
+	specs[1] = workloads.Spec{Name: specs[1].Name, Input: specs[1].Input, Make: func(aware bool) workloads.Workload {
 		return failingWorkload{make1(aware)}
-	}
-	specs[1] = bad
+	}}
 	for _, jobs := range []int{1, 8} {
 		rows, err := MeasureAll(t.Context(), specs, Options{P: 8, Verify: true, Jobs: jobs})
 		if err != nil {

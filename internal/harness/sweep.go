@@ -43,6 +43,22 @@ func Machines(specs []string) ([]Machine, error) {
 	return out, nil
 }
 
+// DistinctMachines rejects a machine list that names one machine twice
+// under two spellings ("uniform" and "1x32" share one Topology.Key). A
+// tournament ranks policies by a geomean over machines, so an alias would
+// count that machine's cells twice; sweeps and grids accept aliases, where
+// a repeat costs only a duplicate curve or a store hit.
+func DistinctMachines(machines []Machine) error {
+	seen := make(map[string]string, len(machines))
+	for _, m := range machines {
+		if prev, ok := seen[m.Top.Key()]; ok {
+			return fmt.Errorf("harness: topologies %q and %q name the same machine", prev, m.Name)
+		}
+		seen[m.Top.Key()] = m.Name
+	}
+	return nil
+}
+
 // SweepPoints derives a machine's worker-count axis the way Fig. 9 chose the
 // paper machine's {1, 8, 16, 24, 32}: one worker, then the quarter points of
 // the whole machine. Machines too small for distinct quarters degenerate

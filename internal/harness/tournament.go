@@ -25,7 +25,8 @@ import (
 // the list to metrics.NewTournament. cache may be nil (every cell
 // simulates). Any cell's failure — including a contained *RunError —
 // aborts the tournament: a ranking with missing cells would silently
-// compare incomparables. Cancelling ctx skips every simulation not yet
+// compare incomparables. Two names of one machine are an error
+// (DistinctMachines). Cancelling ctx skips every simulation not yet
 // started and returns the context's error.
 func Tournament(ctx context.Context, specs []Spec, machines []Machine, pols []sched.Policy, cache ResultCache, opt Options) (results.Tournament, error) {
 	opt = opt.fill()
@@ -37,6 +38,9 @@ func Tournament(ctx context.Context, specs []Spec, machines []Machine, pols []sc
 	}
 	if len(machines) == 0 {
 		return results.Tournament{}, fmt.Errorf("harness: tournament needs at least one machine")
+	}
+	if err := DistinctMachines(machines); err != nil {
+		return results.Tournament{}, err
 	}
 	seen := make(map[string]bool, len(pols))
 	for _, pol := range pols {

@@ -85,8 +85,7 @@ type Matrix struct {
 	N     int
 	Block int // block side for BlockedMorton; 0 otherwise
 	Kind  Kind
-	Data  []float64
-	R     *memory.Region
+	memory.Array[float64]
 }
 
 // NewMatrix allocates an n x n matrix with the given layout. For
@@ -109,13 +108,7 @@ func NewMatrix(a *memory.Allocator, name string, n int, kind Kind, block int, po
 	default:
 		block = 0
 	}
-	return &Matrix{
-		N:     n,
-		Block: block,
-		Kind:  kind,
-		Data:  make([]float64, n*n),
-		R:     a.Alloc(name, int64(n)*int64(n)*8, pol),
-	}
+	return &Matrix{N: n, Block: block, Kind: kind, Array: *memory.NewArray[float64](a, name, n*n, pol)}
 }
 
 // Rebind re-registers the matrix's region with a fresh allocator, keeping
@@ -124,7 +117,7 @@ func NewMatrix(a *memory.Allocator, name string, n int, kind Kind, block int, po
 // state, so each run needs its own, but the expensive part — the data and
 // its layout — is layout-validated once and reused.
 func (m *Matrix) Rebind(a *memory.Allocator, name string, pol memory.Policy) {
-	m.R = a.Alloc(name, int64(m.N)*int64(m.N)*8, pol)
+	memory.Reuse(&m.Array, a, name, m.N*m.N, pol)
 }
 
 // Index maps (row, col) to the linear element index under the matrix's
@@ -182,8 +175,7 @@ func (m *Matrix) BlockSpan(row, col int) (off, size int64) {
 		panic("layout: BlockSpan requires a BlockedMorton matrix")
 	}
 	b := m.Block
-	idx := int64(MortonIndex(row/b, col/b)) * int64(b) * int64(b)
-	return idx * 8, int64(b) * int64(b) * 8
+	return m.Span(int(MortonIndex(row/b, col/b))*b*b, b*b)
 }
 
 // RowSpan reports the (byte offset, byte length) of the length-w row
@@ -192,13 +184,13 @@ func (m *Matrix) BlockSpan(row, col int) (off, size int64) {
 func (m *Matrix) RowSpan(row, col, w int) (off, size int64) {
 	switch m.Kind {
 	case RowMajor:
-		return int64(row*m.N+col) * 8, int64(w) * 8
+		return m.Span(row*m.N+col, w)
 	case BlockedMorton:
 		b := m.Block
 		if col/b != (col+w-1)/b {
 			panic("layout: RowSpan crosses a block boundary")
 		}
-		return int64(m.Index(row, col)) * 8, int64(w) * 8
+		return m.Span(m.Index(row, col), w)
 	default:
 		panic("layout: RowSpan unsupported for cell Z-Morton")
 	}

@@ -1,94 +1,46 @@
 package memory
 
-// Typed array helpers pair real Go slices (on which workloads perform the
-// actual computation) with simulated Regions (against which the cache model
-// charges access costs). The pairing is what lets a benchmark both compute a
-// verifiable result and produce a faithful memory-access profile.
+import "unsafe"
 
-// F64 is a float64 array backed by a simulated region.
-type F64 struct {
-	Data []float64
+// elem is the element types an Array holds.
+type elem interface{ float64 | int32 | int64 }
+
+// Array pairs a real Go slice (on which a workload performs the actual
+// computation) with a simulated Region (against which the cache model
+// charges access costs). The pairing is what lets a benchmark both compute
+// a verifiable result and produce a faithful memory-access profile.
+type Array[T elem] struct {
+	Data []T
 	R    *Region
 }
 
-// NewF64 allocates an n-element float64 array under the given policy.
-func NewF64(a *Allocator, name string, n int, pol Policy) *F64 {
-	return &F64{
-		Data: make([]float64, n),
-		R:    a.Alloc(name, int64(n)*8, pol),
-	}
+// NewArray allocates an n-element array under the given policy.
+func NewArray[T elem](a *Allocator, name string, n int, pol Policy) *Array[T] {
+	return &Array[T]{Data: make([]T, n), R: a.Alloc(name, bytesOf[T](n), pol)}
 }
 
 // Span converts an element range to a (byte offset, byte length) pair for
 // Context.Read/Write.
-func (f *F64) Span(i, n int) (off, size int64) { return int64(i) * 8, int64(n) * 8 }
+func (x *Array[T]) Span(i, n int) (off, size int64) { return bytesOf[T](i), bytesOf[T](n) }
 
-// I32 is an int32 array backed by a simulated region.
-type I32 struct {
-	Data []int32
-	R    *Region
-}
-
-// NewI32 allocates an n-element int32 array under the given policy.
-func NewI32(a *Allocator, name string, n int, pol Policy) *I32 {
-	return &I32{
-		Data: make([]int32, n),
-		R:    a.Alloc(name, int64(n)*4, pol),
-	}
-}
-
-// Span converts an element range to a (byte offset, byte length) pair.
-func (f *I32) Span(i, n int) (off, size int64) { return int64(i) * 4, int64(n) * 4 }
-
-// I64 is an int64 array backed by a simulated region.
-type I64 struct {
-	Data []int64
-	R    *Region
-}
-
-// NewI64 allocates an n-element int64 array under the given policy.
-func NewI64(a *Allocator, name string, n int, pol Policy) *I64 {
-	return &I64{
-		Data: make([]int64, n),
-		R:    a.Alloc(name, int64(n)*8, pol),
-	}
-}
-
-// Span converts an element range to a (byte offset, byte length) pair.
-func (f *I64) Span(i, n int) (off, size int64) { return int64(i) * 8, int64(n) * 8 }
-
-// The Reuse* helpers back the workload-input pool: a pooled workload
-// instance keeps its Go data slices across runs but must re-register its
-// regions with each run's fresh Allocator (regions carry first-touch page
-// state, which is run-scoped). Called in the same statement order as the
-// fresh-construction path, re-registration reproduces identical region base
-// offsets, so a reused input is indistinguishable from a new one to the
-// simulator.
-
-// ReuseF64 rebinds old to a fresh region under a when its length matches,
-// keeping its data; otherwise it allocates anew.
-func ReuseF64(old *F64, a *Allocator, name string, n int, pol Policy) *F64 {
+// Reuse backs the workload-input pool: a pooled workload instance keeps its
+// Go data across runs but must re-register its regions with each run's
+// fresh Allocator (regions carry first-touch page state, which is
+// run-scoped). When old's length is n, Reuse keeps its data and binds a new
+// region; otherwise it allocates a new array. Called in the same statement
+// order as the first build, re-registration reproduces identical region
+// base offsets, so a reused input is indistinguishable from a new one to
+// the simulator.
+func Reuse[T elem](old *Array[T], a *Allocator, name string, n int, pol Policy) *Array[T] {
 	if old != nil && len(old.Data) == n {
-		old.R = a.Alloc(name, int64(n)*8, pol)
+		old.R = a.Alloc(name, bytesOf[T](n), pol)
 		return old
 	}
-	return NewF64(a, name, n, pol)
+	return NewArray[T](a, name, n, pol)
 }
 
-// ReuseI32 is ReuseF64 for int32 arrays.
-func ReuseI32(old *I32, a *Allocator, name string, n int, pol Policy) *I32 {
-	if old != nil && len(old.Data) == n {
-		old.R = a.Alloc(name, int64(n)*4, pol)
-		return old
-	}
-	return NewI32(a, name, n, pol)
-}
-
-// ReuseI64 is ReuseF64 for int64 arrays.
-func ReuseI64(old *I64, a *Allocator, name string, n int, pol Policy) *I64 {
-	if old != nil && len(old.Data) == n {
-		old.R = a.Alloc(name, int64(n)*8, pol)
-		return old
-	}
-	return NewI64(a, name, n, pol)
+// bytesOf is the byte size of n elements of T.
+func bytesOf[T elem](n int) int64 {
+	var zero T
+	return int64(n) * int64(unsafe.Sizeof(zero))
 }

@@ -31,15 +31,15 @@ func decodeRequest(body io.Reader, v any) error {
 // row names that a run's key does not.
 type grid struct {
 	runs       []harness.Run
-	topologies []string // the machines as the request named them
-	perMachine int      // runs per (bench, machine) block
+	machines   []harness.Machine // named as the request named them
+	perMachine int               // runs per (bench, machine) block
 	scale      string
 }
 
 // topology is run i's machine as the request named it. Run i belongs to
 // the (bench, machine) block i / perMachine, and blocks cycle through the
 // machines within each bench.
-func (g *grid) topology(i int) string { return g.topologies[i/g.perMachine%len(g.topologies)] }
+func (g *grid) topology(i int) string { return g.machines[i/g.perMachine%len(g.machines)].Name }
 
 // row is run i's grid row carrying res, named by its key.
 func (g *grid) row(i int, key journal.Key, res journal.Result, cached bool) wire.GridRow {
@@ -72,7 +72,8 @@ func repeated[T comparable](axis string, vals []T) error {
 // repeat a value on any axis: the first repeat, in the axis order
 // benches, topologies, policies, workers, seeds, is an error naming its
 // axis and value. Aliases are distinct values: two names of one machine
-// ("uniform" and "1x32"), or worker 0 beside the machine's core count.
+// ("uniform" and "1x32"), or worker 0 beside the machine's core count
+// (a tournament rejects machine aliases itself; see handleTournament).
 func (s *Server) expand(req wire.GridRequest) (*grid, error) {
 	scaleName := req.Scale
 	var sc harness.Scale
@@ -158,7 +159,7 @@ func (s *Server) expand(req wire.GridRequest) (*grid, error) {
 	}
 	// Topologies are resolved last: each parsed machine holds a distance
 	// matrix, so only a grid within the limit gets to build them.
-	machines := make([]*topology.Topology, 0, len(topoSpecs))
+	machines := make([]harness.Machine, 0, len(topoSpecs))
 	for _, t := range topoSpecs {
 		top, err := topology.Parse(t)
 		if err != nil {
@@ -167,26 +168,26 @@ func (s *Server) expand(req wire.GridRequest) (*grid, error) {
 		if maxP > top.Cores() {
 			return nil, fmt.Errorf("%d workers out of range [1,%d] for topology %s", maxP, top.Cores(), t)
 		}
-		machines = append(machines, top)
+		machines = append(machines, harness.Machine{Name: t, Top: top})
 	}
-	g := &grid{runs: make([]harness.Run, 0, n), topologies: topoSpecs, perMachine: perMachine, scale: scaleName}
+	g := &grid{runs: make([]harness.Run, 0, n), machines: machines, perMachine: perMachine, scale: scaleName}
 	add := func(sp harness.Spec, top *topology.Topology, pol sched.Policy, p int, seed int64) {
 		opt := harness.Options{Topology: top, P: p, Seed: seed, Verify: verify}
 		g.runs = append(g.runs, harness.Run{Spec: sp, Policy: pol, Opt: opt})
 	}
 	for _, sp := range specs {
-		for _, top := range machines {
+		for _, m := range machines {
 			if req.Serial {
-				add(sp, top, nil, 1, seeds[0])
+				add(sp, m.Top, nil, 1, seeds[0])
 			}
 			for _, pol := range pols {
 				for _, p := range workers {
 					rp := p
 					if rp == 0 {
-						rp = top.Cores()
+						rp = m.Top.Cores()
 					}
 					for _, sd := range seeds {
-						add(sp, top, pol, rp, sd)
+						add(sp, m.Top, pol, rp, sd)
 					}
 				}
 			}

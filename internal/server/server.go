@@ -127,7 +127,12 @@ func (s *Server) handleGrid(w http.ResponseWriter, r *http.Request) {
 	if !readRequest(w, r, "grid", &req) {
 		return
 	}
-	streamRuns(s, w, r, "grid", req, func(_ *grid, _ []int64, sum wire.GridSummary) (*wire.GridSummary, error) {
+	g, err := s.expand(req)
+	if err != nil {
+		http.Error(w, err.Error(), http.StatusBadRequest)
+		return
+	}
+	streamRuns(s, w, r, "grid", g, func(_ *grid, _ []int64, sum wire.GridSummary) (*wire.GridSummary, error) {
 		return &sum, nil
 	})
 }
@@ -144,17 +149,26 @@ func (s *Server) handleTournament(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	// The ranking needs exactly one measurement per (policy, bench,
-	// topology, seed); expand rejects a repeated axis value up front
-	// rather than let it surface as a ranking error after the grid
+	// machine, seed); expand rejects a repeated axis value and
+	// DistinctMachines two names of one machine up front, rather than let
+	// either surface as a ranking error or a skewed score after the grid
 	// already streamed.
 	polNames := req.Policies
 	if len(polNames) == 0 {
 		polNames = sched.Names()
 	}
-	streamRuns(s, w, r, "tournament", wire.GridRequest{
+	g, err := s.expand(wire.GridRequest{
 		Benches: req.Benches, Topologies: req.Topologies, Policies: polNames,
 		Seeds: req.Seeds, Scale: req.Scale, Verify: req.Verify,
-	}, rank)
+	})
+	if err == nil {
+		err = harness.DistinctMachines(g.machines)
+	}
+	if err != nil {
+		http.Error(w, err.Error(), http.StatusBadRequest)
+		return
+	}
+	streamRuns(s, w, r, "tournament", g, rank)
 }
 
 // rank builds a tournament's trailer from its runs' times, in the
@@ -198,25 +212,19 @@ func readRequest(w http.ResponseWriter, r *http.Request, what string, req any) b
 }
 
 // streamRuns is the one execution path of every streaming endpoint: it
-// expands req (a 400 when invalid) and runs the grid through
-// harness.ExecuteGrid under the server's admission semaphore. The rows
-// the store already held are written first, under one flush; each other
-// row is written and flushed as it completes. Contained run failures
-// (*harness.RunError: panic, verification mismatch, deadline) become
-// their row's err field and the grid proceeds. Last comes the trailer
-// that done builds from the grid, its runs' times (index-addressed in
-// expansion order, not stream order) and their counts. The executor runs
-// under the request's context: client disconnect skips the runs not yet
-// started, and the stream ends without its trailer — as it does when a
-// run hits a grid-level error (cancellation, store I/O), a write fails,
-// or done fails.
+// runs the expanded grid g through harness.ExecuteGrid under the server's
+// admission semaphore. The rows the store already held are written first,
+// under one flush; each other row is written and flushed as it completes.
+// Contained run failures (*harness.RunError: panic, verification mismatch,
+// deadline) become their row's err field and the grid proceeds. Last comes
+// the trailer that done builds from the grid, its runs' times
+// (index-addressed in expansion order, not stream order) and their counts.
+// The executor runs under the request's context: client disconnect skips
+// the runs not yet started, and the stream ends without its trailer — as
+// it does when a run hits a grid-level error (cancellation, store I/O), a
+// write fails, or done fails.
 func streamRuns[S any](s *Server, w http.ResponseWriter, r *http.Request, what string,
-	req wire.GridRequest, done func(*grid, []int64, wire.GridSummary) (*S, error)) {
-	g, err := s.expand(req)
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	}
+	g *grid, done func(*grid, []int64, wire.GridSummary) (*S, error)) {
 	s.grids.Add(1)
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	fl, _ := w.(http.Flusher) // nil when the writer cannot flush (tests)
@@ -237,7 +245,7 @@ func streamRuns[S any](s *Server, w http.ResponseWriter, r *http.Request, what s
 		}
 		flushEach = true
 	}
-	err = harness.ExecuteGrid(r.Context(), cap(s.sem), s.st, s.sem, g.runs, stored,
+	err := harness.ExecuteGrid(r.Context(), cap(s.sem), s.st, s.sem, g.runs, stored,
 		func(i int, key journal.Key, res journal.Result, out harness.Outcome, re *harness.RunError) error {
 			row := g.row(i, key, res, re == nil && out != harness.Simulated)
 			times[i] = res.Time

@@ -130,9 +130,9 @@ func TestTournamentDefaultsToEveryRegisteredPolicy(t *testing.T) {
 }
 
 // TestTournamentRejectsBadRequests pins the endpoint's validation: a
-// duplicated axis entry, seeds included, would double cells under the
-// ranking, so it is a 400 up front, and unknown axis values fail like
-// grid requests do.
+// duplicated axis entry, seeds included, or two names of one machine
+// would double cells under the ranking, so each is a 400 up front, and
+// unknown axis values fail like grid requests do.
 func TestTournamentRejectsBadRequests(t *testing.T) {
 	srv, hs := newService(t, filepath.Join(t.TempDir(), "store.jsonl"), 1)
 	defer srv.Close()
@@ -144,6 +144,9 @@ func TestTournamentRejectsBadRequests(t *testing.T) {
 		{numaws.TournamentRequest{Policies: []string{"cilk", "cilk"}}, `duplicate policies entry "cilk"`},
 		{numaws.TournamentRequest{Benches: []string{"fib", "fib"}}, `duplicate benches entry "fib"`},
 		{numaws.TournamentRequest{Topologies: []string{"2x4", "2x4"}}, `duplicate topologies entry "2x4"`},
+		// Two names of one machine would count its cells twice.
+		{numaws.TournamentRequest{Benches: []string{"fib"}, Topologies: []string{"2x4", "uniform", "1x32"}, Scale: "small"},
+			`topologies "uniform" and "1x32" name the same machine`},
 		{numaws.TournamentRequest{Benches: []string{"fib"}, Topologies: []string{"2x4"}, Seeds: []int64{1, 1}, Scale: "small"},
 			"duplicate seeds entry 1"},
 		// Duplicates on two axes always name the first axis in the fixed

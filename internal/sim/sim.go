@@ -203,9 +203,6 @@ func NewRNG(seed int64) *RNG {
 // Intn returns a uniform integer in [0, n). n must be positive.
 func (g *RNG) Intn(n int) int { return g.r.Intn(n) }
 
-// Int63 returns a non-negative pseudo-random 63-bit integer.
-func (g *RNG) Int63() int64 { return g.r.Int63() }
-
 // Float64 returns a uniform float in [0, 1).
 func (g *RNG) Float64() float64 { return g.r.Float64() }
 
@@ -332,9 +329,4 @@ func (g *RNG) PickUniformExcept(n, self int) int {
 		k++
 	}
 	return k
-}
-
-// Shuffle permutes the ints in place.
-func (g *RNG) Shuffle(xs []int) {
-	g.r.Shuffle(len(xs), func(i, j int) { xs[i], xs[j] = xs[j], xs[i] })
 }

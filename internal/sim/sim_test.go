@@ -169,16 +169,3 @@ func TestPickPanics(t *testing.T) {
 		}()
 	}
 }
-
-func TestShuffleIsPermutation(t *testing.T) {
-	g := NewRNG(3)
-	xs := []int{1, 2, 3, 4, 5, 6, 7, 8}
-	g.Shuffle(xs)
-	sorted := append([]int(nil), xs...)
-	sort.Ints(sorted)
-	for i, v := range sorted {
-		if v != i+1 {
-			t.Fatalf("shuffle lost elements: %v", xs)
-		}
-	}
-}

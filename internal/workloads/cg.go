@@ -24,14 +24,14 @@ type CG struct {
 	iters int
 	bands int
 
-	rowptr *memory.I32
-	colidx *memory.I32
-	vals   *memory.F64
-	b      *memory.F64
-	x      *memory.F64
-	r      *memory.F64
-	p      *memory.F64
-	q      *memory.F64
+	rowptr *memory.Array[int32]
+	colidx *memory.Array[int32]
+	vals   *memory.Array[float64]
+	b      *memory.Array[float64]
+	x      *memory.Array[float64]
+	r      *memory.Array[float64]
+	p      *memory.Array[float64]
+	q      *memory.Array[float64]
 
 	partial []float64 // per-band reduction slots (scheduler-independent order)
 	places  int
@@ -62,22 +62,23 @@ func (g *CG) Prepare(rt *core.Runtime) {
 		// nonzeros live at i*nzRow, so bands align with row bands).
 		nnzPol = g.cfg.bandPolicy(g.places)
 	}
-	// On reuse, the Reuse* calls re-register every region in first-build
-	// statement order (identical base offsets) and the generated matrix and
-	// b carry over; the CG vectors need no reset — the run fully writes
-	// them (x=0/r=b/p=b up front, q by the first spmv) before reading.
+	// On reuse, the memory.Reuse calls re-register every region in
+	// first-build statement order (identical base offsets) and the
+	// generated matrix and b carry over; the CG vectors need no reset —
+	// the run fully writes them (x=0/r=b/p=b up front, q by the first
+	// spmv) before reading.
 	first := g.rowptr == nil
-	g.rowptr = memory.ReuseI32(g.rowptr, alloc, "cg.rowptr", g.n+1, pol)
-	g.colidx = memory.ReuseI32(g.colidx, alloc, "cg.colidx", g.n*g.nzRow, nnzPol)
-	g.vals = memory.ReuseF64(g.vals, alloc, "cg.vals", g.n*g.nzRow, nnzPol)
-	g.b = memory.ReuseF64(g.b, alloc, "cg.b", g.n, pol)
+	g.rowptr = memory.Reuse(g.rowptr, alloc, "cg.rowptr", g.n+1, pol)
+	g.colidx = memory.Reuse(g.colidx, alloc, "cg.colidx", g.n*g.nzRow, nnzPol)
+	g.vals = memory.Reuse(g.vals, alloc, "cg.vals", g.n*g.nzRow, nnzPol)
+	g.b = memory.Reuse(g.b, alloc, "cg.b", g.n, pol)
 	// The CG vectors are first written inside the timed region (x = 0,
 	// r = b, ...), so the baseline gets genuine first-touch for them.
 	scratch := g.cfg.scratchPolicy(g.places)
-	g.x = memory.ReuseF64(g.x, alloc, "cg.x", g.n, scratch)
-	g.r = memory.ReuseF64(g.r, alloc, "cg.r", g.n, scratch)
-	g.p = memory.ReuseF64(g.p, alloc, "cg.p", g.n, scratch)
-	g.q = memory.ReuseF64(g.q, alloc, "cg.q", g.n, scratch)
+	g.x = memory.Reuse(g.x, alloc, "cg.x", g.n, scratch)
+	g.r = memory.Reuse(g.r, alloc, "cg.r", g.n, scratch)
+	g.p = memory.Reuse(g.p, alloc, "cg.p", g.n, scratch)
+	g.q = memory.Reuse(g.q, alloc, "cg.q", g.n, scratch)
 	if !first {
 		return
 	}
@@ -186,7 +187,7 @@ func (g *CG) bandRange(band int) (int, int) {
 	return band * g.n / g.bands, (band + 1) * g.n / g.bands
 }
 
-func (g *CG) chargeVec(ctx core.Context, band int, v *memory.F64, write bool) {
+func (g *CG) chargeVec(ctx core.Context, band int, v *memory.Array[float64], write bool) {
 	lo, hi := g.bandRange(band)
 	off, size := v.Span(lo, hi-lo)
 	if write {
@@ -226,7 +227,7 @@ func (g *CG) spmv(ctx core.Context) {
 
 // dot computes a scheduler-independent dot product: per-band partials
 // combined in band order.
-func (g *CG) dot(ctx core.Context, a, b *memory.F64) float64 {
+func (g *CG) dot(ctx core.Context, a, b *memory.Array[float64]) float64 {
 	spawnBands(ctx, g.bands, g.places, g.cfg.Aware, func(c core.Context, band int) {
 		lo, hi := g.bandRange(band)
 		s := 0.0

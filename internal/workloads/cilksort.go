@@ -19,7 +19,7 @@ type Cilksort struct {
 	n    int
 	base int
 
-	in, tmp *memory.I64
+	in, tmp *memory.Array[int64]
 	orig    []int64
 	places  int
 }
@@ -50,14 +50,14 @@ func (s *Cilksort) Prepare(rt *core.Runtime) {
 		pol = memory.BindBlocks{Blocks: 4, Sockets: sockets}
 	}
 	first := s.in == nil
-	s.in = memory.ReuseI64(s.in, rt.Allocator(), "cilksort.in", s.n, pol)
+	s.in = memory.Reuse(s.in, rt.Allocator(), "cilksort.in", s.n, pol)
 	// tmp is never touched before the timed region: real first-touch under
 	// the baseline, banded like `in` under the aware configuration.
 	tmpPol := pol
 	if !s.cfg.Aware {
 		tmpPol = memory.FirstTouch{}
 	}
-	s.tmp = memory.ReuseI64(s.tmp, rt.Allocator(), "cilksort.tmp", s.n, tmpPol)
+	s.tmp = memory.Reuse(s.tmp, rt.Allocator(), "cilksort.tmp", s.n, tmpPol)
 	if !first {
 		// The run sorts in place; restore the pristine keys. tmp needs no
 		// reset — every merge writes its segment before it is read.
@@ -189,7 +189,7 @@ func (s *Cilksort) quicksort(ctx core.Context, lo, hi int) {
 // parmerge merges src[alo:ahi) and src[blo:bhi) into dst starting at out,
 // splitting recursively: take the median of the larger run, binary-search
 // its position in the smaller run, and merge the two halves in parallel.
-func (s *Cilksort) parmerge(ctx core.Context, alo, ahi, blo, bhi int, src, dst *memory.I64, out int) {
+func (s *Cilksort) parmerge(ctx core.Context, alo, ahi, blo, bhi int, src, dst *memory.Array[int64], out int) {
 	na, nb := ahi-alo, bhi-blo
 	if na < nb {
 		alo, ahi, blo, bhi = blo, bhi, alo, ahi
@@ -220,7 +220,7 @@ func (s *Cilksort) parmerge(ctx core.Context, alo, ahi, blo, bhi int, src, dst *
 
 // seqmerge is the sequential merge base case: real merge plus one streaming
 // read of both inputs and one streaming write of the output.
-func (s *Cilksort) seqmerge(ctx core.Context, alo, ahi, blo, bhi int, src, dst *memory.I64, out int) {
+func (s *Cilksort) seqmerge(ctx core.Context, alo, ahi, blo, bhi int, src, dst *memory.Array[int64], out int) {
 	i, j, k := alo, blo, out
 	for i < ahi && j < bhi {
 		if src.Data[i] <= src.Data[j] {

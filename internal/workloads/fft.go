@@ -29,8 +29,8 @@ type FFT struct {
 	n     int // transform size, a power of two
 	bands int // parallel bands per pass, a power of two <= n
 
-	d, w     [2]*memory.F64 // input (re, im) and work (re, im) arrays
-	wre, wim []float64      // twiddle table, w^j for j < n/2 (host-side constants)
+	d, w     [2]*memory.Array[float64] // input (re, im) and work (re, im) arrays
+	wre, wim []float64                 // twiddle table, w^j for j < n/2 (host-side constants)
 	orig     [2][]float64
 	places   int
 }
@@ -68,13 +68,13 @@ func (f *FFT) Prepare(rt *core.Runtime) {
 	f.places = rt.Places()
 	pol := f.cfg.bandPolicy(f.places)
 	first := f.d[0] == nil
-	f.d[0] = memory.ReuseF64(f.d[0], rt.Allocator(), "fft.re", f.n, pol)
-	f.d[1] = memory.ReuseF64(f.d[1], rt.Allocator(), "fft.im", f.n, pol)
+	f.d[0] = memory.Reuse(f.d[0], rt.Allocator(), "fft.re", f.n, pol)
+	f.d[1] = memory.Reuse(f.d[1], rt.Allocator(), "fft.im", f.n, pol)
 	// The work arrays are never touched before the timed region: genuine
 	// first-touch under the baseline, banded under the aware configuration.
 	spol := f.cfg.scratchPolicy(f.places)
-	f.w[0] = memory.ReuseF64(f.w[0], rt.Allocator(), "fft.wre", f.n, spol)
-	f.w[1] = memory.ReuseF64(f.w[1], rt.Allocator(), "fft.wim", f.n, spol)
+	f.w[0] = memory.Reuse(f.w[0], rt.Allocator(), "fft.wre", f.n, spol)
+	f.w[1] = memory.Reuse(f.w[1], rt.Allocator(), "fft.wim", f.n, spol)
 	if !first {
 		// The input arrays are read-only during the run and the work arrays
 		// are fully rewritten by the permutation pass before any butterfly

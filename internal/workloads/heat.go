@@ -22,7 +22,7 @@ type Heat struct {
 	steps  int
 	bands  int
 
-	grid   [2]*memory.F64
+	grid   [2]*memory.Array[float64]
 	places int
 	cur    int // which grid holds the latest values after the run
 }
@@ -43,8 +43,8 @@ func (h *Heat) Name() string { return "heat" }
 func (h *Heat) Prepare(rt *core.Runtime) {
 	h.places = rt.Places()
 	pol := h.cfg.bandPolicy(h.places)
-	h.grid[0] = memory.ReuseF64(h.grid[0], rt.Allocator(), "heat.u0", h.ny*h.nx, pol)
-	h.grid[1] = memory.ReuseF64(h.grid[1], rt.Allocator(), "heat.u1", h.ny*h.nx, pol)
+	h.grid[0] = memory.Reuse(h.grid[0], rt.Allocator(), "heat.u0", h.ny*h.nx, pol)
+	h.grid[1] = memory.Reuse(h.grid[1], rt.Allocator(), "heat.u1", h.ny*h.nx, pol)
 	// The sweeps overwrite both grids; re-seeding restores the initial
 	// condition whether this is a first or a reused preparation.
 	h.initGrid(h.grid[0].Data)
@@ -84,7 +84,7 @@ func (h *Heat) Root() core.Task {
 }
 
 // sweepBand applies the 5-point stencil to the band's interior rows.
-func (h *Heat) sweepBand(ctx core.Context, band int, from, to *memory.F64) {
+func (h *Heat) sweepBand(ctx core.Context, band int, from, to *memory.Array[float64]) {
 	lo := 1 + band*(h.ny-2)/h.bands
 	hi := 1 + (band+1)*(h.ny-2)/h.bands
 	u, v := from.Data, to.Data

@@ -37,9 +37,9 @@ type Hull struct {
 	circle  bool
 	nameStr string
 
-	x, y       *memory.F64
-	idx        [2]*memory.I32
-	flags      *memory.I32
+	x, y       *memory.Array[float64]
+	idx        [2]*memory.Array[int32]
+	flags      *memory.Array[int32]
 	hullMark   []bool
 	places     int
 	partialCnt [][2]int // per-band reduction slots (root phases only)
@@ -88,14 +88,14 @@ func (h *Hull) Prepare(rt *core.Runtime) {
 	alloc := rt.Allocator()
 	pol := h.cfg.bandPolicy(h.places)
 	first := h.x == nil
-	h.x = memory.ReuseF64(h.x, alloc, h.nameStr+".x", h.n, pol)
-	h.y = memory.ReuseF64(h.y, alloc, h.nameStr+".y", h.n, pol)
+	h.x = memory.Reuse(h.x, alloc, h.nameStr+".x", h.n, pol)
+	h.y = memory.Reuse(h.y, alloc, h.nameStr+".y", h.n, pol)
 	// The index and flag buffers are pure scratch: first-touch under the
 	// baseline, banded when aware.
 	scratch := h.cfg.scratchPolicy(h.places)
-	h.idx[0] = memory.ReuseI32(h.idx[0], alloc, h.nameStr+".idx0", h.n, scratch)
-	h.idx[1] = memory.ReuseI32(h.idx[1], alloc, h.nameStr+".idx1", h.n, scratch)
-	h.flags = memory.ReuseI32(h.flags, alloc, h.nameStr+".flags", h.n, scratch)
+	h.idx[0] = memory.Reuse(h.idx[0], alloc, h.nameStr+".idx0", h.n, scratch)
+	h.idx[1] = memory.Reuse(h.idx[1], alloc, h.nameStr+".idx1", h.n, scratch)
+	h.flags = memory.Reuse(h.flags, alloc, h.nameStr+".flags", h.n, scratch)
 	if !first {
 		// The points are read-only and the scratch buffers are written
 		// before being read; only the accumulated hull marks need clearing.
@@ -303,7 +303,7 @@ func (h *Hull) recSerial(ctx core.Context, src, dst, lo, hi int, a, b int32) {
 
 // farthest finds the point of idx[lo:hi) with the maximum cross distance
 // from line a->b, ties broken toward the smaller index for determinism.
-func (h *Hull) farthest(ctx core.Context, in *memory.I32, lo, hi int, a, b int32) int32 {
+func (h *Hull) farthest(ctx core.Context, in *memory.Array[int32], lo, hi int, a, b int32) int32 {
 	count := hi - lo
 	scan := func(c core.Context, sLo, sHi int) maxPartial {
 		best := maxPartial{dist: math.Inf(-1), idx: -1}
@@ -345,7 +345,7 @@ func (h *Hull) farthest(ctx core.Context, in *memory.I32, lo, hi int, a, b int32
 }
 
 // packSerial partitions in[lo:hi) against the two new lines in one pass.
-func (h *Hull) packSerial(ctx core.Context, in, out *memory.I32, lo, hi int, a, b, f int32) (n1, n2 int) {
+func (h *Hull) packSerial(ctx core.Context, in, out *memory.Array[int32], lo, hi int, a, b, f int32) (n1, n2 int) {
 	u, d := lo, hi
 	for i := lo; i < hi; i++ {
 		p := in.Data[i]
@@ -380,7 +380,7 @@ func (h *Hull) packSerial(ctx core.Context, in, out *memory.I32, lo, hi int, a, 
 }
 
 // packParallel is the two-pass banded pack for large segments.
-func (h *Hull) packParallel(ctx core.Context, in, out *memory.I32, lo, hi int, a, b, f int32) (n1, n2 int) {
+func (h *Hull) packParallel(ctx core.Context, in, out *memory.Array[int32], lo, hi int, a, b, f int32) (n1, n2 int) {
 	count := hi - lo
 	bands := h.bands
 	if bands > count/h.grain {

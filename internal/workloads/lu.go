@@ -28,7 +28,7 @@ type LU struct {
 	n    int // matrix dimension, a multiple of base
 	base int // tile size
 
-	a      *memory.F64
+	a      *memory.Array[float64]
 	orig   []float64
 	places int
 }
@@ -59,7 +59,7 @@ func (l *LU) nb() int { return l.n / l.base }
 func (l *LU) Prepare(rt *core.Runtime) {
 	l.places = rt.Places()
 	first := l.a == nil
-	l.a = memory.ReuseF64(l.a, rt.Allocator(), "lu.A", l.n*l.n, l.cfg.bandPolicy(l.places))
+	l.a = memory.Reuse(l.a, rt.Allocator(), "lu.A", l.n*l.n, l.cfg.bandPolicy(l.places))
 	if !first {
 		// The elimination factors A in place; restore the pristine matrix.
 		copy(l.a.Data, l.orig)

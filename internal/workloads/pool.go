@@ -12,11 +12,11 @@ package workloads
 //
 // Ownership and reset contract: an instance is owned exclusively by one run
 // between Checkout and its release. Prepare on a reused instance must (1)
-// re-register every region with the run's fresh Allocator in exactly the
-// statement order of first construction — regions carry run-scoped
-// first-touch page state, and identical order reproduces identical base
-// offsets, so a reused input is indistinguishable from a fresh one to the
-// simulator — and (2) restore any data the previous run mutated in place
+// re-register every region with the run's fresh Allocator (memory.Reuse,
+// layout.Matrix.Rebind) in exactly the statement order of first
+// construction — regions carry run-scoped first-touch page state, and
+// identical order reproduces identical base offsets, so a reused input is
+// indistinguishable from a fresh one to the simulator — and (2) restore any data the previous run mutated in place
 // (cilksort re-copies its pristine input, lu re-copies the unfactored
 // matrix, matmul/rectmul zero the accumulated C, heat re-seeds its grids,
 // hull clears its mark array). Data that runs only read, or that is fully
@@ -173,17 +173,6 @@ func flushPools() {
 	clear(pool.free)
 	clear(pool.refs)
 	pool.Unlock()
-}
-
-// Unpooled returns a copy of spec with its pool identity cleared: Checkout
-// always constructs a fresh single-use instance for it and shares no
-// reference cache. The pool keys on (generation, name, input, scale), not
-// on the builder, so a caller that overrides fields of a registry spec —
-// wrapping Make, say — must clear the identity or Checkout would hand back
-// instances the original builder constructed.
-func Unpooled(spec Spec) Spec {
-	spec.poolGen = 0
-	return spec
 }
 
 // SharedCache returns the reference cache every pooled instance of spec

@@ -25,7 +25,7 @@ type Rectmul struct {
 	m, p, n int // C is m x n, A is m x p, B is p x n
 	base    int
 
-	a, b, c *memory.F64
+	a, b, c *memory.Array[float64]
 	places  int
 }
 
@@ -55,9 +55,9 @@ func (r *Rectmul) Prepare(rt *core.Runtime) {
 	r.places = rt.Places()
 	pol := basePolicy()
 	first := r.a == nil
-	r.a = memory.ReuseF64(r.a, rt.Allocator(), "rectmul.A", r.m*r.p, pol)
-	r.b = memory.ReuseF64(r.b, rt.Allocator(), "rectmul.B", r.p*r.n, pol)
-	r.c = memory.ReuseF64(r.c, rt.Allocator(), "rectmul.C", r.m*r.n, pol)
+	r.a = memory.Reuse(r.a, rt.Allocator(), "rectmul.A", r.m*r.p, pol)
+	r.b = memory.Reuse(r.b, rt.Allocator(), "rectmul.B", r.p*r.n, pol)
+	r.c = memory.Reuse(r.c, rt.Allocator(), "rectmul.C", r.m*r.n, pol)
 	if !first {
 		// C += A*B accumulates; reuse starts from zero again.
 		clear(r.c.Data)

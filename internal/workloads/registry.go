@@ -49,6 +49,9 @@ type Spec struct {
 	// and the registry generation it was snapshotted under. Together with
 	// Name and Input they are the spec's pool identity (see pool.go).
 	// Hand-built Spec literals have poolGen 0 — no identity, never pooled.
+	// To wrap a registry spec's Make, build a new literal: an edited copy
+	// keeps the identity, and the pool keys on it, not on the builder, so
+	// it would hand back instances the original builder constructed.
 	scale   Scale
 	poolGen uint64
 }

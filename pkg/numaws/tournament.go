@@ -32,8 +32,10 @@ type Tournament = results.Tournament
 // otherwise follows WithTopology's forms (presets or SOCKETSxCORES). Every
 // cell runs at its machine's full core count and is averaged over the
 // session's seeds (WithSeeds), so machines of different sizes compete on
-// their whole-machine behavior. Any cell's failure aborts the tournament —
-// a ranking with missing cells would compare incomparables.
+// their whole-machine behavior. Two names of one machine ("uniform" and
+// "1x32") are an error naming both, since the machine's cells would count
+// twice in every score. Any cell's failure aborts the tournament — a
+// ranking with missing cells would compare incomparables.
 func (s *Session) Tournament(ctx context.Context, topologies []string, benches ...string) (Tournament, error) {
 	specs, err := s.subset(benches)
 	if err != nil {

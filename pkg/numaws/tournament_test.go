@@ -130,7 +130,8 @@ func TestSessionTournamentDefaultsToOwnMachine(t *testing.T) {
 }
 
 // TestSessionTournamentRejectsBadAxes pins the error surface: unknown
-// benchmarks and topologies fail with the facade's named-value errors.
+// benchmarks and topologies fail with the facade's named-value errors, and
+// a machine named twice, even under two spellings, names both.
 func TestSessionTournamentRejectsBadAxes(t *testing.T) {
 	s, err := numaws.New(numaws.WithScale(numaws.ScaleSmall), numaws.WithTopology("2x4"))
 	if err != nil {
@@ -147,5 +148,9 @@ func TestSessionTournamentRejectsBadAxes(t *testing.T) {
 	if _, err := s.Tournament(t.Context(), []string{"2x4", "2x4"}, "fib"); err == nil ||
 		!strings.Contains(err.Error(), "2x4") {
 		t.Errorf("duplicate topology: err = %v", err)
+	}
+	if _, err := s.Tournament(t.Context(), []string{"2x4", "uniform", "1x32"}, "fib"); err == nil ||
+		!strings.Contains(err.Error(), `"uniform" and "1x32"`) {
+		t.Errorf("two names of one machine: err = %v", err)
 	}
 }
