@@ -412,10 +412,11 @@ func NewHierarchy(top *topology.Topology, geo Geometry, lat Latency) *Hierarchy 
 
 // Matches reports whether h models exactly the machine described by the
 // arguments, so a caller holding a used hierarchy can tell if Reset-and-reuse
-// is equivalent to building a fresh one. Topologies are compared by shape,
-// not pointer: preset constructors return fresh values per call.
+// is equivalent to building a fresh one. Topologies are compared by Key,
+// the machine identity every run key uses, not by pointer: preset
+// constructors and parsers return fresh values per call.
 func (h *Hierarchy) Matches(top *topology.Topology, geo Geometry, lat Latency) bool {
-	return h.geo == geo && h.lat == lat && h.top.SameShape(top)
+	return h.geo == geo && h.lat == lat && h.top.Key() == top.Key()
 }
 
 // Reset returns the hierarchy to its just-constructed state — every cache

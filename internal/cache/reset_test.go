@@ -153,8 +153,9 @@ func TestResetEqualsFresh(t *testing.T) {
 	}
 }
 
-// TestMatches pins the reuse guard: same shape matches, anything else
-// (different machine, geometry, or latency table) must force a rebuild.
+// TestMatches pins the reuse guard: the same machine matches, anything else
+// (different shape or distances, geometry, or latency table) must force a
+// rebuild.
 func TestMatches(t *testing.T) {
 	top := topology.XeonE5_4620()
 	h := NewHierarchy(top, DefaultGeometry(), DefaultLatency())
@@ -167,6 +168,10 @@ func TestMatches(t *testing.T) {
 	}
 	if h.Matches(other, DefaultGeometry(), DefaultLatency()) {
 		t.Error("different topology must not match")
+	}
+	far := [][]int{{0, 3, 3, 3}, {3, 0, 3, 3}, {3, 3, 0, 3}, {3, 3, 3, 0}}
+	if h.Matches(topology.MustNew(4, 8, far), DefaultGeometry(), DefaultLatency()) {
+		t.Error("same shape with other socket distances must not match")
 	}
 	geo := DefaultGeometry()
 	geo.PrivateBytes *= 2

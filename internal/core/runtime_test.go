@@ -265,6 +265,37 @@ func TestTaskPanicPropagates(t *testing.T) {
 	}
 }
 
+// TestAbortedRunArenaReuse is TestTaskPanicPropagates's reuse check on one
+// shared topology, so the arena reuses its workers rather than rebuilding
+// them: a run after a panicked or interrupted one on the same arena must
+// equal a run on a fresh arena, so no frame the aborted run left queued
+// survives into it.
+func TestAbortedRunArenaReuse(t *testing.T) {
+	top := topology.XeonE5_4620()
+	cfg := func(a *Arena) Config {
+		c := DefaultConfigOn(top, 4, sched.Cilk)
+		c.Arena = a
+		return c
+	}
+	want := NewRuntime(cfg(NewArena())).Run(fib(12))
+	arena := NewArena()
+	leaf := 40
+	if recovered(func() { NewRuntime(cfg(arena)).Run(fibBoom(10, &leaf)) }) == nil {
+		t.Fatal("panicking run returned")
+	}
+	if got := NewRuntime(cfg(arena)).Run(fib(12)); !reflect.DeepEqual(got, want) {
+		t.Errorf("run on a reused arena after a panic = %+v, want %+v", got, want)
+	}
+	interrupted := cfg(arena)
+	interrupted.Sched.Interrupt = func() bool { return true }
+	if p := recovered(func() { NewRuntime(interrupted).Run(fib(18)) }); p != sched.ErrInterrupted {
+		t.Fatalf("interrupted run panicked with %v", p)
+	}
+	if got := NewRuntime(cfg(arena)).Run(fib(12)); !reflect.DeepEqual(got, want) {
+		t.Errorf("run on a reused arena after an interrupt = %+v, want %+v", got, want)
+	}
+}
+
 // TestAbortedRunsLeakNoStrands pins closeUnits: runs stopped with strands
 // suspended — interrupted mid-run, or panicking deep in the tree — leave
 // none of their coroutines behind.

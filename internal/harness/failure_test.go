@@ -24,7 +24,6 @@ import (
 	"repro/internal/sched"
 	"repro/internal/store"
 	"repro/internal/workloads"
-	"repro/pkg/numaws/results"
 )
 
 // gridOpts is the small grid configuration the containment tests share.
@@ -452,14 +451,14 @@ func TestErrorRowsExport(t *testing.T) {
 		Kind:   faultinject.FailVerify,
 	})
 	defer faultinject.Disarm()
-	row, err := Measure(t.Context(), spec, Options{P: 4, Verify: true})
+	rows, err := MeasureAll(t.Context(), []Spec{spec}, Options{P: 4, Verify: true})
 	if err != nil {
-		t.Fatalf("Measure must contain the failure: %v", err)
+		t.Fatalf("MeasureAll must contain the failure: %v", err)
 	}
-	if row.Err == nil || row.Err.Kind != "verify" {
+	if row := rows[0]; row.Err == nil || row.Err.Kind != "verify" {
 		t.Fatalf("row = %+v, want verify error row", row)
 	}
-	if out := metrics.Table7([]results.Row{row}); !strings.Contains(out, "FAILED") {
+	if out := metrics.Table7(rows); !strings.Contains(out, "FAILED") {
 		t.Errorf("Table7 hides the failed row:\n%s", out)
 	}
 }

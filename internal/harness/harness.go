@@ -190,7 +190,7 @@ type Options struct {
 	// input data (pinned by TestGridAmortizationByteIdentical).
 	FreshInputs bool
 	// OnRun, if non-nil, receives every completed simulation of every
-	// grid protocol (Measure, MeasureAll, MeasureScalability,
+	// grid protocol (MeasureAll, MeasureScalability,
 	// MeasureTopologies, Tournament) as it finishes — in completion order,
 	// not canonical order; calls are serialized. Streaming observes the
 	// grid; it never changes the returned results, which are still folded
@@ -209,8 +209,8 @@ type Options struct {
 	// so a retried success is byte-identical to a first-try success.
 	// 0 means no retries.
 	Retries int
-	// Cache, if non-nil, is the result store the runs of Measure,
-	// MeasureAll, MeasureScalability and MeasureTopologies execute through
+	// Cache, if non-nil, is the result store the runs of MeasureAll,
+	// MeasureScalability and MeasureTopologies execute through
 	// (see ExecuteThrough): a run whose KeyFor key it holds is filled from
 	// it (and emitted through OnRun with Replayed set), and every simulated
 	// run is recorded in it. Failed runs are never recorded. Determinism
@@ -220,31 +220,8 @@ type Options struct {
 }
 
 // RunMeta identifies one completed simulation of a measurement grid, for
-// streaming consumers: which benchmark, under which policy ("serial" for
-// the TS elision run), at which worker count and scheduler seed, and the
-// completion time it measured.
-type RunMeta struct {
-	Bench  string
-	Policy string
-	P      int
-	Seed   int64
-	Serial bool
-	// Baseline marks runs belonging to the classic work-stealing baseline
-	// column of the comparison protocol (always sched.Cilk), as opposed to
-	// the Options.Policy column. It is the column discriminator: with
-	// Policy set to sched.Cilk both columns run cilk, and (Bench, Policy,
-	// P, Seed) alone would not distinguish their runs. False for serial
-	// and sweep runs, which have no baseline column.
-	Baseline bool
-	// Replayed marks a run that a ResultCache answered instead of a
-	// simulation (Options.Cache, or Tournament's cache argument): a
-	// journal's record, an earlier identical run of the same session
-	// recorded in its memo, or a concurrent identical run it waited on
-	// (ExecuteThrough's Cached and Coalesced). Its Time is the stored
-	// measurement.
-	Replayed bool
-	Time     int64 // virtual cycles (TS for serial runs, TP otherwise)
-}
+// OnRun (see results.Run).
+type RunMeta = results.Run
 
 func (o Options) fill() Options {
 	if o.Topology == nil {
@@ -413,19 +390,6 @@ func RunSerial(ctx context.Context, spec Spec, opt Options) (*core.Report, error
 		return nil, err
 	}
 	return v.(*core.Report), nil
-}
-
-// Measure runs the full Fig. 7/Fig. 8 protocol for one spec: TS, then T1
-// and TP on the baseline and on opt.Policy. With opt.Jobs > 1 the
-// protocol's independent runs execute concurrently; the row is identical
-// either way. A failed run comes back as an error row (Row.Err), not an
-// error — see MeasureAll.
-func Measure(ctx context.Context, spec Spec, opt Options) (results.Row, error) {
-	rows, err := MeasureAll(ctx, []Spec{spec}, opt)
-	if err != nil {
-		return results.Row{Name: spec.Name, Input: spec.Input, P: opt.fill().P}, err
-	}
-	return rows[0], nil
 }
 
 // MeasureAll measures every spec. Every (spec, policy, P, seed) run across

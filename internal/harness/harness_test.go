@@ -86,10 +86,11 @@ func TestRunOneAndSerial(t *testing.T) {
 
 func TestMeasureProducesConsistentRow(t *testing.T) {
 	spec := specByName(t, "heat")
-	row, err := Measure(t.Context(), spec, Options{P: 16, Verify: true})
+	rows, err := MeasureAll(t.Context(), []Spec{spec}, Options{P: 16, Verify: true})
 	if err != nil {
 		t.Fatal(err)
 	}
+	row := rows[0]
 	if row.Name != "heat" || row.P != 16 {
 		t.Errorf("row identity wrong: %+v", row)
 	}
@@ -119,19 +120,19 @@ func TestMeasureProducesConsistentRow(t *testing.T) {
 
 func TestSeedAveraging(t *testing.T) {
 	spec := specByName(t, "heat")
-	one, err := Measure(t.Context(), spec, Options{P: 8, Seeds: 1})
+	one, err := MeasureAll(t.Context(), []Spec{spec}, Options{P: 8, Seeds: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	avg, err := Measure(t.Context(), spec, Options{P: 8, Seeds: 3})
+	avg, err := MeasureAll(t.Context(), []Spec{spec}, Options{P: 8, Seeds: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Averaged TP should be in the same ballpark as a single seed (within
 	// 50%); it mainly must not be zero or wildly off.
-	ratio := float64(avg.NUMAWS.TP) / float64(one.NUMAWS.TP)
+	ratio := float64(avg[0].NUMAWS.TP) / float64(one[0].NUMAWS.TP)
 	if ratio < 0.5 || ratio > 2 {
-		t.Errorf("averaged TP %d vs single-seed %d: ratio %.2f", avg.NUMAWS.TP, one.NUMAWS.TP, ratio)
+		t.Errorf("averaged TP %d vs single-seed %d: ratio %.2f", avg[0].NUMAWS.TP, one[0].NUMAWS.TP, ratio)
 	}
 }
 

@@ -132,14 +132,14 @@ func TestMeasureScalabilityParallelMatchesSerial(t *testing.T) {
 	}
 }
 
-// TestMeasureParallelMatchesSerial covers the single-spec entry point.
+// TestMeasureParallelMatchesSerial covers a one-spec grid.
 func TestMeasureParallelMatchesSerial(t *testing.T) {
 	spec := specByName(t, "heat")
-	serial, err := Measure(t.Context(), spec, Options{P: 8, Seeds: 2, Jobs: 1})
+	serial, err := MeasureAll(t.Context(), []Spec{spec}, Options{P: 8, Seeds: 2, Jobs: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	parallel, err := Measure(t.Context(), spec, Options{P: 8, Seeds: 2, Jobs: 4})
+	parallel, err := MeasureAll(t.Context(), []Spec{spec}, Options{P: 8, Seeds: 2, Jobs: 4})
 	if err != nil {
 		t.Fatal(err)
 	}

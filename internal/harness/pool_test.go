@@ -45,13 +45,13 @@ func TestGridAmortizationByteIdentical(t *testing.T) {
 			grid := func(fresh bool) []results.Row {
 				var rows []results.Row
 				for _, p := range []int{2, 4, 8} {
-					row, err := Measure(t.Context(), spec, Options{
+					row, err := MeasureAll(t.Context(), []Spec{spec}, Options{
 						P: p, Seeds: 2, Jobs: 1, Verify: true, FreshInputs: fresh,
 					})
 					if err != nil {
 						t.Fatal(err)
 					}
-					rows = append(rows, row)
+					rows = append(rows, row...)
 				}
 				return rows
 			}

@@ -166,31 +166,30 @@ func (m *Matrix) Set(row, col int, v float64) { m.Data[m.Index(row, col)] = v }
 // Add accumulates into element (row, col).
 func (m *Matrix) Add(row, col int, v float64) { m.Data[m.Index(row, col)] += v }
 
-// BlockSpan reports the (byte offset, byte length) of the b x b tile whose
-// top-left corner is (row, col), for charging a whole-tile access. Under
-// BlockedMorton with b == m.Block the tile is contiguous — one streaming
-// span; the caller should use TileCharge for the general case.
-func (m *Matrix) BlockSpan(row, col int) (off, size int64) {
+// BlockSpan reports the element range (first element, element count) of
+// the layout block that holds (row, col): under BlockedMorton a b x b
+// block is contiguous, so a whole-block access is one streaming span.
+func (m *Matrix) BlockSpan(row, col int) (i, n int) {
 	if m.Kind != BlockedMorton {
 		panic("layout: BlockSpan requires a BlockedMorton matrix")
 	}
 	b := m.Block
-	return m.Span(int(MortonIndex(row/b, col/b))*b*b, b*b)
+	return int(MortonIndex(row/b, col/b)) * b * b, b * b
 }
 
-// RowSpan reports the (byte offset, byte length) of the length-w row
-// segment starting at (row, col), valid for RowMajor matrices and for
-// within-block rows of BlockedMorton matrices.
-func (m *Matrix) RowSpan(row, col, w int) (off, size int64) {
+// RowSpan reports the element range (first element, element count) of the
+// length-w row segment starting at (row, col), valid for RowMajor matrices
+// and for within-block rows of BlockedMorton matrices.
+func (m *Matrix) RowSpan(row, col, w int) (i, n int) {
 	switch m.Kind {
 	case RowMajor:
-		return m.Span(row*m.N+col, w)
+		return row*m.N + col, w
 	case BlockedMorton:
 		b := m.Block
 		if col/b != (col+w-1)/b {
 			panic("layout: RowSpan crosses a block boundary")
 		}
-		return m.Span(m.Index(row, col), w)
+		return m.Index(row, col), w
 	default:
 		panic("layout: RowSpan unsupported for cell Z-Morton")
 	}

@@ -94,21 +94,33 @@ func TestLayoutBijectionProperty(t *testing.T) {
 func TestBlockedMortonBlockContiguity(t *testing.T) {
 	a := memory.NewAllocator(4)
 	m := NewMatrix(a, "m", 32, BlockedMorton, 8, memory.Interleave{})
-	// Every cell of a block must fall inside the block's span.
+	// Every cell of a block must fall inside the block's element range,
+	// which holds exactly the block's 64 cells.
 	for br := 0; br < 4; br++ {
 		for bc := 0; bc < 4; bc++ {
-			off, size := m.BlockSpan(br*8, bc*8)
+			first, n := m.BlockSpan(br*8, bc*8)
+			if n != 64 {
+				t.Fatalf("block (%d,%d) spans %d elements, want 64", br, bc, n)
+			}
 			for r := 0; r < 8; r++ {
 				for c := 0; c < 8; c++ {
-					idx := int64(m.Index(br*8+r, bc*8+c)) * 8
-					if idx < off || idx >= off+size {
-						t.Fatalf("cell (%d,%d) of block (%d,%d) at byte %d outside span [%d,%d)",
-							r, c, br, bc, idx, off, off+size)
+					idx := m.Index(br*8+r, bc*8+c)
+					if idx < first || idx >= first+n {
+						t.Fatalf("cell (%d,%d) of block (%d,%d) at element %d outside span [%d,%d)",
+							r, c, br, bc, idx, first, first+n)
 					}
 				}
 			}
 		}
 	}
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("BlockSpan on a row-major matrix did not panic")
+			}
+		}()
+		NewMatrix(a, "rm", 32, RowMajor, 0, memory.Interleave{}).BlockSpan(0, 0)
+	}()
 }
 
 func TestQuadrantsAreContiguousQuarters(t *testing.T) {
@@ -155,14 +167,12 @@ func TestBindQuadrantsToSockets(t *testing.T) {
 func TestRowSpan(t *testing.T) {
 	a := memory.NewAllocator(4)
 	rm := NewMatrix(a, "rm", 16, RowMajor, 0, memory.Interleave{})
-	off, size := rm.RowSpan(3, 4, 8)
-	if off != int64(3*16+4)*8 || size != 64 {
-		t.Errorf("row-major RowSpan = (%d,%d), want (%d,64)", off, size, int64(3*16+4)*8)
+	if first, n := rm.RowSpan(3, 4, 8); first != 3*16+4 || n != 8 {
+		t.Errorf("row-major RowSpan = (%d,%d), want (%d,8)", first, n, 3*16+4)
 	}
 	bm := NewMatrix(a, "bm", 16, BlockedMorton, 4, memory.Interleave{})
-	off, _ = bm.RowSpan(5, 4, 4) // row 1 of block (1,1)
-	if off != int64(bm.Index(5, 4))*8 {
-		t.Errorf("blocked RowSpan offset = %d, want %d", off, int64(bm.Index(5, 4))*8)
+	if first, n := bm.RowSpan(5, 4, 4); first != bm.Index(5, 4) || n != 4 { // row 1 of block (1,1)
+		t.Errorf("blocked RowSpan = (%d,%d), want (%d,4)", first, n, bm.Index(5, 4))
 	}
 	func() {
 		defer func() {

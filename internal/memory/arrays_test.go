@@ -3,8 +3,8 @@ package memory
 import "testing"
 
 // TestArray pins the one array type over its three element types: the
-// region holds n elements of T, Span converts element ranges to byte
-// ranges at T's size, and Reuse keeps the data and binds a new region when
+// region holds n elements of T, Span and Strided convert element ranges
+// and strides to bytes at T's size, and Reuse keeps the data and binds a new region when
 // the length matches, but builds a new array when it does not.
 func TestArray(t *testing.T) {
 	cases := []struct {
@@ -21,7 +21,7 @@ func TestArray(t *testing.T) {
 	}
 }
 
-func checkArray[T elem](t *testing.T, elem int64) {
+func checkArray[T Elem](t *testing.T, elem int64) {
 	const n = 1000
 	x := NewArray[T](NewAllocator(2), "x", n, Interleave{})
 	if len(x.Data) != n || x.R.Name() != "x" || x.R.Size() != n*elem {
@@ -30,6 +30,10 @@ func checkArray[T elem](t *testing.T, elem int64) {
 	}
 	if off, size := x.Span(10, 3); off != 10*elem || size != 3*elem {
 		t.Errorf("Span(10, 3) = (%d, %d), want (%d, %d)", off, size, 10*elem, 3*elem)
+	}
+	if off, stride, size := x.Strided(10, 32, 3); off != 10*elem || stride != 32*elem || size != 3*elem {
+		t.Errorf("Strided(10, 32, 3) = (%d, %d, %d), want (%d, %d, %d)",
+			off, stride, size, 10*elem, 32*elem, 3*elem)
 	}
 
 	// Same length: the data carries over under a region of the new

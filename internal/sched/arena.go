@@ -55,12 +55,12 @@ type Arena struct {
 
 // arenaKey captures every input of worker/picker/candidate construction.
 // Workers are packed and the bias weights derive from the distance matrix,
-// so both are functions of the topology and the worker count. Topology is
-// compared by pointer: the harness resolves one *Topology per measurement
-// sweep, so identity matches within a sweep and a conservative rebuild
-// across sweeps costs one construction.
+// so both are functions of the topology and the worker count. The topology
+// is identified by its Key, the machine identity every run key uses, so
+// two parses of one machine (each service request parses its own) share
+// the cached set.
 type arenaKey struct {
-	top      *topology.Topology
+	top      string
 	workers  int
 	needBias bool
 	mailbox  int
@@ -70,10 +70,16 @@ type arenaKey struct {
 func NewArena() *Arena { return &Arena{} }
 
 // workersFor returns the worker set for the defaulted config c, reusing the
-// cached set when the shape matches and rebuilding it otherwise.
+// cached set when the shape matches and rebuilding it otherwise. A run that
+// panicked or was cancelled leaves frames in its deques; reuse discards
+// such a deque, as build does, so the next run starts empty.
 func (a *Arena) workersFor(c *Config, needBias bool) []*worker {
-	if a.key == (arenaKey{c.Topology, c.Workers, needBias, c.MailboxCapacity}) {
-		for _, w := range a.workers {
+	if a.key == (arenaKey{c.Topology.Key(), c.Workers, needBias, c.MailboxCapacity}) {
+		for i, w := range a.workers {
+			if !w.deque.Empty() {
+				a.deques[i] = deque.New[*Frame](0)
+				w.deque = a.deques[i]
+			}
 			w.reset()
 		}
 		if a.pickersDirty {
@@ -117,7 +123,7 @@ func (a *Arena) build(c *Config, needBias bool) {
 	for _, w := range a.workers {
 		a.onSocket[w.socket] = append(a.onSocket[w.socket], w.id)
 	}
-	a.key = arenaKey{c.Topology, c.Workers, needBias, c.MailboxCapacity}
+	a.key = arenaKey{c.Topology.Key(), c.Workers, needBias, c.MailboxCapacity}
 }
 
 // buildPickers constructs the per-thief biased pickers from a per-hop-class

@@ -272,9 +272,9 @@ type worker struct {
 func (w *worker) mailboxFull() bool  { return len(w.mailbox) == cap(w.mailbox) }
 func (w *worker) mailboxEmpty() bool { return len(w.mailbox) == 0 }
 
-// reset returns a pooled worker to its pre-run state. The deque is already
-// empty: a completed run drains every deque and mailbox (the root cannot
-// return while any frame is still parked).
+// reset returns a pooled worker to its pre-run state, all but its deque: a
+// completed run drains every deque, and Arena.workersFor replaces one that
+// an aborted run left frames in.
 func (w *worker) reset() {
 	w.mailbox = w.mailbox[:0]
 	for i := range w.reserve {

@@ -67,14 +67,13 @@ func Clustered(packages, clustersPerPackage, coresPerCluster int) *Topology {
 // 32 cores so sweeps compare machine shape, not machine size.
 var presets = []struct {
 	name  string
-	about string
 	build func() *Topology
 }{
-	{"paper-4x8", "the paper's 4-socket x 8-core Xeon E5-4620", XeonE5_4620},
-	{"2x16", "2 sockets x 16 cores, fully connected", func() *Topology { return Ring(2, 16) }},
-	{"8x4", "8 sockets x 4 cores on a ring (max 4 hops)", func() *Topology { return Ring(8, 4) }},
-	{"snc-2x2x8", "2 packages x 2 sub-NUMA clusters x 8 cores", func() *Topology { return Clustered(2, 2, 8) }},
-	{"uniform", "1 socket x 32 cores (UMA control)", func() *Topology { return SingleSocket(32) }},
+	{"paper-4x8", XeonE5_4620},                                    // the paper's 4-socket x 8-core Xeon E5-4620
+	{"2x16", func() *Topology { return Ring(2, 16) }},             // fully connected
+	{"8x4", func() *Topology { return Ring(8, 4) }},               // a ring, at most 4 hops
+	{"snc-2x2x8", func() *Topology { return Clustered(2, 2, 8) }}, // 2 packages x 2 sub-NUMA clusters x 8 cores
+	{"uniform", func() *Topology { return SingleSocket(32) }},     // UMA control
 }
 
 // Presets returns the registered preset names in display order.

@@ -128,28 +128,6 @@ func (t *Topology) Distance(a, b int) int {
 	return t.distance[a][b]
 }
 
-// SameShape reports whether two topologies describe the same machine:
-// equal socket and per-socket core counts and an identical hop-distance
-// matrix. Constructors return fresh values (presets are built per call),
-// so shape equality — not pointer identity — is what "same machine" means
-// to callers that key cached state on a topology.
-func (t *Topology) SameShape(o *Topology) bool {
-	if t == o {
-		return true
-	}
-	if o == nil || t.sockets != o.sockets || t.perSock != o.perSock {
-		return false
-	}
-	for i := range t.distance {
-		for j := range t.distance[i] {
-			if t.distance[i][j] != o.distance[i][j] {
-				return false
-			}
-		}
-	}
-	return true
-}
-
 // MaxDistance reports the largest hop distance in the machine.
 func (t *Topology) MaxDistance() int {
 	max := 0

@@ -189,12 +189,7 @@ func (g *CG) bandRange(band int) (int, int) {
 
 func (g *CG) chargeVec(ctx core.Context, band int, v *memory.Array[float64], write bool) {
 	lo, hi := g.bandRange(band)
-	off, size := v.Span(lo, hi-lo)
-	if write {
-		ctx.Write(v.R, off, size)
-	} else {
-		ctx.Read(v.R, off, size)
-	}
+	charge(ctx, v, lo, hi-lo, write)
 }
 
 // spmv computes q = A p in parallel over row bands. Matrix data streams;
@@ -208,18 +203,14 @@ func (g *CG) spmv(ctx core.Context) {
 				col := int(g.colidx.Data[k])
 				s += g.vals.Data[k] * g.p.Data[col]
 				// The gather read: one element of p, wherever it lives.
-				off, sz := g.p.Span(col, 1)
-				c.Read(g.p.R, off, sz)
+				charge(c, g.p, col, 1, false)
 			}
 			g.q.Data[i] = s
 		}
 		rows := hi - lo
-		off, sz := g.rowptr.Span(lo, rows+1)
-		c.Read(g.rowptr.R, off, sz)
-		off, sz = g.colidx.Span(lo*g.nzRow, rows*g.nzRow)
-		c.Read(g.colidx.R, off, sz)
-		voff, vsz := g.vals.Span(lo*g.nzRow, rows*g.nzRow)
-		c.Read(g.vals.R, voff, vsz)
+		charge(c, g.rowptr, lo, rows+1, false)
+		charge(c, g.colidx, lo*g.nzRow, rows*g.nzRow, false)
+		charge(c, g.vals, lo*g.nzRow, rows*g.nzRow, false)
 		g.chargeVec(c, band, g.q, true)
 		c.Compute(int64(rows) * int64(g.nzRow) * 2)
 	})

@@ -176,9 +176,8 @@ func (s *Cilksort) quicksort(ctx core.Context, lo, hi int) {
 	}
 	seg := s.in.Data[lo:hi]
 	sort.Slice(seg, func(i, j int) bool { return seg[i] < seg[j] })
-	off, size := s.in.Span(lo, n)
-	ctx.Read(s.in.R, off, size)
-	ctx.Write(s.in.R, off, size)
+	charge(ctx, s.in, lo, n, false)
+	charge(ctx, s.in, lo, n, true)
 	logn := int64(1)
 	for v := n; v > 1; v >>= 1 {
 		logn++
@@ -207,8 +206,7 @@ func (s *Cilksort) parmerge(ctx core.Context, alo, ahi, blo, bhi int, src, dst *
 	mb := blo + sort.Search(nb, func(i int) bool { return src.Data[blo+i] >= pivot })
 	// Charge the binary search probes (log nb scattered reads).
 	for probe := nb; probe > 0; probe >>= 1 {
-		off, sz := src.Span(blo, 1)
-		ctx.Read(src.R, off, sz)
+		charge(ctx, src, blo, 1, false)
 		ctx.Compute(2)
 	}
 	left := out
@@ -241,16 +239,13 @@ func (s *Cilksort) seqmerge(ctx core.Context, alo, ahi, blo, bhi int, src, dst *
 		j, k = j+1, k+1
 	}
 	if n := ahi - alo; n > 0 {
-		off, sz := src.Span(alo, n)
-		ctx.Read(src.R, off, sz)
+		charge(ctx, src, alo, n, false)
 	}
 	if n := bhi - blo; n > 0 {
-		off, sz := src.Span(blo, n)
-		ctx.Read(src.R, off, sz)
+		charge(ctx, src, blo, n, false)
 	}
 	if n := k - out; n > 0 {
-		off, sz := dst.Span(out, n)
-		ctx.Write(dst.R, off, sz)
+		charge(ctx, dst, out, n, true)
 		ctx.Compute(int64(n) * 3)
 	}
 }

@@ -151,9 +151,8 @@ func (f *FFT) permuteBand(ctx core.Context, band int) {
 	}
 	base, stride := revBits(lo, width), f.n/size
 	for k := 0; k < 2; k++ {
-		ctx.ReadStrided(f.d[k].R, int64(base)*8, int64(stride)*8, 8, size)
-		off, sz := f.w[k].Span(lo, size)
-		ctx.Write(f.w[k].R, off, sz)
+		chargeStrided(ctx, f.d[k], base, stride, 1, size, false)
+		charge(ctx, f.w[k], lo, size, true)
 	}
 	ctx.Compute(int64(size) * 4)
 }
@@ -190,14 +189,12 @@ func (f *FFT) butterflyBand(ctx core.Context, band, m int) {
 		return // a second-half band of a late stage: its partner updates it
 	}
 	for k := 0; k < 2; k++ {
-		off, sz := f.w[k].Span(lo, hi-lo)
-		ctx.Read(f.w[k].R, off, sz)
-		ctx.Write(f.w[k].R, off, sz)
+		charge(ctx, f.w[k], lo, hi-lo, false)
+		charge(ctx, f.w[k], lo, hi-lo, true)
 		if h >= size {
 			// Partners live in the band half a block away.
-			off, sz = f.w[k].Span(lo+h, hi-lo)
-			ctx.Read(f.w[k].R, off, sz)
-			ctx.Write(f.w[k].R, off, sz)
+			charge(ctx, f.w[k], lo+h, hi-lo, false)
+			charge(ctx, f.w[k], lo+h, hi-lo, true)
 		}
 	}
 	ctx.Compute(int64(pairs) * 10)

@@ -100,10 +100,8 @@ func (h *Heat) sweepBand(ctx core.Context, band int, from, to *memory.Array[floa
 		return
 	}
 	// The stencil reads rows lo-1 .. hi and writes rows lo .. hi-1.
-	off, size := from.Span((lo-1)*nx, (rows+2)*nx)
-	ctx.Read(from.R, off, size)
-	off, size = to.Span(lo*nx, rows*nx)
-	ctx.Write(to.R, off, size)
+	charge(ctx, from, (lo-1)*nx, (rows+2)*nx, false)
+	charge(ctx, to, lo*nx, rows*nx, true)
 	ctx.Compute(int64(rows) * int64(nx) * 6)
 }
 

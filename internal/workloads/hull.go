@@ -126,10 +126,8 @@ func (h *Hull) cross(a, b, p int32) float64 {
 
 // chargePoint charges the gather reads of one point's coordinates.
 func (h *Hull) chargePoint(ctx core.Context, p int32) {
-	off, sz := h.x.Span(int(p), 1)
-	ctx.Read(h.x.R, off, sz)
-	off, sz = h.y.Span(int(p), 1)
-	ctx.Read(h.y.R, off, sz)
+	charge(ctx, h.x, int(p), 1, false)
+	charge(ctx, h.y, int(p), 1, false)
 }
 
 // Root implements Workload.
@@ -149,8 +147,7 @@ func (h *Hull) Root() core.Task {
 				}
 			}
 			h.partialCnt[band] = [2]int{minI, maxI}
-			off, sz := h.x.Span(lo, hi-lo)
-			c.Read(h.x.R, off, sz)
+			charge(c, h.x, lo, hi-lo, false)
 			c.Compute(int64(hi-lo) * 2)
 		})
 		minI, maxI := h.partialCnt[0][0], h.partialCnt[0][1]
@@ -200,12 +197,9 @@ func (h *Hull) packInit(ctx core.Context, a, b int32) (nUp, nLo int) {
 			}
 		}
 		h.partialCnt[band] = [2]int{up, down}
-		off, sz := h.x.Span(lo, hi-lo)
-		c.Read(h.x.R, off, sz)
-		off, sz = h.y.Span(lo, hi-lo)
-		c.Read(h.y.R, off, sz)
-		off, sz = h.flags.Span(lo, hi-lo)
-		c.Write(h.flags.R, off, sz)
+		charge(c, h.x, lo, hi-lo, false)
+		charge(c, h.y, lo, hi-lo, false)
+		charge(c, h.flags, lo, hi-lo, true)
 		c.Compute(int64(hi-lo) * 6)
 	})
 	// Serial prefix over band counts (h.bands entries, cheap).
@@ -234,15 +228,12 @@ func (h *Hull) packInit(ctx core.Context, a, b int32) (nUp, nLo int) {
 				d++
 			}
 		}
-		off, sz := h.flags.Span(lo, hi-lo)
-		c.Read(h.flags.R, off, sz)
+		charge(c, h.flags, lo, hi-lo, false)
 		if n := u - upBase[band]; n > 0 {
-			off, sz = h.idx[0].Span(upBase[band], n)
-			c.Write(h.idx[0].R, off, sz)
+			charge(c, h.idx[0], upBase[band], n, true)
 		}
 		if n := d - (total + loBase[band]); n > 0 {
-			off, sz = h.idx[0].Span(total+loBase[band], n)
-			c.Write(h.idx[0].R, off, sz)
+			charge(c, h.idx[0], total+loBase[band], n, true)
 		}
 		c.Compute(int64(hi-lo) * 2)
 	})
@@ -291,8 +282,7 @@ func (h *Hull) recSerial(ctx core.Context, src, dst, lo, hi int, a, b int32) {
 		}
 		h.chargePoint(ctx, p)
 	}
-	off, sz := in.Span(lo, hi-lo)
-	ctx.Read(in.R, off, sz)
+	charge(ctx, in, lo, hi-lo, false)
 	ctx.Compute(int64(hi-lo) * 7)
 	f := best.idx
 	h.hullMark[f] = true
@@ -315,8 +305,7 @@ func (h *Hull) farthest(ctx core.Context, in *memory.Array[int32], lo, hi int, a
 			}
 			h.chargePoint(c, p)
 		}
-		off, sz := in.Span(sLo, sHi-sLo)
-		c.Read(in.R, off, sz)
+		charge(c, in, sLo, sHi-sLo, false)
 		c.Compute(int64(sHi-sLo) * 7)
 		return best
 	}
@@ -365,15 +354,12 @@ func (h *Hull) packSerial(ctx core.Context, in, out *memory.Array[int32], lo, hi
 	for i, j := d, hi-1; i < j; i, j = i+1, j-1 {
 		out.Data[i], out.Data[j] = out.Data[j], out.Data[i]
 	}
-	off, sz := in.Span(lo, hi-lo)
-	ctx.Read(in.R, off, sz)
+	charge(ctx, in, lo, hi-lo, false)
 	if u > lo {
-		off, sz = out.Span(lo, u-lo)
-		ctx.Write(out.R, off, sz)
+		charge(ctx, out, lo, u-lo, true)
 	}
 	if hi > d {
-		off, sz = out.Span(d, hi-d)
-		ctx.Write(out.R, off, sz)
+		charge(ctx, out, d, hi-d, true)
 	}
 	ctx.Compute(int64(hi-lo) * 10)
 	return u - lo, hi - d
@@ -410,10 +396,8 @@ func (h *Hull) packParallel(ctx core.Context, in, out *memory.Array[int32], lo, 
 			h.chargePoint(c, p)
 		}
 		counts[band] = k
-		off, sz := in.Span(sLo, sHi-sLo)
-		c.Read(in.R, off, sz)
-		off, sz = h.flags.Span(sLo, sHi-sLo)
-		c.Write(h.flags.R, off, sz)
+		charge(c, in, sLo, sHi-sLo, false)
+		charge(c, h.flags, sLo, sHi-sLo, true)
 		c.Compute(int64(sHi-sLo) * 12)
 	})
 	leftBase := make([]int, bands)
@@ -443,17 +427,13 @@ func (h *Hull) packParallel(ctx core.Context, in, out *memory.Array[int32], lo, 
 				d++
 			}
 		}
-		off, sz := h.flags.Span(sLo, sHi-sLo)
-		c.Read(h.flags.R, off, sz)
-		off, sz = in.Span(sLo, sHi-sLo)
-		c.Read(in.R, off, sz)
+		charge(c, h.flags, sLo, sHi-sLo, false)
+		charge(c, in, sLo, sHi-sLo, false)
 		if k := u - (lo + leftBase[band]); k > 0 {
-			off, sz = out.Span(lo+leftBase[band], k)
-			c.Write(out.R, off, sz)
+			charge(c, out, lo+leftBase[band], k, true)
 		}
 		if k := d - (rBase + rightBase[band]); k > 0 {
-			off, sz = out.Span(rBase+rightBase[band], k)
-			c.Write(out.R, off, sz)
+			charge(c, out, rBase+rightBase[band], k, true)
 		}
 		c.Compute(int64(sHi-sLo) * 3)
 	})

@@ -86,12 +86,7 @@ func (l *LU) set(r, c int, v float64) { l.a.Data[r*l.n+c] = v }
 // one strided span per tile (rows are n-strided segments).
 func (l *LU) chargeTile(ctx core.Context, bi, bj int, write bool) {
 	b := l.base
-	off := int64(bi*b*l.n+bj*b) * 8
-	if write {
-		ctx.WriteStrided(l.a.R, off, int64(l.n)*8, int64(b)*8, b)
-	} else {
-		ctx.ReadStrided(l.a.R, off, int64(l.n)*8, int64(b)*8, b)
-	}
+	chargeStrided(ctx, l.a, bi*b*l.n+bj*b, l.n, b, b, write)
 }
 
 // hint earmarks a task for the place owning block row bi (aware runs

@@ -156,34 +156,21 @@ func tileMul(c *layout.Matrix, cr, cc int, a *layout.Matrix, ar, ac int, b *layo
 // row segments.
 func chargeTile(ctx core.Context, mat *layout.Matrix, r, c, n int, write bool) {
 	if mat.Kind == layout.BlockedMorton && n == mat.Block {
-		off, size := mat.BlockSpan(r, c)
-		if write {
-			ctx.Write(mat.R, off, size)
-		} else {
-			ctx.Read(mat.R, off, size)
-		}
+		first, size := mat.BlockSpan(r, c)
+		charge(ctx, &mat.Array, first, size, write)
 		return
 	}
 	if mat.Kind == layout.BlockedMorton {
 		// Tile smaller than the layout block: rows are contiguous within
 		// the block.
 		for i := 0; i < n; i++ {
-			off, size := mat.RowSpan(r+i, c, n)
-			if write {
-				ctx.Write(mat.R, off, size)
-			} else {
-				ctx.Read(mat.R, off, size)
-			}
+			first, size := mat.RowSpan(r+i, c, n)
+			charge(ctx, &mat.Array, first, size, write)
 		}
 		return
 	}
-	off, _ := mat.RowSpan(r, c, n)
-	stride := int64(mat.N) * 8
-	if write {
-		ctx.WriteStrided(mat.R, off, stride, int64(n)*8, n)
-	} else {
-		ctx.ReadStrided(mat.R, off, stride, int64(n)*8, n)
-	}
+	first, size := mat.RowSpan(r, c, n)
+	chargeStrided(ctx, &mat.Array, first, mat.N, size, n, write)
 }
 
 // Verify implements Workload: compare against a straightforward triple-loop

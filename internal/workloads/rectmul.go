@@ -123,10 +123,10 @@ func (r *Rectmul) baseMul(ctx core.Context, cr, cc, ak, m, p, n int) {
 			}
 		}
 	}
-	ctx.ReadStrided(r.a.R, int64(cr*r.p+ak)*8, int64(r.p)*8, int64(p)*8, m)
-	ctx.ReadStrided(r.b.R, int64(ak*r.n+cc)*8, int64(r.n)*8, int64(n)*8, p)
-	ctx.ReadStrided(r.c.R, int64(cr*r.n+cc)*8, int64(r.n)*8, int64(n)*8, m)
-	ctx.WriteStrided(r.c.R, int64(cr*r.n+cc)*8, int64(r.n)*8, int64(n)*8, m)
+	chargeStrided(ctx, r.a, cr*r.p+ak, r.p, p, m, false)
+	chargeStrided(ctx, r.b, ak*r.n+cc, r.n, n, p, false)
+	chargeStrided(ctx, r.c, cr*r.n+cc, r.n, n, m, false)
+	chargeStrided(ctx, r.c, cr*r.n+cc, r.n, n, m, true)
 	ctx.Compute(int64(m) * int64(p) * int64(n))
 }
 

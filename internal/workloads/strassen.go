@@ -154,23 +154,15 @@ func (v view) chargeRow(ctx core.Context, r int, write bool) {
 			if chunk > w {
 				chunk = w
 			}
-			off, size := v.m.RowSpan(row, col, chunk)
-			if write {
-				ctx.Write(v.m.R, off, size)
-			} else {
-				ctx.Read(v.m.R, off, size)
-			}
+			first, n := v.m.RowSpan(row, col, chunk)
+			charge(ctx, &v.m.Array, first, n, write)
 			col += chunk
 			w -= chunk
 		}
 		return
 	}
-	off, size := v.m.RowSpan(row, col, w)
-	if write {
-		ctx.Write(v.m.R, off, size)
-	} else {
-		ctx.Read(v.m.R, off, size)
-	}
+	first, n := v.m.RowSpan(row, col, w)
+	charge(ctx, &v.m.Array, first, n, write)
 }
 
 // Root implements Workload.
@@ -259,12 +251,8 @@ func blockwise(vs ...view) (int, bool) {
 // chargeBlock charges one whole-block access of the b x b tile at (r, c) of
 // the view.
 func (v view) chargeBlock(ctx core.Context, r, c int, write bool) {
-	off, size := v.m.BlockSpan(v.r0+r, v.c0+c)
-	if write {
-		ctx.Write(v.m.R, off, size)
-	} else {
-		ctx.Read(v.m.R, off, size)
-	}
+	first, n := v.m.BlockSpan(v.r0+r, v.c0+c)
+	charge(ctx, &v.m.Array, first, n, write)
 }
 
 // block returns the b x b layout block at (r, c) of a blockwise view as

@@ -31,18 +31,14 @@ func facadeErr(err error) error {
 	return err
 }
 
-// spec resolves one benchmark name against the session's suite.
+// spec resolves one benchmark name against the session's suite, through
+// harness.SelectSpecs like every other name.
 func (s *Session) spec(bench string) (harness.Spec, error) {
-	for _, sp := range s.specs {
-		if sp.Name == bench {
-			return sp, nil
-		}
+	specs, err := s.subset([]string{bench})
+	if err != nil {
+		return harness.Spec{}, err
 	}
-	names := make([]string, len(s.specs))
-	for i, sp := range s.specs {
-		names[i] = sp.Name
-	}
-	return harness.Spec{}, fmt.Errorf("numaws: no benchmark named %q in this session (have %v)", bench, names)
+	return specs[0], nil
 }
 
 // subset resolves an optional benchmark-name filter: no names means the
@@ -96,11 +92,11 @@ func (s *Session) Measure(ctx context.Context, bench string) (Row, error) {
 	if err != nil {
 		return Row{}, err
 	}
-	row, err := harness.Measure(ctx, sp, s.options())
+	rows, err := harness.MeasureAll(ctx, []harness.Spec{sp}, s.options())
 	if err != nil {
 		return Row{}, err
 	}
-	return row, nil
+	return rows[0], nil
 }
 
 // MeasureAll runs the comparison protocol for every benchmark of the
@@ -130,10 +126,7 @@ func (s *Session) Each(ctx context.Context, onRun func(Run), benches ...string) 
 		return nil, err
 	}
 	opt := s.options()
-	opt.OnRun = func(m harness.RunMeta) {
-		onRun(Run{Bench: m.Bench, Policy: m.Policy, P: m.P, Seed: m.Seed,
-			Serial: m.Serial, Baseline: m.Baseline, Replayed: m.Replayed, Time: m.Time})
-	}
+	opt.OnRun = onRun
 	return harness.MeasureAll(ctx, specs, opt)
 }
 

@@ -121,6 +121,28 @@ func TestMeasureAndRun(t *testing.T) {
 	}
 }
 
+// TestSingleBenchUnknownName pins that the single-benchmark methods resolve
+// their name like every other benchmark list (harness.SelectSpecs), so an
+// unknown name reads the same wherever it is given.
+func TestSingleBenchUnknownName(t *testing.T) {
+	s := small(t, numaws.WithWorkers(2), numaws.WithBenchmarks("fib", "heat"))
+	const want = `numaws: no benchmark named "cg" (want fib, heat)`
+	for _, c := range []struct {
+		name string
+		call func() error
+	}{
+		{"Run", func() error { _, err := s.Run(t.Context(), "cg"); return err }},
+		{"RunSerial", func() error { _, err := s.RunSerial(t.Context(), "cg"); return err }},
+		{"Measure", func() error { _, err := s.Measure(t.Context(), "cg"); return err }},
+		{"Timeline", func() error { _, err := s.Timeline(t.Context(), "cg", 40); return err }},
+		{"MeasureAll", func() error { _, err := s.MeasureAll(t.Context(), "cg"); return err }},
+	} {
+		if err := c.call(); err == nil || err.Error() != want {
+			t.Errorf("%s(cg) error = %v, want %q", c.name, err, want)
+		}
+	}
+}
+
 func TestEachStreamsAndAgreesWithMeasureAll(t *testing.T) {
 	s := small(t, numaws.WithWorkers(8), numaws.WithSeeds(2), numaws.WithBenchmarks("cilksort", "heat"))
 	var mu sync.Mutex

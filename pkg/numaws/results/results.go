@@ -84,6 +84,30 @@ type Row struct {
 	Err *RunFailure
 }
 
+// Run identifies one completed simulation of a measurement grid, for
+// streaming consumers (Session.Each, the harness's Options.OnRun): which
+// benchmark, under which policy ("serial" for the TS elision run), at
+// which worker count and scheduler seed, and the completion time it
+// measured.
+type Run struct {
+	Bench  string
+	Policy string
+	P      int
+	Seed   int64
+	Serial bool
+	// Baseline marks runs of the comparison protocol's classic
+	// work-stealing baseline column (always "cilk"), distinguishing them
+	// from the session-policy column even when that policy is itself
+	// "cilk", where (Bench, Policy, P, Seed) alone would not. False for
+	// serial and sweep runs, which have no baseline column.
+	Baseline bool
+	// Replayed marks a run the result cache answered instead of a
+	// simulation: a journal record, or an earlier or concurrent identical
+	// run of the same session. Time is the stored measurement.
+	Replayed bool
+	Time     int64 // virtual cycles (TS for serial runs, TP otherwise)
+}
+
 // Series is one benchmark's scalability curve (the paper's Fig. 9): TP[i]
 // is the completion time at P[i] workers.
 type Series struct {

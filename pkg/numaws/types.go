@@ -41,26 +41,8 @@ type SweepCurve = results.SweepCurve
 type Export = results.Export
 
 // Run identifies one completed simulation of a streaming measurement (see
-// Session.Each): which benchmark, under which policy ("serial" for the TS
-// elision run), at which worker count and scheduler seed, and the
-// completion time it measured.
-type Run struct {
-	Bench  string
-	Policy string
-	P      int
-	Seed   int64
-	Serial bool
-	// Baseline marks runs of the classic work-stealing baseline column
-	// (always "cilk"), distinguishing them from the session-policy column
-	// even when the session's policy is itself "cilk". False for serial
-	// runs.
-	Baseline bool
-	// Replayed marks a run the session's cache answered instead of a
-	// simulation: a WithJournal record, or the session's earlier or
-	// concurrent identical run. Time is the stored measurement.
-	Replayed bool
-	Time     int64 // virtual cycles (TS for serial runs, TP otherwise)
-}
+// Session.Each and results.Run).
+type Run = results.Run
 
 // Accesses counts memory accesses by the point of the hierarchy that
 // serviced them, from fastest to slowest.
