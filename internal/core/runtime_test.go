@@ -266,10 +266,10 @@ func TestTaskPanicPropagates(t *testing.T) {
 }
 
 // TestAbortedRunArenaReuse is TestTaskPanicPropagates's reuse check on one
-// shared topology, so the arena reuses its workers rather than rebuilding
-// them: a run after a panicked or interrupted one on the same arena must
-// equal a run on a fresh arena, so no frame the aborted run left queued
-// survives into it.
+// shared topology, so the arena takes its reuse path whatever identifies a
+// machine: a run after a panicked or interrupted one on the same arena
+// must equal a run on a fresh arena, so no frame the aborted run left
+// queued survives into it.
 func TestAbortedRunArenaReuse(t *testing.T) {
 	top := topology.XeonE5_4620()
 	cfg := func(a *Arena) Config {

@@ -1,13 +1,13 @@
 package numaws
 
 // The facade's result types. The measurement schema — rows, curves,
-// failures, tournaments and the export bundle — is declared once, in
-// pkg/numaws/results, which the harness builds and the renderers read;
-// the facade re-exports it under its public names as aliases. The types
-// below describe single runs and are built here from engine reports: the
-// public API must not name internal types in exported signatures (the
-// layering contract in DESIGN.md, enforced by the facadepurity analyzer in
-// numaws-vet and the CI facade job).
+// failures, tournaments, streamed runs and the export bundle — is declared
+// once, in pkg/numaws/results, which the harness builds and the renderers
+// read; the facade re-exports it under its public names as aliases. The
+// types below Run describe single runs and are built here from engine
+// reports: the public API must not name internal types in exported
+// signatures (the layering contract in DESIGN.md, enforced by the
+// facadepurity analyzer in numaws-vet and the CI facade job).
 
 import (
 	"repro/internal/cache"
